@@ -303,14 +303,21 @@ def _first_gap(params: ModulationParams) -> float:
 
 
 def cmd_pump(cfg, prefix, threads):
-    design = _build_design(cfg)
-    constants = OpticalConstants(gamma=cfg["gamma"])
-    grid = default_grid(design, cfg["dx_um"], cfg["dz_um"],
-                        cfg["num_slices"])
-    guide = cfg["injection_guide"]
-    if guide is None:
-        guide = injection_guide(design)
-    psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"], grid)
+    # Bad settings surface here as ValueError (a dz that does not divide
+    # the slice spacing included); GridUnderresolved, a numerical failure,
+    # is raised only by the stepper below.
+    try:
+        design = _build_design(cfg)
+        constants = OpticalConstants(gamma=cfg["gamma"])
+        grid = default_grid(design, cfg["dx_um"], cfg["dz_um"],
+                            cfg["num_slices"])
+        guide = cfg["injection_guide"]
+        if guide is None:
+            guide = injection_guide(design)
+        psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"],
+                              grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     traj = split_step_propagate(psi0, design, constants, grid)
 
     G1 = None
@@ -333,8 +340,8 @@ def cmd_pump(cfg, prefix, threads):
     write_json(prefix + "_summary.json", summary)
 
     intensity = traj.intensity()
-    header = ["z_um"] + [format_float(x) for x in grid.xs]
-    rows = [[z] + list(row) for z, row in zip(traj.zs, intensity)]
+    header = ["z_um"] + [format_float(x) for x in grid.xs.tolist()]
+    rows = [[z] + row.tolist() for z, row in zip(traj.zs.tolist(), intensity)]
     write_csv(prefix + "_intensity.csv", header, rows)
     peaks = intensity.max(axis=1, keepdims=True)
     peaks[peaks == 0] = 1.0

@@ -1,8 +1,8 @@
 """Deterministic text output helpers shared by the library and the CLI.
 
-All floating-point output goes through format_float (12 significant digits,
-negative zero normalized) so results are byte-identical regardless of thread
-count or platform locale.
+All floating-point output goes through format_float (printf "%.12g",
+negative zero normalized) so results are byte-identical regardless of
+thread count or platform locale.
 """
 
 from __future__ import annotations
@@ -11,29 +11,18 @@ import json
 
 import numpy as np
 
-FLOAT_DIGITS = 12
-
 
 def format_float(x) -> str:
-    """Repr with 12 significant digits; -0 is normalized to 0."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    s = f"{x:.{FLOAT_DIGITS - 1}e}"
-    mantissa, exponent = s.split("e")
-    exp = int(exponent)
-    if -4 <= exp < FLOAT_DIGITS:
-        s = f"{x:.{FLOAT_DIGITS - 1 - exp}f}" if exp < FLOAT_DIGITS - 1 \
-            else f"{x:.0f}"
-        if "." in s:
-            s = s.rstrip("0").rstrip(".")
-        return s if s else "0"
-    mantissa = mantissa.rstrip("0").rstrip(".")
-    return f"{mantissa}e{exp:+03d}"
+    """printf "%.12g": 12 significant digits, exponent form when the
+    rounded value is below 1e-4 or at least 1e12, trailing zeros dropped;
+    -0 prints as 0 and non-finite values as nan, inf, -inf."""
+    return f"{x + 0.0:.12g}"
 
 
 def format_cell(v) -> str:
     """CSV cell: floats via format_float, everything else via str."""
+    if type(v) is float:  # numeric tables arrive as plain floats
+        return format_float(v)
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (int, np.integer)):
@@ -47,7 +36,7 @@ def write_csv(path, header, rows) -> None:
     """Comma-separated file with a header row and formatted cells."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+        lines.append(",".join(map(format_cell, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -90,6 +79,6 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
         gray = np.zeros(a.shape, dtype=int)
     lines = ["P2", f"{a.shape[1]} {a.shape[0]}", str(max_gray)]
     for row in gray:
-        lines.append(" ".join(str(v) for v in row))
+        lines.append(" ".join(map(str, row.tolist())))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

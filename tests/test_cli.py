@@ -111,6 +111,18 @@ class TestCommands:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, override", [
+        ("fig5c", "dz_um=4"),        # does not divide the 750 um slices
+        ("fig5b", "num_guides=4"),
+        ("fig5b", "W_um=0"),
+    ])
+    def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
+                                     override):
+        rc = run(["pump", "--preset", preset, "--outdir", tmp_path,
+                  override])
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
 

@@ -2,10 +2,27 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aahpump.ioutil import format_cell, format_float, write_csv, write_json, \
     write_pgm
+
+
+def reference_format_float(x) -> str:
+    """The formatter's former pure-Python algorithm, kept as the oracle."""
+    x = float(x)
+    if x == 0.0:
+        x = 0.0
+    s = f"{x:.11e}"
+    mantissa, exponent = s.split("e")
+    exp = int(exponent)
+    if -4 <= exp < 12:
+        s = f"{x:.{11 - exp}f}" if exp < 11 else f"{x:.0f}"
+        if "." in s:
+            s = s.rstrip("0").rstrip(".")
+        return s if s else "0"
+    mantissa = mantissa.rstrip("0").rstrip(".")
+    return f"{mantissa}e{exp:+03d}"
 
 
 class TestFormatFloat:
@@ -31,11 +48,30 @@ class TestFormatFloat:
         else:
             assert abs(float(s) - x) <= 1.000001e-11 * abs(x)
 
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_reference_algorithm(self, x):
+        assert format_float(x) == reference_format_float(x)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1e-4, 9.999999999995e-5, 99999999999.95, 1e11, 1e12,
+        5e-324, 1.7976931348623157e308])
+    def test_matches_reference_at_boundaries(self, x):
+        assert format_float(x) == reference_format_float(x)
+        assert format_float(-x) == reference_format_float(-x)
+        assert format_float(np.float64(x)) == reference_format_float(x)
+
+    def test_non_finite(self):
+        assert format_float(float("nan")) == "nan"
+        assert format_float(float("inf")) == "inf"
+        assert format_float(-np.inf) == "-inf"
+
     def test_cells(self):
         assert format_cell(True) == "True"
         assert format_cell(np.int64(-3)) == "-3"
         assert format_cell("undef") == "undef"
         assert format_cell(np.float64(0.25)) == "0.25"
+        assert format_cell(-0.0) == "0"
 
 
 class TestWriters:

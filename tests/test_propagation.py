@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from aahpump.model import _mod_angle
-from aahpump.propagation import BoundaryLeakage, GridUnderresolved, \
-    IndexModulated, OpticalConstants, SimulationGrid, SpacingModulated, \
-    _IndexPotential, _SpacingPotential, default_grid, gaussian_input, \
-    injection_guide, lz_ratio, mean_position, pump_chern, \
-    refractive_profile, run_summary, split_step_propagate
+from aahpump.propagation import GUIDE_WINDOW_WIDTHS, BoundaryLeakage, \
+    GridUnderresolved, IndexModulated, OpticalConstants, SimulationGrid, \
+    SpacingModulated, _IndexPotential, _SpacingPotential, _super_gaussian, \
+    default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
+    pump_chern, refractive_profile, run_summary, split_step_propagate
 
 CONST = OpticalConstants(gamma=9e-4)
 
@@ -25,6 +25,23 @@ def spacing_design(**kw):
     base.update(kw)
     with pytest.warns(UserWarning):
         return SpacingModulated(**base)
+
+
+def windowed_spacing_profile(d, x, z, phase=None):
+    """Per-guide loop over the support windows: the gathered potential's
+    reference."""
+    R = np.zeros(x.shape)
+    dx = x[1] - x[0]
+    half = GUIDE_WINDOW_WIDTHS * d.wx
+    dz_phase = 0.0 if phase is None else phase - d.Omega * z
+    for j in d.guide_indices:
+        c = j * d.ws + d.wm * math.cos(
+            _mod_angle(j, d.p, d.q) + d.phi0 + d.Omega * z + dz_phase)
+        lo = max(0, int((c - half - x[0]) / dx))
+        hi = min(len(x), int((c + half - x[0]) / dx) + 2)
+        if lo < hi:
+            R[lo:hi] += _super_gaussian(x[lo:hi], c, d.wx)
+    return R
 
 
 class TestProfiles:
@@ -62,6 +79,26 @@ class TestProfiles:
         for z in (0.0, 3.3e4, 1.1e5):
             assert np.abs(pot.profile(z)
                           - refractive_profile(d, x, z)).max() < 1e-9
+
+    @pytest.mark.parametrize("x", [
+        np.arange(-280, 280, 0.15625),  # whole array, overlapping windows
+        np.arange(-150, 150, 0.15625),  # narrower: windows clipped at ends
+        np.linspace(-201.3, 187.9, 1999),
+    ])
+    @pytest.mark.parametrize("phase", [None, 0.0, 2.0, -7.5])
+    def test_gathered_spacing_potential_matches_window_loop(self, x, phase):
+        d = spacing_design()
+        pot = _SpacingPotential(d, x)
+        for z in (0.0, 3.3e4, 1.1e5, 1.5e5):
+            assert np.abs(pot.profile(z, phase)
+                          - windowed_spacing_profile(d, x, z, phase)
+                          ).max() <= 1e-14
+
+    def test_super_gaussian_matches_sixth_power(self):
+        x = np.linspace(-20.0, 20.0, 100001)
+        for c, wx in ((0.0, 3.0), (0.37, 3.0), (-5.1, 1.7)):
+            ref = np.exp(-((x - c) / wx) ** 6)
+            assert np.abs(_super_gaussian(x, c, wx) - ref).max() <= 1e-15
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
