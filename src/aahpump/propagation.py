@@ -3,7 +3,9 @@
 The paraxial field obeys i d_z psi = -(1/2 k0) d_x^2 psi - (k0 gamma / n0)
 R(x, z) psi, integrated by symmetric Strang splitting: exact half kinetic
 steps in the spatial-frequency domain bracket a pointwise potential phase
-evaluated at the step midpoint.  Stepping is unitary, boundaries are
+evaluated at the step midpoint.  R is exactly zero beyond the outer guides'
+reach, so the potential is evaluated and its phase applied only on the slice
+of the grid inside that reach.  Stepping is unitary, boundaries are
 periodic, and the domain is padded with empty space whose occupancy is
 monitored so runs abort loudly instead of wrapping light around.
 
@@ -31,7 +33,10 @@ DEFAULT_NUM_SLICES = 200
 PHASE_STEP_MAX = 0.1         # rad; max potential phase per step
 LEAKAGE_MAX = 1e-4           # per-sample power fraction near the boundary
 BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
-GUIDE_WINDOW_WIDTHS = 5.0    # super-Gaussian support radius, in units of wx
+# Super-Gaussian support radius, in units of wx.  exp(-u^6) underflows to
+# exactly 0.0 in float64 beyond |u| = 3.011 (u^6 > 745.1), so samples outside
+# a window of this radius would add only exact zeros.
+GUIDE_WINDOW_WIDTHS = 3.1
 
 
 class GridUnderresolved(ValueError):
@@ -177,6 +182,11 @@ def injection_guide(design) -> int:
         score = {j: design.depth_factor(j, 0.0) for j in js}
         candidates = js
     else:
+        if design.num_guides < 3:
+            raise ValueError(
+                "the default input guide of a spacing design compares the "
+                "two spacings next to a guide and needs num_guides >= 3; "
+                "set injection_guide explicitly")
         centers = {j: design.guide_center(j, 0.0) for j in js}
         score = {}
         for j in js[1:-1]:
@@ -311,9 +321,10 @@ class _IndexPotential:
 
 
 class _SpacingPotential:
-    """Gathered evaluation of all guide windows (support ~ 5*wx) per step.
+    """Gathered evaluation of all guide windows per step.
 
-    Each guide contributes only on its window [lo, hi) of samples.  The
+    Each guide contributes only on its window [lo, hi) of samples, of radius
+    GUIDE_WINDOW_WIDTHS*wx, beyond which its shape is exactly 0.0.  The
     windows are laid out as rows of one fixed-width (num_guides, W) index
     block, samples beyond hi are masked to weight 0, and the rows are
     summed into R by one bincount in guide order.
@@ -354,6 +365,19 @@ class _SpacingPotential:
         return 2.5
 
 
+def _phase_support(design, x: np.ndarray) -> slice:
+    """Slice of the increasing grid x outside which R(x, z) is exactly 0 at
+    every z: the outer guides' reach h*ws + wm plus the window radius
+    GUIDE_WINDOW_WIDTHS*wx, beyond which the guide shape underflows.  It
+    holds at least two samples, as the potentials read dx from x."""
+    wm = design.wm if isinstance(design, SpacingModulated) else 0.0
+    reach = ((design.num_guides - 1) // 2 * design.ws + wm
+             + GUIDE_WINDOW_WIDTHS * design.wx)
+    lo = int(np.searchsorted(x, -reach))
+    hi = int(np.searchsorted(x, reach, side="right"))
+    return slice(min(lo, len(x) - 2), max(hi, 2))
+
+
 def split_step_propagate(psi0, design, constants: OpticalConstants,
                          grid: SimulationGrid,
                          leakage_abort: float = LEAKAGE_MAX,
@@ -367,15 +391,18 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     BoundaryLeakage.
 
     phase_fn optionally remaps z to the drive phase (default Omega*z),
-    allowing monotone gap-adaptive pump schedules.
+    allowing monotone gap-adaptive pump schedules.  psi0 is not modified.
     """
     x = grid.xs
     dx, dz = grid.dx, grid.dz
     if dx > design.wx / 4.0:
         raise GridUnderresolved(
             f"dx = {dx:.4g} exceeds wx/4 = {design.wx / 4:.4g}")
-    pot = (_IndexPotential(design, x) if isinstance(design, IndexModulated)
-           else _SpacingPotential(design, x))
+    # the potential phase factor is exactly 1 outside x[sup]
+    sup = _phase_support(design, x)
+    pot = (_IndexPotential(design, x[sup])
+           if isinstance(design, IndexModulated)
+           else _SpacingPotential(design, x[sup]))
     v_scale = constants.k0 * constants.gamma / constants.n0
     if dz * abs(v_scale) * pot.bound() > PHASE_STEP_MAX:
         raise GridUnderresolved(
@@ -395,20 +422,30 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     boundary = (x < grid.x_min + 2.0 * design.ws) | \
                (x >= grid.x_max - 2.0 * design.ws)
 
-    psi = np.asarray(psi0, dtype=complex)
+    psi = np.array(psi0, dtype=complex)
     norm0 = np.sum(np.abs(psi) ** 2) * dx
     fields = [psi.copy()]
     norms = [norm0]
     leak_max = float((np.abs(psi[boundary]) ** 2).max() * dx / norm0)
 
     record = set(steps.tolist())
+    kick = v_scale * dz
+    theta = np.empty(sup.stop - sup.start)
+    factor = np.empty(theta.shape, dtype=complex)
+    # exp(i*theta) as cos/sin written into one buffer: the same values as
+    # np.exp of the imaginary array, without its temporaries
     psi_k = np.fft.fft(psi)
     for s in range(steps[-1]):
         z_mid = (s + 0.5) * dz
-        psi = np.fft.ifft(psi_k * half_kin)
+        psi_k *= half_kin
+        np.fft.ifft(psi_k, out=psi)
         phase = None if phase_fn is None else phase_fn(z_mid)
-        psi *= np.exp(1j * v_scale * dz * pot.profile(z_mid, phase))
-        psi_k = np.fft.fft(psi) * half_kin
+        np.multiply(pot.profile(z_mid, phase), kick, out=theta)
+        np.cos(theta, out=factor.real)
+        np.sin(theta, out=factor.imag)
+        psi[sup] *= factor
+        np.fft.fft(psi, out=psi_k)
+        psi_k *= half_kin
         if s + 1 in record:
             out = np.fft.ifft(psi_k)
             fields.append(out)
@@ -426,9 +463,6 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
 def run_summary(trajectory: FieldTrajectory, design,
                 constants: OpticalConstants, G1: float | None = None) -> dict:
     """Summary dict for JSON export: shift readout plus health metrics."""
-    x0 = mean_position(trajectory.fields[0], trajectory.grid)
-    x1 = mean_position(trajectory.fields[-1], trajectory.grid)
-    c = (x1 - x0) / (design.q * design.ws)
     norms = trajectory.norms
     out = {
         "design": type(design).__name__,
@@ -436,9 +470,11 @@ def run_summary(trajectory: FieldTrajectory, design,
         "Z_um": float(design.Z),
         "num_guides": design.num_guides,
         "ws_um": design.ws,
-        "mean_x_start_um": x0,
-        "mean_x_end_um": x1,
-        "chern_estimate": c,
+        "mean_x_start_um": mean_position(trajectory.fields[0],
+                                         trajectory.grid),
+        "mean_x_end_um": mean_position(trajectory.fields[-1],
+                                       trajectory.grid),
+        "chern_estimate": pump_chern(trajectory, design.q, design.ws),
         "norm_drift": float(np.abs(norms / norms[0] - 1.0).max()),
         "leakage_max": trajectory.leakage_max,
     }

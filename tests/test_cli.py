@@ -111,17 +111,27 @@ class TestCommands:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("preset, override", [
-        ("fig5c", "dz_um=4"),        # does not divide the 750 um slices
-        ("fig5b", "num_guides=4"),
-        ("fig5b", "W_um=0"),
+    @pytest.mark.parametrize("preset, overrides, message", [
+        # dz does not divide the 750 um slices
+        pytest.param("fig5c", ["dz_um=4"], "multiples of dz",
+                     id="fig5c-dz_um=4"),
+        pytest.param("fig5b", ["num_guides=4"], "positive odd count",
+                     id="fig5b-num_guides=4"),
+        pytest.param("fig5b", ["W_um=0"], "W must be positive",
+                     id="fig5b-W_um=0"),
+        # no guide has two neighbours to compare spacings with
+        pytest.param("fig5b", ["design=spacing", "num_guides=1"],
+                     "needs num_guides >= 3",
+                     id="fig5b-design=spacing-num_guides=1"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
-                                     override):
+                                     overrides, message):
         rc = run(["pump", "--preset", preset, "--outdir", tmp_path,
-                  override])
+                  *overrides])
         assert rc == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert message in err
 
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aahpump.model import _mod_angle
 from aahpump.propagation import GUIDE_WINDOW_WIDTHS, BoundaryLeakage, \
     GridUnderresolved, IndexModulated, OpticalConstants, SimulationGrid, \
-    SpacingModulated, _IndexPotential, _SpacingPotential, _super_gaussian, \
-    default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
-    pump_chern, refractive_profile, run_summary, split_step_propagate
+    SpacingModulated, _IndexPotential, _SpacingPotential, _phase_support, \
+    _super_gaussian, default_grid, gaussian_input, injection_guide, \
+    lz_ratio, mean_position, pump_chern, refractive_profile, run_summary, \
+    split_step_propagate
 
 CONST = OpticalConstants(gamma=9e-4)
 
@@ -44,6 +46,13 @@ def windowed_spacing_profile(d, x, z, phase=None):
     return R
 
 
+SPACING_GRIDS = [
+    np.arange(-280, 280, 0.15625),  # whole array, overlapping windows
+    np.arange(-150, 150, 0.15625),  # narrower: windows clipped at ends
+    np.linspace(-201.3, 187.9, 1999),
+]
+
+
 class TestProfiles:
     def test_unmodulated_peak(self):
         d = index_design(alpha=0.0)
@@ -73,18 +82,27 @@ class TestProfiles:
                           - refractive_profile(d, x, z)).max() < 1e-12
 
     def test_windowed_spacing_potential_matches_direct(self):
+        # samples beyond a window hold exact zeros of the guide shape, so
+        # the windowed sum equals the all-guide sum bit for bit
         d = spacing_design()
-        x = np.arange(-280, 280, 0.15625)
-        pot = _SpacingPotential(d, x)
-        for z in (0.0, 3.3e4, 1.1e5):
-            assert np.abs(pot.profile(z)
-                          - refractive_profile(d, x, z)).max() < 1e-9
+        for x in SPACING_GRIDS:
+            pot = _SpacingPotential(d, x)
+            for z in np.linspace(0.0, d.Z, 37):
+                assert np.array_equal(pot.profile(z),
+                                      refractive_profile(d, x, z))
 
-    @pytest.mark.parametrize("x", [
-        np.arange(-280, 280, 0.15625),  # whole array, overlapping windows
-        np.arange(-150, 150, 0.15625),  # narrower: windows clipped at ends
-        np.linspace(-201.3, 187.9, 1999),
-    ])
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    def test_profile_exactly_zero_outside_phase_support(self, design):
+        # the stepper applies the potential phase on this slice only
+        d = index_design() if design == "index" else spacing_design()
+        x = default_grid(d).xs
+        outside = np.ones(x.shape, dtype=bool)
+        outside[_phase_support(d, x)] = False
+        assert 0.25 < outside.mean() < 0.4
+        for z in np.linspace(0.0, d.Z, 37):
+            assert not refractive_profile(d, x, z)[outside].any()
+
+    @pytest.mark.parametrize("x", SPACING_GRIDS)
     @pytest.mark.parametrize("phase", [None, 0.0, 2.0, -7.5])
     def test_gathered_spacing_potential_matches_window_loop(self, x, phase):
         d = spacing_design()
@@ -159,7 +177,59 @@ def free_gaussian(x, W, z, k0):
     return np.sqrt(W ** 2 / s) * np.exp(-x ** 2 / s)
 
 
+def reference_propagate(psi0, design, constants, grid, phase_fn=None):
+    """Strang stepper with fresh arrays per step, one complex exp of the
+    potential phase and that phase applied on the whole grid: the reference
+    the in-place, support-trimmed stepper must reproduce bit for bit."""
+    x, dx, dz = grid.xs, grid.dx, grid.dz
+    pot = (_IndexPotential(design, x) if isinstance(design, IndexModulated)
+           else _SpacingPotential(design, x))
+    v_scale = constants.k0 * constants.gamma / constants.n0
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
+    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
+    psi = np.asarray(psi0, dtype=complex)
+    fields = [psi.copy()]
+    norms = [np.sum(np.abs(psi) ** 2) * dx]
+    record = set(grid.steps.tolist())
+    psi_k = np.fft.fft(psi)
+    for s in range(grid.steps[-1]):
+        z_mid = (s + 0.5) * dz
+        psi = np.fft.ifft(psi_k * half_kin)
+        phase = None if phase_fn is None else phase_fn(z_mid)
+        psi *= np.exp(1j * v_scale * dz * pot.profile(z_mid, phase))
+        psi_k = np.fft.fft(psi) * half_kin
+        if s + 1 in record:
+            out = np.fft.ifft(psi_k)
+            fields.append(out)
+            norms.append(np.sum(np.abs(out) ** 2) * dx)
+    return fields, np.array(norms)
+
+
 class TestSplitStep:
+    @pytest.mark.parametrize("design, dz, guide", [
+        ("index", 4.0, 0),
+        ("spacing", 7.5, -4),
+    ])
+    @pytest.mark.parametrize("drive", ["default", "phase_fn"])
+    def test_matches_reference_stepper(self, design, dz, guide, drive):
+        d = index_design() if design == "index" else spacing_design()
+        const = OpticalConstants(gamma=5e-4)
+        grid = default_grid(d, dz=dz)
+        grid = SimulationGrid(grid.x_min, grid.x_max, grid.nx, dz,
+                              dz * np.arange(0, 301, 50))
+        psi0 = gaussian_input(d.guide_center(guide, 0.0), 4.3, grid)
+        psi0_before = psi0.copy()
+        phase_fn = (None if drive == "default"
+                    else lambda z: 1.3 * d.Omega * z + 0.2)
+        traj = split_step_propagate(psi0, d, const, grid, phase_fn=phase_fn)
+        fields, norms = reference_propagate(psi0_before, d, const, grid,
+                                            phase_fn)
+        assert np.array_equal(psi0, psi0_before)
+        assert len(traj.fields) == len(fields) == 7
+        for got, want in zip(traj.fields, fields):
+            assert np.array_equal(got, want)
+        assert np.array_equal(traj.norms, norms)
+
     def test_free_diffraction_oracle(self):
         d = index_design(Z=1e4)
         free = OpticalConstants(gamma=0.0)
@@ -202,6 +272,36 @@ class TestSplitStep:
         traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
                                     CONST, grid)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("x_min", [-400.0, 200.0])
+    def test_grid_without_guides(self, x_min):
+        # no guide within reach: the potential vanishes on the whole grid
+        d = index_design(Z=1e3)
+        grid = SimulationGrid(x_min, x_min + 200.0, 2048, 1.0,
+                              np.array([0.0, 10.0]))
+        psi0 = gaussian_input(x_min + 100.0, 4.0, grid)
+        with pytest.warns(UserWarning, match="domain width"):
+            traj = split_step_propagate(psi0, d, CONST, grid)
+        fields, _ = reference_propagate(psi0, d, CONST, grid)
+        assert all(map(np.array_equal, traj.fields, fields))
+
+    @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
+           p=st.integers(1, 6), offset=st.floats(-np.pi, np.pi),
+           gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]))
+    @settings(max_examples=25, deadline=None)
+    def test_unitary_for_any_drive(self, spacing, q, p, offset, gamma):
+        # one pump cycle in 100 steps
+        if spacing:
+            d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=4.0,
+                                 phi0=math.pi / 5, Z=400.0, num_guides=7)
+        else:
+            d = index_design(p=p, q=q, Z=400.0, num_guides=7)
+        grid = default_grid(d, dz=4.0, num_slices=4)
+        traj = split_step_propagate(
+            gaussian_input(0.0, 4.0, grid), d, OpticalConstants(gamma=gamma),
+            grid, leakage_abort=1.0,
+            phase_fn=lambda z: d.Omega * z + offset)
+        assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
 
     def test_second_order_convergence(self):
         d = index_design(Z=4000.0)
