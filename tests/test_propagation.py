@@ -29,6 +29,17 @@ def spacing_design(**kw):
         return SpacingModulated(**base)
 
 
+def make_design(name):
+    if name == "index":
+        return index_design()
+    if name == "spacing":
+        return spacing_design()
+    if name == "spacing_negative_wm":
+        # the sign of wm only moves the drive phase by pi
+        return spacing_design(wm=-18.0)
+    raise ValueError(name)
+
+
 def windowed_spacing_profile(d, x, z, phase=None):
     """Per-guide loop over the support windows: the gathered potential's
     reference."""
@@ -91,10 +102,11 @@ class TestProfiles:
                 assert np.array_equal(pot.profile(z),
                                       refractive_profile(d, x, z))
 
-    @pytest.mark.parametrize("design", ["index", "spacing"])
+    @pytest.mark.parametrize("design", ["index", "spacing",
+                                        "spacing_negative_wm"])
     def test_profile_exactly_zero_outside_phase_support(self, design):
         # the stepper applies the potential phase on this slice only
-        d = index_design() if design == "index" else spacing_design()
+        d = make_design(design)
         x = default_grid(d).xs
         outside = np.ones(x.shape, dtype=bool)
         outside[_phase_support(d, x)] = False
@@ -177,10 +189,22 @@ def free_gaussian(x, W, z, k0):
     return np.sqrt(W ** 2 / s) * np.exp(-x ** 2 / s)
 
 
+def phase_factor(theta):
+    """exp(i*theta) with cos/sin written into the real and imaginary parts,
+    as the stepper builds it."""
+    factor = np.empty(theta.shape, dtype=complex)
+    factor.real = np.cos(theta)
+    factor.imag = np.sin(theta)
+    return factor
+
+
 def reference_propagate(psi0, design, constants, grid, phase_fn=None):
-    """Strang stepper with fresh arrays per step, one complex exp of the
-    potential phase and that phase applied on the whole grid: the reference
-    the in-place, support-trimmed stepper must reproduce bit for bit."""
+    """Strang stepper with fresh arrays per step and the potential phase
+    applied on the whole grid: the reference the in-place, support-trimmed
+    stepper must reproduce bit for bit.  The phase factor is phase_factor,
+    not np.exp(1j*theta): the two agree bit for bit only where numpy
+    evaluates real cos/sin and complex exp with the same kernels
+    (test_phase_factor_matches_complex_exp bounds their difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
     pot = (_IndexPotential(design, x) if isinstance(design, IndexModulated)
            else _SpacingPotential(design, x))
@@ -196,7 +220,7 @@ def reference_propagate(psi0, design, constants, grid, phase_fn=None):
         z_mid = (s + 0.5) * dz
         psi = np.fft.ifft(psi_k * half_kin)
         phase = None if phase_fn is None else phase_fn(z_mid)
-        psi *= np.exp(1j * v_scale * dz * pot.profile(z_mid, phase))
+        psi *= phase_factor(v_scale * dz * pot.profile(z_mid, phase))
         psi_k = np.fft.fft(psi) * half_kin
         if s + 1 in record:
             out = np.fft.ifft(psi_k)
@@ -206,13 +230,23 @@ def reference_propagate(psi0, design, constants, grid, phase_fn=None):
 
 
 class TestSplitStep:
+    def test_phase_factor_matches_complex_exp(self):
+        # |theta| <= PHASE_STEP_MAX in the stepper; a wider range as well
+        rng = np.random.default_rng(7)
+        for theta in (np.linspace(-0.1, 0.1, 20001),
+                      rng.uniform(-np.pi, np.pi, 20001)):
+            got, want = phase_factor(theta), np.exp(1j * theta)
+            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+
     @pytest.mark.parametrize("design, dz, guide", [
         ("index", 4.0, 0),
         ("spacing", 7.5, -4),
+        ("spacing_negative_wm", 7.5, -4),
     ])
     @pytest.mark.parametrize("drive", ["default", "phase_fn"])
     def test_matches_reference_stepper(self, design, dz, guide, drive):
-        d = index_design() if design == "index" else spacing_design()
+        d = make_design(design)
         const = OpticalConstants(gamma=5e-4)
         grid = default_grid(d, dz=dz)
         grid = SimulationGrid(grid.x_min, grid.x_max, grid.nx, dz,
