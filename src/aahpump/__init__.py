@@ -12,8 +12,8 @@ from .spectral import BandGrid, all_gaps, band_gap, band_grid, gap_scan, \
     zone_mesh
 from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
     Undefined, chern_numbers, phase_diagram, plaquette_field
-from .edges import FiducialInGapViolation, bulk_edge_check, gap_fiducials, \
-    spectral_flow, winding_numbers
+from .edges import FiducialInGapViolation, WindingUnderresolved, \
+    bulk_edge_check, gap_fiducials, spectral_flow, winding_numbers
 from .propagation import BoundaryLeakage, FieldTrajectory, GridUnderresolved, \
     IndexModulated, OpticalConstants, SimulationGrid, SpacingModulated, \
     default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
@@ -29,8 +29,8 @@ __all__ = [
     "BandGrid", "all_gaps", "band_gap", "band_grid", "gap_scan", "zone_mesh",
     "ChernVector", "EvenDenominator", "MeshTooCoarse", "Undefined",
     "chern_numbers", "phase_diagram", "plaquette_field",
-    "FiducialInGapViolation", "bulk_edge_check", "gap_fiducials",
-    "spectral_flow", "winding_numbers",
+    "FiducialInGapViolation", "WindingUnderresolved", "bulk_edge_check",
+    "gap_fiducials", "spectral_flow", "winding_numbers",
     "BoundaryLeakage", "FieldTrajectory", "GridUnderresolved",
     "IndexModulated", "OpticalConstants", "SimulationGrid",
     "SpacingModulated", "default_grid", "gaussian_input", "injection_guide",

@@ -17,6 +17,7 @@ byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -25,7 +26,8 @@ import threading
 import numpy as np
 
 from . import __version__
-from .edges import FiducialInGapViolation, gap_fiducials, winding_numbers
+from .edges import FiducialInGapViolation, WindingUnderresolved, \
+    bulk_edge_check, gap_fiducials, winding_numbers
 from .extraction import FitDegenerate, NoBoundMode, extract_parameters, \
     extraction_report
 from .ioutil import format_float, write_csv, write_json, write_pgm
@@ -139,7 +141,7 @@ SCHEMAS = {
 
 NUMERICAL_ERRORS = (MeshTooCoarse, BoundaryLeakage, GridUnderresolved,
                     NoBoundMode, FitDegenerate, FiducialInGapViolation,
-                    np.linalg.LinAlgError)
+                    WindingUnderresolved, np.linalg.LinAlgError)
 
 
 def _inclusive_range(lo, hi, step):
@@ -157,6 +159,46 @@ def _tb_params(cfg) -> ModulationParams:
 
 def _cell_str(cv: ChernVector) -> list:
     return [("undef" if isinstance(c, Undefined) else c) for c in cv]
+
+
+def _cache_key(template: ModulationParams, od, d, nx, ny) -> str:
+    """Hash of the inputs of every phase-diagram cell (not of --threads)."""
+    config = (template.p, template.q, template.delta_phi, nx, ny,
+              list(od), list(d))
+    return hashlib.sha256(repr(config).encode()).hexdigest()
+
+
+def _cache_line(flat, cv: ChernVector) -> str:
+    # an Undefined entry keeps its min_gap, exactly (repr round-trips)
+    return f"{flat} " + " ".join(
+        f"undef:{c.min_gap!r}" if isinstance(c, Undefined) else str(c)
+        for c in cv) + "\n"
+
+
+def _cache_entry(token: str):
+    if token.startswith("undef:"):
+        return Undefined(float(token[len("undef:"):]))
+    return int(token)
+
+
+def _read_cell_cache(path, key_line, q) -> dict:
+    """Flat cell index -> ChernVector from a phase-diagram cache, or {} if
+    the file is missing or its first line is not key_line."""
+    if not os.path.exists(path):
+        return {}
+    cache = {}
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != key_line:
+            return {}
+        for line in fh:
+            parts = line.split()
+            try:
+                if len(parts) == q + 1:
+                    cache[int(parts[0])] = ChernVector(
+                        tuple(map(_cache_entry, parts[1:])))
+            except ValueError:  # a line cut short by an interrupted run
+                continue
+    return cache
 
 
 # ---------------------------------------------------------------- commands
@@ -199,24 +241,19 @@ def cmd_phase_diagram(cfg, prefix, threads):
     template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], q,
                                 cfg["delta_phi_rad"])
 
+    # the cache's first line keys it to everything a cell depends on; a
+    # cache written for another configuration is discarded, not reused
     cache_path = prefix + "_cells.cache"
-    cache = {}
-    if os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) != q + 1:
-                    continue
-                entries = tuple(
-                    Undefined(0.0) if p == "undef" else int(p)
-                    for p in parts[1:])
-                cache[int(parts[0])] = ChernVector(entries)
+    key_line = "key " + _cache_key(template, od, d, cfg["nx"], cfg["ny"])
+    cache = _read_cell_cache(cache_path, key_line, q)
     lock = threading.Lock()
-    fh = open(cache_path, "a")
+    fh = open(cache_path, "a" if cache else "w")
+    if not cache:
+        fh.write(key_line + "\n")
 
     def on_cell(flat, cv):
         with lock:
-            fh.write(f"{flat} " + " ".join(str(c) for c in cv) + "\n")
+            fh.write(_cache_line(flat, cv))
             fh.flush()
 
     try:
@@ -227,11 +264,10 @@ def cmd_phase_diagram(cfg, prefix, threads):
         fh.close()
     # rewrite the cache sorted by cell index so reruns are byte-identical
     with open(cache_path, "w") as fh:
+        fh.write(key_line + "\n")
         for i in range(len(od)):
             for j in range(len(d)):
-                flat = i * len(d) + j
-                cv = diagram.cells[i][j]
-                fh.write(f"{flat} " + " ".join(str(c) for c in cv) + "\n")
+                fh.write(_cache_line(i * len(d) + j, diagram.cells[i][j]))
 
     rows = []
     for i, r_od in enumerate(od):
@@ -259,24 +295,24 @@ def cmd_edges(cfg, prefix, threads):
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
     flow = wr.flow
-    rows = []
-    for t, ky in enumerate(flow.kys):
-        for a in range(cfg["num_sites"]):
-            rows.append((ky, a + 1, flow.energies[t, a], flow.labels[t, a]))
+    # plain Python values, which format_cell takes on its fast paths
+    rows = [(ky, a, e, label)
+            for ky, energies, labels in zip(flow.kys.tolist(),
+                                            flow.energies.tolist(),
+                                            flow.labels.tolist())
+            for a, (e, label) in enumerate(zip(energies, labels), 1)]
     write_csv(prefix + "_spectral_flow.csv",
               ["ky", "index", "energy", "label"], rows)
-    cherns = _cell_str(chern_numbers(params))
-    bounded = (0,) + wr.windings + (0,)
-    from_windings = [bounded[n + 1] - bounded[n] for n in range(params.q)]
+    check = bulk_edge_check(params, cfg["num_sites"], windings=wr)
     report = {
         "num_sites": cfg["num_sites"],
         "fiducial_energies": list(wr.fiducials),
         "gap_windings": list(wr.windings),
         "right_edge_windings": list(wr.right_windings),
         "branch_counts": list(wr.branch_counts),
-        "chern_numbers": cherns,
-        "chern_from_windings": from_windings,
-        "bulk_edge_consistent": from_windings == cherns,
+        "chern_numbers": _cell_str(check["chern_numbers"]),
+        "chern_from_windings": list(check["chern_from_windings"]),
+        "bulk_edge_consistent": check["consistent"],
     }
     write_json(prefix + "_windings.json", report)
     return report

@@ -6,6 +6,13 @@ edges, and the winding number of gap n is the signed count of left-edge
 eigenvalue branches crossing the fiducial over one pump cycle: a branch
 moving downward in energy with increasing ky contributes +1, a branch moving
 upward contributes -1.  Right-edge crossings carry the opposite total.
+
+The work is done in array form: each ky costs one open-chain build and one
+eigh, after which all its eigenstates are classified at once as integer
+codes (mapped to the LeftEdge / RightEdge / Bulk labels once, at the end),
+and the crossings of each fiducial are found in one pass over all samples.
+A branch that moves more than CROSSING_STEP_MAX of its gap's width between
+two ky samples raises WindingUnderresolved instead of being counted.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from .model import ModulationParams, OpenChainSpec, open_hamiltonian
 from .spectral import band_grid
+from .topology import chern_numbers
 
 DEFAULT_EDGE_SITES = 5
 DEFAULT_EDGE_THRESHOLD = 0.5
@@ -30,30 +38,59 @@ class FiducialInGapViolation(ValueError):
     """A gap-center fiducial energy falls inside the bulk bands."""
 
 
+class WindingUnderresolved(ArithmeticError):
+    """A fiducial-crossing branch moves too far between ky samples."""
+
+
+# A branch may move at most this fraction of its gap's width between two
+# consecutive ky samples; a faster one may cross the fiducial more than once
+# unseen, so the crossing count could be wrong.
+CROSSING_STEP_MAX = 0.25
+
+_BULK, _LEFT, _RIGHT = 0, 1, 2
+_LABELS = np.array([BULK, LEFT, RIGHT], dtype=object)
+
+
+def _edge_weights(states: np.ndarray, m: int):
+    """(left, right) probability weights in the outermost m sites of each
+    column of states.
+
+    The |v|^2 rows are made C-contiguous so that numpy sums each state
+    pairwise, exactly as it sums one 1-D state; a strided row sum differs
+    in the last bits.
+    """
+    p = np.ascontiguousarray(np.abs(states.T) ** 2)
+    p = p / p.sum(axis=1, keepdims=True)
+    return p[:, :m].sum(axis=1), p[:, -m:].sum(axis=1)
+
+
+def _edge_codes(states: np.ndarray, m: int, threshold: float) -> np.ndarray:
+    """Edge code of each column of states: left when its left weight
+    reaches threshold and is at least its right weight, else right when the
+    right weight reaches threshold, else bulk."""
+    left, right = _edge_weights(states, m)
+    return np.where((left >= threshold) & (left >= right), _LEFT,
+                    np.where(right >= threshold, _RIGHT, _BULK))
+
+
 def edge_weight(state: np.ndarray, m: int = DEFAULT_EDGE_SITES):
     """(left, right) probability weight in the outermost m sites each."""
-    p = np.abs(state) ** 2
-    p = p / p.sum()
-    return float(p[:m].sum()), float(p[-m:].sum())
+    left, right = _edge_weights(np.reshape(state, (-1, 1)), m)
+    return float(left[0]), float(right[0])
 
 
 def classify_state(state: np.ndarray, m: int = DEFAULT_EDGE_SITES,
                    threshold: float = DEFAULT_EDGE_THRESHOLD) -> str:
     """LeftEdge / RightEdge / Bulk by probability weight in m outer sites."""
-    left, right = edge_weight(state, m)
-    if left >= threshold and left >= right:
-        return LEFT
-    if right >= threshold:
-        return RIGHT
-    return BULK
+    return _LABELS[_edge_codes(np.reshape(state, (-1, 1)), m, threshold)[0]]
 
 
 @dataclass(frozen=True)
 class SpectralFlow:
     """Open-chain eigenvalues and edge classification along the pump loop.
 
-    energies has shape (n_ky, num_sites); labels is the same shape with
-    LeftEdge / RightEdge / Bulk strings.
+    energies has shape (n_ky, num_sites); labels is the same shape, an
+    object array of the LeftEdge / RightEdge / Bulk strings.
     """
 
     params: ModulationParams
@@ -71,14 +108,13 @@ def spectral_flow(params: ModulationParams, num_sites: int,
         raise ValueError("chain too short for edge classification")
     kys = 2.0 * np.pi * np.arange(n_ky) / n_ky
     energies = np.empty((n_ky, num_sites))
-    labels = np.empty((n_ky, num_sites), dtype=object)
+    codes = np.empty((n_ky, num_sites), dtype=np.int8)
     for t, ky in enumerate(kys):
         H = open_hamiltonian(params, OpenChainSpec(num_sites, ky))
         vals, vecs = np.linalg.eigh(H)
         energies[t] = vals
-        for a in range(num_sites):
-            labels[t, a] = classify_state(vecs[:, a], m, threshold)
-    return SpectralFlow(params, num_sites, kys, energies, labels)
+        codes[t] = _edge_codes(vecs, m, threshold)
+    return SpectralFlow(params, num_sites, kys, energies, _LABELS[codes])
 
 
 def gap_fiducials(params: ModulationParams, nx: int = 48, ny: int = 48,
@@ -130,61 +166,66 @@ def winding_numbers(params: ModulationParams, num_sites: int,
     """Signed fiducial-crossing winding numbers of each bulk gap.
 
     Crossings are detected on the sorted eigenvalue branches between
-    consecutive ky samples (the loop wraps around); the branch is attributed
-    to an edge by the eigenvector classification at the sample before the
-    crossing, and a left-edge branch crossing the fiducial contributes
-    -sign(dE/dky).
+    consecutive ky samples (the loop wraps around).  A crossing branch is
+    attributed to an edge by its label at whichever of the two samples lies
+    farther from the fiducial (the earlier one on a tie), and a left-edge
+    branch crossing the fiducial contributes -sign(dE/dky).  Raises
+    WindingUnderresolved if a crossing branch moves more than
+    CROSSING_STEP_MAX of its gap's width (bottom of the band above minus
+    top of the band below) between two samples.
     """
     if flow is None:
         flow = spectral_flow(params, num_sites, n_ky, m, threshold)
-    fiducials, _, _ = gap_fiducials(params)
-    E = flow.energies
-    labels = flow.labels
-    nt = E.shape[0]
+    fiducials, tops, bottoms = gap_fiducials(params)
+    E, labels = flow.energies, flow.labels
+    E2, labels2 = np.roll(E, -1, axis=0), np.roll(labels, -1, axis=0)
     windings, right_windings = [], []
     unsigned_left, unsigned_right = [], []
-    for Ef in fiducials:
-        w_left = w_right = n_left = n_right = 0
-        for t in range(nt):
-            t2 = (t + 1) % nt
-            crossed = (E[t] - Ef) * (E[t2] - Ef) < 0.0
-            for a in np.nonzero(crossed)[0]:
-                slope = E[t2, a] - E[t, a]
-                label = labels[t, a] if abs(E[t, a] - Ef) >= abs(
-                    E[t2, a] - Ef) else labels[t2, a]
-                if label == LEFT:
-                    w_left += -int(np.sign(slope))
-                    n_left += 1
-                elif label == RIGHT:
-                    w_right += -int(np.sign(slope))
-                    n_right += 1
-        windings.append(w_left)
-        right_windings.append(w_right)
-        unsigned_left.append(n_left)
-        unsigned_right.append(n_right)
+    for n, Ef in enumerate(fiducials):
+        d, d2 = E - Ef, E2 - Ef
+        t, a = np.nonzero(d * d2 < 0.0)
+        slope = E2[t, a] - E[t, a]
+        width = bottoms[n + 1] - tops[n]
+        if slope.size and np.abs(slope).max() > CROSSING_STEP_MAX * width:
+            step = float(np.abs(slope).max())
+            raise WindingUnderresolved(
+                f"gap {n + 1}: a crossing branch moves {step:.3g} between "
+                f"ky samples, {step / width:.3g} of the gap width "
+                f"{width:.3g} (limit {CROSSING_STEP_MAX}); raise n_ky "
+                f"(now {E.shape[0]})")
+        label = np.where(np.abs(d[t, a]) >= np.abs(d2[t, a]),
+                         labels[t, a], labels2[t, a])
+        sign = -np.sign(slope).astype(int)
+        left, right = label == LEFT, label == RIGHT
+        windings.append(int(sign[left].sum()))
+        right_windings.append(int(sign[right].sum()))
+        unsigned_left.append(int(left.sum()))
+        unsigned_right.append(int(right.sum()))
     return WindingResult(fiducials, tuple(windings), tuple(right_windings),
                          tuple(unsigned_left), tuple(unsigned_right), flow)
 
 
 def bulk_edge_check(params: ModulationParams, num_sites: int,
                     nx: int = 48, ny: int = 48,
-                    n_ky: int = DEFAULT_N_KY) -> dict:
+                    n_ky: int = DEFAULT_N_KY,
+                    windings: WindingResult | None = None) -> dict:
     """Compare bulk Chern numbers with edge winding-number differences.
 
     The Chern number of band n equals I_n - I_{n-1}, where I_n is the
-    winding of gap n and I_0 = I_q = 0.  Returns a report dict with both
-    sides and a boolean 'consistent'.
+    winding of gap n and I_0 = I_q = 0.  windings, when given, is used
+    instead of computing the windings of a num_sites chain on n_ky samples.
+    Returns a report dict with both sides and a boolean 'consistent'; the
+    Chern side holds the ChernVector entries, so an Undefined band never
+    matches.
     """
-    from .topology import chern_numbers
-
-    cv = chern_numbers(params, nx, ny)
-    cherns = cv.as_tuple()
-    wr = winding_numbers(params, num_sites, n_ky)
-    bounded = (0,) + wr.windings + (0,)
+    cherns = tuple(chern_numbers(params, nx, ny))
+    if windings is None:
+        windings = winding_numbers(params, num_sites, n_ky)
+    bounded = (0,) + windings.windings + (0,)
     from_edges = tuple(bounded[n + 1] - bounded[n] for n in range(params.q))
     return {
         "chern_numbers": cherns,
-        "gap_windings": wr.windings,
+        "gap_windings": windings.windings,
         "chern_from_windings": from_edges,
         "consistent": from_edges == cherns,
     }

@@ -21,8 +21,13 @@ def format_float(x) -> str:
 
 def format_cell(v) -> str:
     """CSV cell: floats via format_float, everything else via str."""
-    if type(v) is float:  # numeric tables arrive as plain floats
+    # exact-type fast paths: tables arrive as plain Python values
+    if type(v) is float:
         return format_float(v)
+    if type(v) is str:
+        return v
+    if type(v) is int:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (int, np.integer)):

@@ -85,10 +85,18 @@ class OpenChainSpec:
             raise ValueError(f"need at least 2 sites, got {self.num_sites}")
 
 
-def _mod_angle(j: int, p: int, q: int) -> float:
+def _mod_angle(j, p: int, q: int):
     # 2*pi*beta*j computed from the exact residue p*j mod q, so the cosine
-    # argument never grows with j
+    # argument never grows with j; j may be an int or an integer array
     return TWO_PI * ((p * j) % q) / q
+
+
+def _site_energies(params: ModulationParams, angles, ky):
+    """(on-site, bond) energies at modulation angles 2*pi*beta*j, broadcast
+    over arrays of angles or of ky; the array form of onsite_potential and
+    hopping, with the same operation order."""
+    return (params.nu_d * np.cos(angles + ky),
+            -params.J + params.nu_od * np.cos(angles + ky + params.delta_phi))
 
 
 def onsite_potential(j: int, params: ModulationParams, ky: float) -> float:
@@ -137,9 +145,9 @@ def bloch_grid_hamiltonians(params: ModulationParams,
     H = np.zeros((nx, ny, q, q), dtype=complex)
     phase = np.exp(1j * kxs)[:, None]
     for j in range(1, q + 1):
-        ang = _mod_angle(j, params.p, params.q)
-        V = params.nu_d * np.cos(ang + kys)[None, :]
-        t = (-params.J + params.nu_od * np.cos(ang + kys + params.delta_phi))[None, :] * phase
+        V, t = _site_energies(params, _mod_angle(j, params.p, params.q), kys)
+        V = V[None, :]
+        t = t[None, :] * phase
         a, b = j - 1, j % q
         H[:, :, a, a] += V
         if a == b:
@@ -154,8 +162,12 @@ def open_hamiltonian(params: ModulationParams, spec: OpenChainSpec) -> np.ndarra
     """N x N real symmetric tridiagonal open-chain Hamiltonian.
 
     Hard-wall boundaries: bonds j = 1 .. N-1 only, no wrap-around term.
+    The entries equal onsite_potential / hopping bit for bit.  The matrix
+    must be the sum of the three np.diag terms: the sum turns the -0.0 that
+    nu_d = 0 times a negative cosine leaves on the diagonal into +0.0, and
+    eigh's near-zero eigenvalues depend on that sign in their last bits.
     """
-    N = spec.num_sites
-    diag = np.array([onsite_potential(j, params, spec.ky) for j in range(1, N + 1)])
-    off = np.array([hopping(j, params, spec.ky) for j in range(1, N)])
+    angles = _mod_angle(np.arange(1, spec.num_sites + 1), params.p, params.q)
+    diag, off = _site_energies(params, angles, spec.ky)
+    off = off[:-1]
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from aahpump.cli import PRESETS, build_config, load_config_file, main
+from aahpump.cli import PRESETS, build_config, cmd_phase_diagram, \
+    load_config_file, main
+from aahpump.topology import Undefined
 
 
 def run(args):
@@ -98,6 +100,40 @@ class TestCommands:
         assert run(args) == 0  # rerun: all cells served from the cache
         assert (tmp_path / "r_phase_diagram.csv").read_bytes() == first
         assert (tmp_path / "r_cells.cache").read_bytes() == cache
+
+    def test_phase_diagram_cache_of_other_config_discarded(self, tmp_path):
+        def diagram(nu_od):
+            assert run(["phase-diagram", "--outdir", tmp_path, "--out", "x",
+                        f"nu_od_over_J_min={nu_od}",
+                        f"nu_od_over_J_max={nu_od}",
+                        "nu_d_over_J_min=0", "nu_d_over_J_max=0"]) == 0
+            return (tmp_path / "x_phase_diagram.csv").read_text()
+
+        assert diagram(1).splitlines()[1] == "1,0,-1,2,-1"
+        # same outdir, other config: the cached cell must not be served
+        assert diagram(10).splitlines()[1] == "10,0,2,-4,2"
+        assert (tmp_path / "x_cells.cache").read_text().startswith("key ")
+
+    def test_phase_diagram_cache_keeps_min_gap(self, tmp_path):
+        # at nu_od/J = 4 both gaps close, so every band is Undefined with a
+        # small nonzero min_gap, which a resumed run must serve unchanged
+        cfg = build_config("phase-diagram", {}, None, [
+            "nu_od_over_J_min=4", "nu_od_over_J_max=4",
+            "nu_d_over_J_min=0", "nu_d_over_J_max=0"])
+        prefix = str(tmp_path / "g")
+        first = cmd_phase_diagram(cfg, prefix, 1)["diagram"].cells
+        cached = (tmp_path / "g_cells.cache").read_bytes()
+        resumed = cmd_phase_diagram(cfg, prefix, 1)["diagram"].cells
+        assert all(isinstance(c, Undefined) and c.min_gap > 0
+                   for c in first[0][0])
+        assert resumed == first
+        assert (tmp_path / "g_cells.cache").read_bytes() == cached
+
+    def test_underresolved_windings_exit_3(self, tmp_path, capsys):
+        rc = run(["edges", "--outdir", tmp_path, "nu_od_over_J=10",
+                  "n_ky=4"])
+        assert rc == 3
+        assert "WindingUnderresolved" in capsys.readouterr().err
 
     def test_check_mismatch_exits_4(self, tmp_path, capsys):
         rc = run(["bands", "--preset", "fig3b", "--check",

@@ -1,14 +1,159 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aahpump.edges import BULK, LEFT, RIGHT, FiducialInGapViolation, \
-    bulk_edge_check, classify_state, edge_weight, gap_fiducials, \
-    spectral_flow, winding_numbers
+    WindingUnderresolved, bulk_edge_check, classify_state, edge_weight, \
+    gap_fiducials, spectral_flow, winding_numbers
 from aahpump.model import ModulationParams, OpenChainSpec, open_hamiltonian
 
 
 def params(nu_d=0.0, nu_od=1.0, delta_phi=0.0):
     return ModulationParams(1.0, nu_d, nu_od, 1, 3, delta_phi)
+
+
+# ------------------------------------------------------------ references
+# The scalar per-site, per-state and per-sample loops that the array code
+# replaced, kept as oracles: the array code must match them bit for bit.
+
+def reference_open_hamiltonian(p, num_sites, ky):
+    def angle(j):
+        return 2.0 * math.pi * ((p.p * j) % p.q) / p.q
+    diag = np.array([p.nu_d * math.cos(angle(j) + ky)
+                     for j in range(1, num_sites + 1)])
+    off = np.array([-p.J + p.nu_od * math.cos(angle(j) + ky + p.delta_phi)
+                    for j in range(1, num_sites)])
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def reference_classify(state, m=5, threshold=0.5):
+    prob = np.abs(state) ** 2
+    prob = prob / prob.sum()
+    left, right = float(prob[:m].sum()), float(prob[-m:].sum())
+    if left >= threshold and left >= right:
+        return LEFT
+    if right >= threshold:
+        return RIGHT
+    return BULK
+
+
+def reference_spectral_flow(p, num_sites, n_ky, m=5, threshold=0.5):
+    kys = 2.0 * np.pi * np.arange(n_ky) / n_ky
+    energies = np.empty((n_ky, num_sites))
+    labels = np.empty((n_ky, num_sites), dtype=object)
+    for t, ky in enumerate(kys):
+        vals, vecs = np.linalg.eigh(
+            reference_open_hamiltonian(p, num_sites, ky))
+        energies[t] = vals
+        for a in range(num_sites):
+            labels[t, a] = reference_classify(vecs[:, a], m, threshold)
+    return energies, labels
+
+
+def reference_windings(energies, labels, fiducials):
+    """Per gap: (left winding, right winding, left crossings, right
+    crossings, largest step of a crossing branch between two samples)."""
+    nt = energies.shape[0]
+    out = []
+    for Ef in fiducials:
+        w_left = w_right = n_left = n_right = 0
+        max_step = 0.0
+        for t in range(nt):
+            t2 = (t + 1) % nt
+            e1, e2 = energies[t], energies[t2]
+            for a in np.nonzero((e1 - Ef) * (e2 - Ef) < 0.0)[0]:
+                slope = e2[a] - e1[a]
+                max_step = max(max_step, abs(slope))
+                label = labels[t, a] if abs(e1[a] - Ef) >= abs(
+                    e2[a] - Ef) else labels[t2, a]
+                if label == LEFT:
+                    w_left += -int(np.sign(slope))
+                    n_left += 1
+                elif label == RIGHT:
+                    w_right += -int(np.sign(slope))
+                    n_right += 1
+        out.append((w_left, w_right, n_left, n_right, max_step))
+    return out
+
+
+def lattices(qs=(1, 3, 5, 7)):
+    """Random p/q (q odd), nu_od, nu_d (0 included) and delta_phi."""
+    return st.builds(
+        lambda q, p, nu_od, nu_d, delta_phi: ModulationParams(
+            1.0, nu_d, nu_od, p % q or 1, q, delta_phi),
+        q=st.sampled_from(qs), p=st.integers(1, 6),
+        nu_od=st.floats(-12.0, 12.0),
+        nu_d=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        delta_phi=st.floats(0.0, 2 * math.pi))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestMatchesScalarReference:
+    @given(p=lattices(), num_sites=st.integers(2, 60),
+           ky=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_open_hamiltonian_bitwise(self, p, num_sites, ky):
+        H = open_hamiltonian(p, OpenChainSpec(num_sites, ky))
+        assert np.array_equal(
+            bits(H), bits(reference_open_hamiltonian(p, num_sites, ky)))
+
+    def test_zero_onsite_diagonal_is_positive_zero(self):
+        # nu_d = 0 times a negative cosine is -0.0; the diag sum makes it
+        # +0.0, which keeps eigh's near-zero eigenvalues bit for bit
+        p = ModulationParams(1.0, 0.0, 10.0, 1, 3)
+        H = open_hamiltonian(p, OpenChainSpec(89, 2.5))
+        assert np.array_equal(bits(H),
+                              bits(reference_open_hamiltonian(p, 89, 2.5)))
+        assert not np.signbit(np.diag(H)).any()
+
+    @given(p=lattices(), num_sites=st.integers(10, 60),
+           n_ky=st.integers(8, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_spectral_flow_bitwise(self, p, num_sites, n_ky):
+        flow = spectral_flow(p, num_sites, n_ky)
+        energies, labels = reference_spectral_flow(p, num_sites, n_ky)
+        assert np.array_equal(bits(flow.energies), bits(energies))
+        assert flow.labels.dtype == object
+        assert flow.labels.tolist() == labels.tolist()
+
+    # q = 1 has no gap to wind around
+    @given(p=lattices((3, 5, 7)), num_sites=st.integers(10, 60),
+           n_ky=st.integers(8, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_windings_match_reference_or_fail_loudly(self, p, num_sites,
+                                                       n_ky):
+        try:
+            fiducials, tops, bottoms = gap_fiducials(p)
+        except FiducialInGapViolation:
+            assume(False)
+        flow = spectral_flow(p, num_sites, n_ky)
+        ref = reference_windings(flow.energies, flow.labels, fiducials)
+        widths = bottoms[1:] - tops[:-1]
+        if any(r[4] > 0.25 * w for r, w in zip(ref, widths)):
+            with pytest.raises(WindingUnderresolved):
+                winding_numbers(p, num_sites, n_ky, flow=flow)
+            return
+        wr = winding_numbers(p, num_sites, n_ky, flow=flow)
+        assert wr.windings == tuple(r[0] for r in ref)
+        assert wr.right_windings == tuple(r[1] for r in ref)
+        assert wr.left_branch_crossings == tuple(r[2] for r in ref)
+        assert wr.right_branch_crossings == tuple(r[3] for r in ref)
+
+    def test_classify_matches_reference_per_state(self):
+        H = open_hamiltonian(params(nu_od=10.0), OpenChainSpec(89, 0.3))
+        _, vecs = np.linalg.eigh(H)
+        for a in range(89):
+            state = vecs[:, a]
+            assert classify_state(state) == reference_classify(state)
+            prob = np.abs(state) ** 2
+            prob = prob / prob.sum()
+            assert edge_weight(state) == (float(prob[:5].sum()),
+                                          float(prob[-5:].sum()))
 
 
 class TestClassification:
@@ -43,7 +188,18 @@ class TestSpectralFlow:
         for ky in (0.0, 0.7, 2.0, 4.5):
             H = open_hamiltonian(params(nu_od=2.0), OpenChainSpec(89, ky))
             e = np.linalg.eigvalsh(H)
-            assert np.abs(np.sort(e) + np.sort(-e)[::-1]).max() < 1e-10
+            assert np.abs(e + e[::-1]).max() < 1e-10
+
+    @given(p=lattices(), num_sites=st.integers(2, 120),
+           ky=st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_chiral_symmetry_property(self, p, num_sites, ky):
+        # at nu_d = 0 the sublattice sign flip maps H to -H
+        p = ModulationParams(p.J, 0.0, p.nu_od, p.p, p.q, p.delta_phi)
+        e = np.linalg.eigvalsh(open_hamiltonian(p, OpenChainSpec(num_sites,
+                                                                 ky)))
+        assert np.abs(e + e[::-1]).max() <= 1e-12 * max(1.0, np.abs(e).max()) \
+            * num_sites
 
     def test_too_short_chain(self):
         with pytest.raises(ValueError):
@@ -81,9 +237,24 @@ class TestWindings:
             assert tuple(-w for w in wr.windings) == wr.right_windings
 
 
+    @pytest.mark.parametrize("n_ky", [4, 40])
+    def test_underresolved_loop_fails_loudly(self, n_ky):
+        # at nu_od/J = 10 the crossing branches move 1.45 (n_ky = 4) and
+        # 0.33 (n_ky = 40) gap widths per sample
+        with pytest.raises(WindingUnderresolved, match="raise n_ky"):
+            winding_numbers(params(nu_od=10.0), 89, n_ky)
+
+
 class TestBulkEdge:
     @pytest.mark.parametrize("nu_od", [1.0, 10.0])
     def test_consistent(self, nu_od):
         report = bulk_edge_check(params(nu_od=nu_od), 89)
         assert report["consistent"]
         assert report["chern_from_windings"] == report["chern_numbers"]
+
+    def test_reuses_given_windings(self):
+        wr = winding_numbers(params(nu_od=10.0), 89)
+        report = bulk_edge_check(params(nu_od=10.0), 89, windings=wr)
+        assert report["gap_windings"] == wr.windings == (2, -2)
+        assert report["chern_numbers"] == (2, -4, 2)
+        assert report["consistent"]

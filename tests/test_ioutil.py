@@ -73,6 +73,17 @@ class TestFormatFloat:
         assert format_cell(np.float64(0.25)) == "0.25"
         assert format_cell(-0.0) == "0"
 
+    @given(n=st.integers(-2**63, 2**63 - 1))
+    def test_int_fast_path_matches_numpy_ints(self, n):
+        assert format_cell(n) == format_cell(np.int64(n)) == str(n)
+
+    def test_bools_and_strings_keep_their_form(self):
+        # bool is an int subclass, so it must miss the exact-int fast path
+        assert [format_cell(b) for b in (True, False, np.True_)] == \
+            ["True", "False", "True"]
+        assert format_cell(np.str_("LeftEdge")) == "LeftEdge"
+        assert format_cell("") == ""
+
 
 class TestWriters:
     def test_csv(self, tmp_path):
