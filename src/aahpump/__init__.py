@@ -6,10 +6,10 @@ propagation for Thouless pumping of light, and tight-binding parameter
 extraction from localized waveguide modes.
 """
 
-from .model import BlochMomentum, ModulationParams, OpenChainSpec, \
-    bloch_hamiltonian, hopping, onsite_potential, open_hamiltonian
-from .spectral import BandGrid, all_gaps, band_gap, band_grid, gap_scan, \
-    zone_mesh
+from .model import ModulationParams, OpenChainSpec, bloch_hamiltonian, \
+    hopping, onsite_potential, open_hamiltonian
+from .spectral import BandGrid, band_edges, band_grid, direct_gaps, \
+    gap_scan, zone_mesh
 from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
     Undefined, chern_numbers, phase_diagram, plaquette_field
 from .edges import FiducialInGapViolation, WindingUnderresolved, \
@@ -24,9 +24,10 @@ from .extraction import ExtractedParams, FitDegenerate, LocalizedMode, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochMomentum", "ModulationParams", "OpenChainSpec",
+    "ModulationParams", "OpenChainSpec",
     "bloch_hamiltonian", "hopping", "onsite_potential", "open_hamiltonian",
-    "BandGrid", "all_gaps", "band_gap", "band_grid", "gap_scan", "zone_mesh",
+    "BandGrid", "band_edges", "band_grid", "direct_gaps", "gap_scan",
+    "zone_mesh",
     "ChernVector", "EvenDenominator", "MeshTooCoarse", "Undefined",
     "chern_numbers", "phase_diagram", "plaquette_field",
     "FiducialInGapViolation", "WindingUnderresolved", "bulk_edge_check",

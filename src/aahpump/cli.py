@@ -35,7 +35,7 @@ from .model import ModulationParams
 from .propagation import BoundaryLeakage, GridUnderresolved, IndexModulated, \
     OpticalConstants, SpacingModulated, default_grid, gaussian_input, \
     injection_guide, lz_ratio, run_summary, split_step_propagate
-from .spectral import band_grid, gap_scan
+from .spectral import band_edges, band_grid, gap_scan
 from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
 
@@ -157,6 +157,14 @@ def _tb_params(cfg) -> ModulationParams:
                             cfg["p"], cfg["q"], cfg["delta_phi_rad"])
 
 
+def _odd_q(params: ModulationParams) -> ModulationParams:
+    """params, if its reduced q is odd; Chern numbers need an odd q."""
+    if params.q % 2 == 0:
+        raise ConfigError(f"reduced q = {params.q} is even; Chern numbers "
+                          "are only computed for odd q")
+    return params
+
+
 def _cell_str(cv: ChernVector) -> list:
     return [("undef" if isinstance(c, Undefined) else c) for c in cv]
 
@@ -204,16 +212,16 @@ def _read_cell_cache(path, key_line, q) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_bands(cfg, prefix, threads):
+    params = _tb_params(cfg)
     if cfg["scan"]:
         ratios = _inclusive_range(cfg["scan_min"], cfg["scan_max"],
                                   cfg["scan_step"])
-        rows = gap_scan(_tb_params(cfg), ratios, cfg["nx"], cfg["ny"],
+        rows = gap_scan(params, ratios, cfg["nx"], cfg["ny"],
                         threads=threads)
-        header = ["nu_od_over_J"] + [f"G{n}" for n in range(1, cfg["q"])]
+        header = ["nu_od_over_J"] + [f"G{n}" for n in range(1, params.q)]
         write_csv(prefix + "_gaps.csv", header, rows)
         return {"scan": rows}
-    params = _tb_params(cfg)
-    grid = band_grid(params, cfg["nx"], cfg["ny"], threads=threads)
+    grid = band_grid(_odd_q(params), cfg["nx"], cfg["ny"])
     rows = []
     for n in range(params.q):
         for i, kx in enumerate(grid.kxs):
@@ -223,8 +231,8 @@ def cmd_bands(cfg, prefix, threads):
     if cfg["pgm"]:
         for n in range(params.q):
             write_pgm(f"{prefix}_band{n + 1}.pgm", grid.energies[n])
-    gaps = tuple(float(grid.energies[n + 1].min() - grid.energies[n].max())
-                 for n in range(params.q - 1))
+    tops, bottoms = band_edges(grid)
+    gaps = tuple((bottoms[1:] - tops[:-1]).tolist())
     try:
         cherns = _cell_str(chern_numbers(params, cfg["nx"], cfg["ny"]))
     except MeshTooCoarse:
@@ -237,9 +245,9 @@ def cmd_phase_diagram(cfg, prefix, threads):
                           cfg["nu_od_over_J_step"])
     d = _inclusive_range(cfg["nu_d_over_J_min"], cfg["nu_d_over_J_max"],
                          cfg["nu_d_over_J_step"])
-    q = cfg["q"]
-    template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], q,
-                                cfg["delta_phi_rad"])
+    template = _odd_q(ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
+                                       cfg["delta_phi_rad"]))
+    q = template.q
 
     # the cache's first line keys it to everything a cell depends on; a
     # cache written for another configuration is discarded, not reused
@@ -291,7 +299,7 @@ def cmd_phase_diagram(cfg, prefix, threads):
 
 
 def cmd_edges(cfg, prefix, threads):
-    params = _tb_params(cfg)
+    params = _odd_q(_tb_params(cfg))
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
     flow = wr.flow
@@ -594,8 +602,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output file prefix (default: preset "
                                      "name or command)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker thread cap (results are identical for "
-                            "any value)")
+                       help="worker threads for the gap scan and the "
+                            "phase-diagram cells (results are identical "
+                            "for any value)")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides (win over --config)")
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModulationParams, OpenChainSpec, open_hamiltonian
-from .spectral import band_grid
-from .topology import chern_numbers
+from .spectral import band_edges, band_grid
+from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
 DEFAULT_EDGE_SITES = 5
 DEFAULT_EDGE_THRESHOLD = 0.5
@@ -126,19 +126,16 @@ def gap_fiducials(params: ModulationParams, nx: int = 48, ny: int = 48,
     default 1e-6 * |J|), which would place the fiducial inside a band.
     """
     if gap_tol is None:
-        gap_tol = 1e-6 * abs(params.J)
-    grid = band_grid(params, nx, ny)
-    tops = grid.energies.max(axis=(1, 2))
-    bottoms = grid.energies.min(axis=(1, 2))
-    fiducials = []
-    for n in range(params.q - 1):
-        if bottoms[n + 1] - tops[n] < gap_tol:
-            raise FiducialInGapViolation(
-                f"bulk gap {n + 1} is closed "
-                f"(band {n + 1} top {tops[n]:.6g} >= "
-                f"band {n + 2} bottom {bottoms[n + 1]:.6g})")
-        fiducials.append(0.5 * (tops[n] + bottoms[n + 1]))
-    return np.array(fiducials), tops, bottoms
+        gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
+    tops, bottoms = band_edges(band_grid(params, nx, ny))
+    closed = np.flatnonzero(bottoms[1:] - tops[:-1] < gap_tol)
+    if closed.size:
+        n = closed[0]
+        raise FiducialInGapViolation(
+            f"bulk gap {n + 1} is closed "
+            f"(band {n + 1} top {tops[n]:.6g} >= "
+            f"band {n + 2} bottom {bottoms[n + 1]:.6g})")
+    return 0.5 * (tops[:-1] + bottoms[1:]), tops, bottoms
 
 
 @dataclass(frozen=True)

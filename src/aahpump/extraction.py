@@ -15,13 +15,14 @@ period fits eps_j = nu_d*cos(2*pi*beta*j) and t_j = -J + nu_od*cos(2*pi*beta*j
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .model import _mod_angle
-from .propagation import IndexModulated, OpticalConstants, _super_gaussian
+from .propagation import IndexModulated, OpticalConstants, \
+    _super_gaussian, refractive_profile
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
 MODE_WINDOW_SPACINGS = 4  # isolated-mode window width, in units of ws
@@ -124,7 +125,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     k0 = constants.k0
     scale = k0 * constants.gamma / constants.n0
     half_idx = (n_basis - 1) // 2
-    guides = np.arange(-half_idx, half_idx + 1)
+    basis_design = replace(design, num_guides=n_basis)
 
     # common grid; guide centers fall exactly on grid points
     samples_per_ws = int(round(design.ws / dx))
@@ -135,8 +136,8 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     xs = -half + dx * np.arange(n)
 
     g0 = _super_gaussian(xs, 0.0, design.wx)
-    V_uniform = -scale * sum(
-        _super_gaussian(xs, j * design.ws, design.wx) for j in guides)
+    V_uniform = -scale * refractive_profile(replace(basis_design, alpha=0.0),
+                                            xs, z)
     _, band = _fd_eig(V_uniform, dx, k0, n_basis)
 
     # one isolated-guide trial mode, translated to every guide center
@@ -147,7 +148,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     if trial0[np.argmax(np.abs(trial0))] < 0:
         trial0 = -trial0
     trials = np.zeros((n, n_basis))
-    for i, j in enumerate(guides):
+    for i, j in enumerate(basis_design.guide_indices):
         trials[:, i] = np.roll(trial0, j * samples_per_ws)
     raw_overlap = trials.T @ trials * dx
     overlap_deficit = float(np.abs(raw_overlap - np.diag(np.diag(raw_overlap))
@@ -162,10 +163,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     W = proj @ (s_vecs / np.sqrt(s_vals) @ s_vecs.T)
 
     # matrix elements of the fully modulated Hamiltonian at this z
-    V_full = -scale * sum(
-        design.depth_factor(j, z) * _super_gaussian(xs, j * design.ws,
-                                                    design.wx)
-        for j in guides)
+    V_full = -scale * refractive_profile(basis_design, xs, z)
     HW = _apply_h(W, V_full, dx, k0)
     M = W.T @ HW * dx
 

@@ -14,9 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-
 TWO_PI = 2.0 * math.pi
+
+
+def _reduce_ratio(obj) -> None:
+    """Reduce the p/q of a frozen dataclass to lowest terms, so its cell
+    length q is always minimal."""
+    g = math.gcd(obj.p, obj.q)
+    if g > 1:
+        object.__setattr__(obj, "p", obj.p // g)
+        object.__setattr__(obj, "q", obj.q // g)
 
 
 @dataclass(frozen=True)
@@ -39,10 +46,7 @@ class ModulationParams:
             raise ValueError(f"q must be >= 1, got {self.q}")
         if self.p < 0:
             raise ValueError(f"p must be >= 0, got {self.p}")
-        g = math.gcd(self.p, self.q)
-        if g > 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
+        _reduce_ratio(self)
 
     @property
     def beta(self) -> float:
@@ -52,25 +56,6 @@ class ModulationParams:
         """Copy with nu_od set to the given multiple of J."""
         return ModulationParams(self.J, self.nu_d, nu_od_over_J * self.J,
                                 self.p, self.q, self.delta_phi)
-
-
-@dataclass(frozen=True)
-class BlochMomentum:
-    """Momentum (kx, ky) reduced into the zone (-pi/q, pi/q] x (0, 2*pi]."""
-
-    kx: float
-    ky: float
-
-    @staticmethod
-    def reduced(kx: float, ky: float, q: int) -> "BlochMomentum":
-        wx = TWO_PI / q
-        kx = kx - wx * math.floor((kx + wx / 2) / wx)
-        if kx <= -wx / 2:
-            kx += wx
-        ky = ky - TWO_PI * math.floor(ky / TWO_PI)
-        if ky <= 0.0:
-            ky += TWO_PI
-        return BlochMomentum(kx, ky)
 
 
 @dataclass(frozen=True)
@@ -110,7 +95,8 @@ def hopping(j: int, params: ModulationParams, ky: float) -> float:
         _mod_angle(j, params.p, params.q) + ky + params.delta_phi)
 
 
-def bloch_hamiltonian(params: ModulationParams, k: BlochMomentum) -> np.ndarray:
+def bloch_hamiltonian(params: ModulationParams, kx: float,
+                      ky: float) -> np.ndarray:
     """q x q Bloch block at momentum (kx, ky).
 
     Every hopping bond carries the phase e^{i kx} (periodic gauge); the bond
@@ -120,8 +106,8 @@ def bloch_hamiltonian(params: ModulationParams, k: BlochMomentum) -> np.ndarray:
     q = params.q
     H = np.zeros((q, q), dtype=complex)
     for j in range(1, q + 1):
-        H[j - 1, j - 1] += onsite_potential(j, params, k.ky)
-        t = hopping(j, params, k.ky) * np.exp(1j * k.kx)
+        H[j - 1, j - 1] += onsite_potential(j, params, ky)
+        t = hopping(j, params, ky) * np.exp(1j * kx)
         a, b = j - 1, j % q
         if a == b:
             H[a, a] += 2.0 * t.real

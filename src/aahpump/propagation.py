@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _mod_angle
+from .model import _mod_angle, _reduce_ratio
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -80,6 +80,7 @@ class IndexModulated:
 
     Guide j (centered at j*ws, j symmetric about zero) carries the depth
     factor 1 + alpha*cos(2*pi*(p/q)*j + Omega*z) with Omega = 2*pi/Z.
+    p/q is reduced to lowest terms on construction, as in ModulationParams.
     """
 
     alpha: float
@@ -93,6 +94,7 @@ class IndexModulated:
     def __post_init__(self):
         _check_design(self.num_guides, self.ws, self.wx, self.p, self.q,
                       self.Z)
+        _reduce_ratio(self)
 
     @property
     def Omega(self) -> float:
@@ -121,6 +123,7 @@ class SpacingModulated:
     """Fixed-depth guides with longitudinally modulated positions.
 
     Guide j sits at x_j(z) = j*ws + wm*cos(2*pi*(p/q)*j + Omega*z + phi0).
+    p/q is reduced to lowest terms on construction, as in ModulationParams.
     """
 
     p: int
@@ -135,6 +138,7 @@ class SpacingModulated:
     def __post_init__(self):
         _check_design(self.num_guides, self.ws, self.wx, self.p, self.q,
                       self.Z)
+        _reduce_ratio(self)
         if abs(self.wm) >= self.ws / 2.0 - self.wx:
             warnings.warn(
                 f"|wm| = {abs(self.wm)} >= ws/2 - wx = "

@@ -1,4 +1,9 @@
-"""Dense Hermitian eigendecomposition, band-structure scans, and band gaps."""
+"""Band-structure scans and the two band gaps of the lattice.
+
+The direct gap n is min over k of E_{n+1}(k) - E_n(k) (direct_gaps); the
+indirect gap n is the bottom of band n+1 minus the top of band n
+(band_edges).  The direct gap is never smaller than the indirect one.
+"""
 
 from __future__ import annotations
 
@@ -7,23 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HERMITICITY_TOL, ModulationParams, bloch_grid_hamiltonians
-
-
-class NonHermitianInput(ValueError):
-    """Matrix handed to eigh violates the Hermiticity invariant."""
-
-
-class BandIndexOutOfRange(IndexError):
-    """Gap index n must satisfy 1 <= n <= q-1."""
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted ascending; vectors[:, n] belongs to values[n]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
+from .model import ModulationParams, bloch_grid_hamiltonians
 
 
 @dataclass(frozen=True)
@@ -42,23 +31,6 @@ class BandGrid:
     energies: np.ndarray
     states: np.ndarray
 
-    @property
-    def num_bands(self) -> int:
-        return self.energies.shape[0]
-
-
-def eigh(H: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Raises NonHermitianInput if max|H - H^dagger| exceeds 1e-12.
-    """
-    H = np.asarray(H)
-    dev = np.abs(H - H.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {dev:.3e}")
-    values, vectors = np.linalg.eigh(H)
-    return EigenDecomposition(values, vectors)
-
 
 def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
     """Uniform mesh of (-pi/q, pi/q] x (0, 2*pi], lower edges excluded.
@@ -73,49 +45,35 @@ def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
     return kxs, kys
 
 
-def band_grid(params: ModulationParams, nx: int, ny: int,
-              threads: int = 1) -> BandGrid:
+def band_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
     """Solve the Bloch blocks on an nx x ny mesh of the zone."""
     if nx < 2 or ny < 2:
         raise ValueError("mesh must be at least 2 x 2")
     kxs, kys = zone_mesh(params.q, nx, ny)
-    H = bloch_grid_hamiltonians(params, kxs, kys)
-    if threads > 1:
-        w = np.empty((nx, ny, params.q))
-        v = np.empty((nx, ny, params.q, params.q), dtype=complex)
-
-        def solve_row(i):
-            w[i], v[i] = np.linalg.eigh(H[i])
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(solve_row, range(nx)))
-    else:
-        w, v = np.linalg.eigh(H)
+    w, v = np.linalg.eigh(bloch_grid_hamiltonians(params, kxs, kys))
     energies = np.transpose(w, (2, 0, 1))
     states = np.transpose(v, (3, 0, 1, 2))
     return BandGrid(params, kxs, kys, energies, states)
 
 
-def band_gap(grid: BandGrid, n: int) -> float:
-    """Gap G_n = min over the mesh of E_{n+1} - E_n (1-based band index).
+def direct_gaps(energies: np.ndarray) -> np.ndarray:
+    """Direct gaps min_k [E_{n+1}(k) - E_n(k)], n = 1 .. q-1.
 
-    The minimum of the pointwise difference is reported as computed; a
-    negative or near-zero value flags gap closure (indirect band overlap is
-    not treated separately).
+    energies has the band axis first, shape (q, nx, ny).  A negative or
+    near-zero gap flags closure.
     """
-    if not 1 <= n <= grid.num_bands - 1:
-        raise BandIndexOutOfRange(
-            f"gap index {n} outside 1..{grid.num_bands - 1}")
-    return float((grid.energies[n] - grid.energies[n - 1]).min())
+    return (energies[1:] - energies[:-1]).min(axis=(1, 2))
 
 
-def all_gaps(grid: BandGrid) -> np.ndarray:
-    return np.array([band_gap(grid, n) for n in range(1, grid.num_bands)])
+def band_edges(grid: BandGrid):
+    """(tops, bottoms) of every band over the mesh; the indirect gap n is
+    bottoms[n] - tops[n - 1] (0-based bands)."""
+    return grid.energies.max(axis=(1, 2)), grid.energies.min(axis=(1, 2))
 
 
 def gap_scan(params_template: ModulationParams, nu_od_over_J,
              nx: int = 48, ny: int = 48, threads: int = 1) -> list[tuple]:
-    """Gaps as a function of nu_od/J.
+    """Direct gaps as a function of nu_od/J.
 
     Returns one (ratio, G_1, ..., G_{q-1}) tuple per requested ratio, in
     input order.
@@ -124,7 +82,7 @@ def gap_scan(params_template: ModulationParams, nu_od_over_J,
 
     def one(r):
         grid = band_grid(params_template.with_ratio(r), nx, ny)
-        return (r, *all_gaps(grid))
+        return (r, *direct_gaps(grid.energies))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModulationParams, bloch_grid_hamiltonians
-from .spectral import zone_mesh
+from .spectral import direct_gaps, zone_mesh
 
 LINK_MODULUS_MIN = 1e-8
 INTEGER_ROUNDING_TOL = 0.01
@@ -104,14 +104,10 @@ def plaquette_phases(states: np.ndarray) -> np.ndarray:
 
 
 def _band_min_gaps(values: np.ndarray) -> np.ndarray:
-    """Minimum pointwise distance of each band to its nearest neighbour."""
-    q = values.shape[-1]
-    gaps = np.full(q, np.inf)
-    for n in range(q - 1):
-        d = (values[..., n + 1] - values[..., n]).min()
-        gaps[n] = min(gaps[n], d)
-        gaps[n + 1] = min(gaps[n + 1], d)
-    return gaps
+    """Minimum pointwise distance of each band to its nearest neighbour;
+    values has the band axis last."""
+    d = direct_gaps(np.moveaxis(values, -1, 0))
+    return np.minimum(np.r_[np.inf, d], np.r_[d, np.inf])
 
 
 def chern_numbers(params: ModulationParams, nx: int = 48, ny: int = 48,

@@ -169,6 +169,60 @@ class TestCommands:
         assert "config error:" in err
         assert message in err
 
+    @pytest.mark.parametrize("args", [
+        ["bands", "q=4", "nx=8", "ny=8"],
+        ["bands", "p=2", "q=4", "nx=8", "ny=8"],
+        ["phase-diagram", "q=4", "nu_od_over_J_max=0", "nu_d_over_J_max=-4",
+         "nx=8", "ny=8"],
+        ["edges", "q=2", "nu_d_over_J=1", "delta_phi_rad=1", "n_ky=40"],
+    ], ids=["bands-q=4", "bands-p=2-q=4", "phase-diagram-q=4", "edges-q=2"])
+    def test_even_q_exits_2(self, tmp_path, capsys, args):
+        assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2
+        assert "config error: reduced q = " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    def test_even_q_gap_scan_runs(self, tmp_path):
+        # the gap scan needs no Chern numbers, so even q is fine there
+        assert run(["bands", "--outdir", tmp_path, "--out", "r", "q=4",
+                    "scan=true", "scan_max=0.2", "nx=8", "ny=8"]) == 0
+        lines = (tmp_path / "r_gaps.csv").read_text().splitlines()
+        assert lines[0] == "nu_od_over_J,G1,G2,G3"
+        assert len(lines) == 4
+
+    @pytest.mark.parametrize("command, args", [
+        ("bands", ["scan=true", "scan_max=0.5", "nx=8", "ny=8"]),
+        ("bands", ["nx=8", "ny=8"]),
+        ("phase-diagram", ["nu_od_over_J_max=1", "nu_d_over_J_min=0",
+                           "nu_d_over_J_max=1", "nx=8", "ny=8"]),
+        ("edges", ["num_sites=30", "n_ky=40"]),
+        ("pump", ["--preset", "fig5b", "Z_cm=0.2", "num_slices=10",
+                  "dz_um=10", "lz_estimate=false"]),
+        ("extract", []),
+    ])
+    def test_unreduced_ratio_same_outputs(self, tmp_path, command, args):
+        # p/q = 2/6 is the lattice of 1/3: every output must be identical
+        for p, q in ((1, 3), (2, 6)):
+            assert run([command, "--outdir", tmp_path / str(q), "--out", "r",
+                        *args, f"p={p}", f"q={q}"]) == 0
+        names = sorted(f.name for f in (tmp_path / "3").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "6").iterdir())
+        for name in names:
+            assert (tmp_path / "3" / name).read_bytes() == \
+                (tmp_path / "6" / name).read_bytes(), name
+
+    def test_phase_diagram_unreduced_ratio_resumes(self, tmp_path):
+        cfg = build_config("phase-diagram", {}, None, [
+            "p=2", "q=6", "nu_od_over_J_max=1", "nu_d_over_J_min=0",
+            "nu_d_over_J_max=0", "nx=8", "ny=8"])
+        prefix = str(tmp_path / "r")
+        cmd_phase_diagram(cfg, prefix, 1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("aahpump.topology.chern_numbers",
+                       lambda *a, **k: calls.append(a))
+            cmd_phase_diagram(cfg, prefix, 1)
+        assert calls == []  # every cell served from the cache
+
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aahpump.model import BlochMomentum, ModulationParams, OpenChainSpec, \
-    _mod_angle, bloch_hamiltonian, bloch_grid_hamiltonians, hopping, \
+from aahpump.model import ModulationParams, OpenChainSpec, _mod_angle, \
+    bloch_hamiltonian, bloch_grid_hamiltonians, hopping, \
     onsite_potential, open_hamiltonian
 
 
@@ -70,7 +70,7 @@ class TestBlochHamiltonian:
             [np.conj(t[1] * e), v[2], t[2] * e],
             [t[3] * e, np.conj(t[2] * e), v[3]],
         ])
-        H = bloch_hamiltonian(p, BlochMomentum(kx, ky))
+        H = bloch_hamiltonian(p, kx, ky)
         assert np.allclose(H, H_ref, atol=1e-14)
 
     @given(nu_d=st.floats(-2, 2), nu_od=st.floats(-2, 2),
@@ -78,15 +78,14 @@ class TestBlochHamiltonian:
            q=st.sampled_from([1, 3, 5, 7]))
     @settings(max_examples=50)
     def test_hermitian(self, nu_d, nu_od, kx, ky, q):
-        H = bloch_hamiltonian(params(nu_d, nu_od, q=q),
-                              BlochMomentum(kx, ky))
+        H = bloch_hamiltonian(params(nu_d, nu_od, q=q), kx, ky)
         assert np.abs(H - H.conj().T).max() < 1e-12
 
     def test_q1_free_cosine_band(self):
         # single-site zone: energy is the free-chain cosine band
         p = ModulationParams(1.0, 0.0, 0.0, 0, 1)
         for kx in (0.0, 0.3, 1.0):
-            H = bloch_hamiltonian(p, BlochMomentum(kx, 0.0))
+            H = bloch_hamiltonian(p, kx, 0.0)
             assert H.shape == (1, 1)
             assert H[0, 0] == pytest.approx(-2 * np.cos(kx))
 
@@ -98,7 +97,7 @@ class TestBlochHamiltonian:
         for i, kx in enumerate(kxs):
             for j, ky in enumerate(kys):
                 assert np.allclose(
-                    stack[i, j], bloch_hamiltonian(p, BlochMomentum(kx, ky)),
+                    stack[i, j], bloch_hamiltonian(p, kx, ky),
                     atol=1e-14)
 
 

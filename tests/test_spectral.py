@@ -1,29 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aahpump.model import ModulationParams
-from aahpump.spectral import BandIndexOutOfRange, NonHermitianInput, \
-    all_gaps, band_gap, band_grid, eigh, gap_scan, zone_mesh
+from aahpump.model import ModulationParams, bloch_grid_hamiltonians
+from aahpump.spectral import band_edges, band_grid, direct_gaps, gap_scan, \
+    zone_mesh
+from aahpump.topology import _band_min_gaps
 
 
 def params(nu_d=0.0, nu_od=1.0, q=3, delta_phi=0.0):
     return ModulationParams(1.0, nu_d, nu_od, 1, q, delta_phi)
-
-
-class TestEigh:
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        H = A + A.conj().T
-        dec = eigh(H)
-        assert np.allclose(H @ dec.vectors,
-                           dec.vectors * dec.values, atol=1e-10)
-        assert np.all(np.diff(dec.values) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        H = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(NonHermitianInput):
-            eigh(H)
 
 
 class TestZoneMesh:
@@ -49,13 +35,6 @@ class TestBandGrid:
         assert grid.states.shape == (3, 6, 6, 3)
         assert np.all(np.diff(grid.energies, axis=0) >= 0)
 
-    def test_threads_identical(self):
-        p = params(nu_d=0.3, nu_od=2.0)
-        g1 = band_grid(p, 12, 12, threads=1)
-        g8 = band_grid(p, 12, 12, threads=8)
-        assert np.array_equal(g1.energies, g8.energies)
-        assert np.array_equal(g1.states, g8.states)
-
     def test_q1_cosine_band(self):
         grid = band_grid(ModulationParams(1.0, 0.0, 0.0, 0, 1), 16, 4)
         assert np.allclose(grid.energies[0], -2 * np.cos(grid.kxs)[:, None],
@@ -63,21 +42,14 @@ class TestBandGrid:
 
 
 class TestGaps:
-    def test_gap_index_bounds(self):
-        grid = band_grid(params(), 6, 6)
-        with pytest.raises(BandIndexOutOfRange):
-            band_gap(grid, 0)
-        with pytest.raises(BandIndexOutOfRange):
-            band_gap(grid, 3)
-
     def test_gaps_open_at_weak_modulation(self):
-        gaps = all_gaps(band_grid(params(nu_od=1.0), 48, 48))
+        gaps = direct_gaps(band_grid(params(nu_od=1.0), 48, 48).energies)
         assert np.all(gaps > 0.1)
 
     def test_gap_scan_order_and_values(self):
         rows = gap_scan(params(), [1.0, 2.0], nx=24, ny=24)
         assert [r[0] for r in rows] == [1.0, 2.0]
-        direct = all_gaps(band_grid(params(nu_od=2.0), 24, 24))
+        direct = direct_gaps(band_grid(params(nu_od=2.0), 24, 24).energies)
         assert rows[1][1] == pytest.approx(direct[0])
         assert rows[1][2] == pytest.approx(direct[1])
 
@@ -103,5 +75,75 @@ class TestSpectralSymmetries:
 
     def test_gaps_equal_when_chiral(self):
         for r in (0.5, 1.0, 2.0, 8.0):
-            g = all_gaps(band_grid(params(nu_od=r), 48, 48))
+            g = direct_gaps(band_grid(params(nu_od=r), 48, 48).energies)
             assert abs(g[0] - g[1]) < 1e-10
+
+
+# the per-band gap formulas that direct_gaps, band_edges and _band_min_gaps
+# replaced, kept as references
+def reference_direct_gaps(energies):
+    return np.array([float((energies[n] - energies[n - 1]).min())
+                     for n in range(1, energies.shape[0])])
+
+
+def reference_band_min_gaps(values):
+    q = values.shape[-1]
+    gaps = np.full(q, np.inf)
+    for n in range(q - 1):
+        d = (values[..., n + 1] - values[..., n]).min()
+        gaps[n] = min(gaps[n], d)
+        gaps[n + 1] = min(gaps[n + 1], d)
+    return gaps
+
+
+lattices = st.builds(
+    lambda q, p, nu_od, nu_d, dphi, closed: ModulationParams(
+        1.0, 0.0 if closed else nu_d, 4.0 if closed else nu_od, p, q,
+        0.0 if closed else dphi),
+    q=st.sampled_from([1, 3, 5, 7]), p=st.integers(0, 6),
+    nu_od=st.floats(-6, 6), nu_d=st.floats(-3, 3),
+    dphi=st.floats(0, 2 * np.pi),
+    # nu_od/J = 4 at nu_d = 0: both gaps of p/q = 1/3 close
+    closed=st.booleans())
+
+
+class TestGapFunctions:
+    @given(p=lattices, n=st.sampled_from([4, 7, 12]))
+    @settings(max_examples=60, deadline=None)
+    def test_match_per_band_formulas(self, p, n):
+        grid = band_grid(p, n, n)
+        E = grid.energies
+        gaps = direct_gaps(E)
+        assert gaps.shape == (p.q - 1,)
+        assert np.array_equal(gaps.view(np.int64),
+                              reference_direct_gaps(E).view(np.int64))
+        tops, bottoms = band_edges(grid)
+        assert np.array_equal(tops, [e.max() for e in E])
+        assert np.array_equal(bottoms, [e.min() for e in E])
+        # the indirect gap never exceeds the direct one
+        assert np.all(bottoms[1:] - tops[:-1] <= gaps)
+
+    def test_closed_gaps_at_transition(self):
+        grid = band_grid(params(nu_od=4.0), 48, 48)
+        tops, bottoms = band_edges(grid)
+        assert np.all(direct_gaps(grid.energies) < 1e-3)
+        assert np.all(bottoms[1:] - tops[:-1] < 1e-3)
+
+    @given(p=lattices)
+    @settings(max_examples=40, deadline=None)
+    def test_band_min_gaps_unchanged(self, p):
+        kxs, kys = zone_mesh(p.q, 8, 8, extra=1)
+        values = np.linalg.eigvalsh(bloch_grid_hamiltonians(p, kxs, kys))
+        assert np.array_equal(_band_min_gaps(values),
+                              reference_band_min_gaps(values))
+
+
+class TestBlochGridHermitian:
+    @given(p=lattices, nx=st.integers(2, 9), ny=st.integers(2, 9),
+           extra=st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_hermitian(self, p, nx, ny, extra):
+        kxs, kys = zone_mesh(p.q, nx, ny, extra)
+        H = bloch_grid_hamiltonians(p, kxs, kys)
+        assert H.shape == (len(kxs), len(kys), p.q, p.q)
+        assert np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max() <= 1e-12
