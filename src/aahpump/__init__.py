@@ -9,7 +9,7 @@ extraction from localized waveguide modes.
 from .model import ModulationParams, OpenChainSpec, bloch_hamiltonian, \
     hopping, onsite_potential, open_hamiltonian
 from .spectral import BandGrid, band_edges, band_grid, direct_gaps, \
-    gap_scan, zone_mesh
+    gap_scan, tridiagonal_eigh, zone_mesh
 from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
     Undefined, chern_numbers, phase_diagram, plaquette_field
 from .edges import FiducialInGapViolation, WindingUnderresolved, \
@@ -27,7 +27,7 @@ __all__ = [
     "ModulationParams", "OpenChainSpec",
     "bloch_hamiltonian", "hopping", "onsite_potential", "open_hamiltonian",
     "BandGrid", "band_edges", "band_grid", "direct_gaps", "gap_scan",
-    "zone_mesh",
+    "tridiagonal_eigh", "zone_mesh",
     "ChernVector", "EvenDenominator", "MeshTooCoarse", "Undefined",
     "chern_numbers", "phase_diagram", "plaquette_field",
     "FiducialInGapViolation", "WindingUnderresolved", "bulk_edge_check",

@@ -144,6 +144,44 @@ NUMERICAL_ERRORS = (MeshTooCoarse, BoundaryLeakage, GridUnderresolved,
                     WindingUnderresolved, np.linalg.LinAlgError)
 
 
+def _require(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _require_range(cfg, lo, hi, step):
+    _require(cfg[step] > 0, f"{step} must be > 0, got {cfg[step]}")
+    _require(cfg[hi] >= cfg[lo],
+             f"{hi} = {cfg[hi]} is below {lo} = {cfg[lo]}")
+
+
+def _validate_config(command, cfg):
+    """Reject lattice settings the commands cannot run on, before any work
+    (or any output) starts."""
+    if command in ("bands", "phase-diagram"):
+        # a band grid needs a 2 x 2 mesh, Chern numbers a 4 x 4 one
+        low = 2 if command == "bands" and cfg["scan"] else 4
+        _require(min(cfg["nx"], cfg["ny"]) >= low,
+                 f"nx and ny must be >= {low}, got {cfg['nx']} x {cfg['ny']}")
+    if command == "bands" and cfg["scan"]:
+        _require_range(cfg, "scan_min", "scan_max", "scan_step")
+    if command == "phase-diagram":
+        for axis in ("nu_od_over_J", "nu_d_over_J"):
+            _require_range(cfg, f"{axis}_min", f"{axis}_max", f"{axis}_step")
+    if command == "edges":
+        m = cfg["edge_sites"]
+        _require(m >= 1, f"edge_sites must be >= 1, got {m}")
+        _require(cfg["num_sites"] >= 2 * m,
+                 f"num_sites = {cfg['num_sites']} leaves no bulk between "
+                 f"two edges of edge_sites = {m}; need >= {2 * m}")
+        # a weight threshold of 1 or more labels no state as an edge state
+        _require(0.0 < cfg["edge_threshold"] < 1.0,
+                 f"edge_threshold must lie in (0, 1), "
+                 f"got {cfg['edge_threshold']}")
+        # one or two samples retrace their own steps: no loop to wind around
+        _require(cfg["n_ky"] >= 3, f"n_ky must be >= 3, got {cfg['n_ky']}")
+
+
 def _inclusive_range(lo, hi, step):
     n = int(round((hi - lo) / step))
     if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
@@ -570,6 +608,7 @@ def build_config(command, preset_overrides, config_path, overrides):
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         cfg[key] = _parse_value(command, key.strip(), raw.strip())
+    _validate_config(command, cfg)
     return cfg
 
 

@@ -8,11 +8,11 @@ moving downward in energy with increasing ky contributes +1, a branch moving
 upward contributes -1.  Right-edge crossings carry the opposite total.
 
 The work is done in array form: each ky costs one open-chain build and one
-eigh, after which all its eigenstates are classified at once as integer
-codes (mapped to the LeftEdge / RightEdge / Bulk labels once, at the end),
-and the crossings of each fiducial are found in one pass over all samples.
-A branch that moves more than CROSSING_STEP_MAX of its gap's width between
-two ky samples raises WindingUnderresolved instead of being counted.
+tridiagonal solve, after which all its eigenstates are classified at once as
+integer codes (mapped to the LeftEdge / RightEdge / Bulk labels once, at the
+end), and the crossings of each fiducial are found in one pass over all
+samples.  A branch that moves more than CROSSING_STEP_MAX of its gap's width
+between two ky samples raises WindingUnderresolved instead of being counted.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModulationParams, OpenChainSpec, open_hamiltonian
-from .spectral import band_edges, band_grid
+from .spectral import band_edges, band_grid, tridiagonal_eigh
 from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
 DEFAULT_EDGE_SITES = 5
@@ -39,7 +39,8 @@ class FiducialInGapViolation(ValueError):
 
 
 class WindingUnderresolved(ArithmeticError):
-    """A fiducial-crossing branch moves too far between ky samples."""
+    """A fiducial-crossing branch moves too far between ky samples, or lies
+    in neither edge, so the windings cannot be trusted."""
 
 
 # A branch may move at most this fraction of its gap's width between two
@@ -111,7 +112,7 @@ def spectral_flow(params: ModulationParams, num_sites: int,
     codes = np.empty((n_ky, num_sites), dtype=np.int8)
     for t, ky in enumerate(kys):
         H = open_hamiltonian(params, OpenChainSpec(num_sites, ky))
-        vals, vecs = np.linalg.eigh(H)
+        vals, vecs = tridiagonal_eigh(H.diagonal(), H.diagonal(1))
         energies[t] = vals
         codes[t] = _edge_codes(vecs, m, threshold)
     return SpectralFlow(params, num_sites, kys, energies, _LABELS[codes])
@@ -147,6 +148,7 @@ class WindingResult:
     right_windings: tuple    # signed right-edge crossing count per gap
     left_branch_crossings: tuple   # unsigned left-edge crossings per gap
     right_branch_crossings: tuple  # unsigned right-edge crossings per gap
+    bulk_crossings: tuple    # crossings by branches labelled Bulk, per gap
     flow: SpectralFlow
 
     @property
@@ -177,7 +179,7 @@ def winding_numbers(params: ModulationParams, num_sites: int,
     E, labels = flow.energies, flow.labels
     E2, labels2 = np.roll(E, -1, axis=0), np.roll(labels, -1, axis=0)
     windings, right_windings = [], []
-    unsigned_left, unsigned_right = [], []
+    unsigned_left, unsigned_right, bulk = [], [], []
     for n, Ef in enumerate(fiducials):
         d, d2 = E - Ef, E2 - Ef
         t, a = np.nonzero(d * d2 < 0.0)
@@ -198,8 +200,10 @@ def winding_numbers(params: ModulationParams, num_sites: int,
         right_windings.append(int(sign[right].sum()))
         unsigned_left.append(int(left.sum()))
         unsigned_right.append(int(right.sum()))
+        bulk.append(int(label.size - left.sum() - right.sum()))
     return WindingResult(fiducials, tuple(windings), tuple(right_windings),
-                         tuple(unsigned_left), tuple(unsigned_right), flow)
+                         tuple(unsigned_left), tuple(unsigned_right),
+                         tuple(bulk), flow)
 
 
 def bulk_edge_check(params: ModulationParams, num_sites: int,
@@ -213,11 +217,20 @@ def bulk_edge_check(params: ModulationParams, num_sites: int,
     instead of computing the windings of a num_sites chain on n_ky samples.
     Returns a report dict with both sides and a boolean 'consistent'; the
     Chern side holds the ChernVector entries, so an Undefined band never
-    matches.
+    matches.  Raises WindingUnderresolved if a branch labelled Bulk crosses
+    a fiducial: an in-gap state too spread out to reach the edge weight
+    threshold (near a gap closure, say) would otherwise drop out of the
+    windings unseen.
     """
     cherns = tuple(chern_numbers(params, nx, ny))
     if windings is None:
         windings = winding_numbers(params, num_sites, n_ky)
+    for n, k in enumerate(windings.bulk_crossings):
+        if k:
+            raise WindingUnderresolved(
+                f"gap {n + 1}: {k} fiducial crossings by branches labelled "
+                "Bulk (edge weight below the threshold); raise edge_sites "
+                "or lower edge_threshold")
     bounded = (0,) + windings.windings + (0,)
     from_edges = tuple(bounded[n + 1] - bounded[n] for n in range(params.q))
     return {

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import _mod_angle
 from .propagation import IndexModulated, OpticalConstants, \
     _super_gaussian, refractive_profile
+from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
 MODE_WINDOW_SPACINGS = 4  # isolated-mode window width, in units of ws
@@ -65,10 +65,8 @@ def _fd_eig(V: np.ndarray, dx: float, k0: float, n_modes: int):
     t = 1.0 / (2.0 * k0 * dx * dx)
     diag = 2.0 * t + V
     off = np.full(len(V) - 1, -t)
-    vals, vecs = eigh_tridiagonal(diag, off,
-                                  select="i", select_range=(0, n_modes - 1))
-    vecs = vecs / math.sqrt(dx)
-    return vals, vecs
+    vals, vecs = tridiagonal_eigh(diag, off, n_modes)
+    return vals, vecs / math.sqrt(dx)
 
 
 def localized_mode(constants: OpticalConstants, design: IndexModulated,

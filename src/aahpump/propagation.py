@@ -37,6 +37,9 @@ BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
 # exactly 0.0 in float64 beyond |u| = 3.011 (u^6 > 745.1), so samples outside
 # a window of this radius would add only exact zeros.
 GUIDE_WINDOW_WIDTHS = 3.1
+# Arcs of the drive phase over which the spacing potential's bound on R is
+# taken: one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
+BOUND_PHASE_ARCS = 16
 
 
 class GridUnderresolved(ValueError):
@@ -376,8 +379,33 @@ class _SpacingPotential:
         return np.bincount(idx.ravel(), (g * inside).ravel(), minlength=nx)
 
     def bound(self) -> float:
-        # neighbouring guides may overlap when wm is large
-        return 2.5
+        """Bound on R at the samples x over every drive phase.
+
+        The phase circle is cut into BOUND_PHASE_ARCS arcs.  Over one arc,
+        guide j's centre stays in an interval it computes, so at x the guide
+        adds at most 1 inside that interval and, outside it, its shape at
+        the distance to the interval; the bound is the largest sum over the
+        samples and the arcs.  With one arc each interval is j*ws +- |wm|.
+        """
+        d = self.design
+        x = self.x[:, None]
+        arc = 2.0 * np.pi / BOUND_PHASE_ARCS
+        bound = 0.0
+        for k in range(BOUND_PHASE_ARCS):
+            a = np.mod(self.angles + k * arc, 2.0 * np.pi)  # arc starts
+            # cos over [a, a + arc] spans [lo, hi]: 1 where the arc holds
+            # a crest, -1 where it holds a trough, else the end values
+            ends = np.cos(a), np.cos(a + arc)
+            hi = np.where((a == 0.0) | (a + arc >= 2.0 * np.pi), 1.0,
+                          np.maximum(*ends))
+            lo = np.where((a <= np.pi) & (a + arc >= np.pi), -1.0,
+                          np.minimum(*ends))
+            c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
+            dist = np.maximum(np.maximum(np.minimum(c1, c2) - x,
+                                         x - np.maximum(c1, c2)), 0.0)
+            bound = max(bound, float(_super_gaussian(dist, 0.0, d.wx)
+                                     .sum(axis=1).max()))
+        return bound
 
 
 def _phase_support(design, x: np.ndarray) -> slice:

@@ -1,4 +1,4 @@
-"""Band-structure scans and the two band gaps of the lattice.
+"""Band-structure scans, the two band gaps, and the tridiagonal eigensolver.
 
 The direct gap n is min over k of E_{n+1}(k) - E_n(k) (direct_gaps); the
 indirect gap n is the bottom of band n+1 minus the top of band n
@@ -11,25 +11,23 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .model import ModulationParams, bloch_grid_hamiltonians
 
 
 @dataclass(frozen=True)
 class BandGrid:
-    """Band energies/states over a uniform mesh of the Brillouin-like zone.
+    """Band energies over a uniform mesh of the Brillouin-like zone.
 
-    energies has shape (q, nx, ny) with bands sorted ascending; states has
-    shape (q, nx, ny, q) with states[n, i, j] the eigenvector of band n at
-    mesh point (i, j).  Mesh points exclude the lower zone edge:
+    energies has shape (q, nx, ny) with bands sorted ascending, energies[n,
+    i, j] at mesh point (i, j).  Mesh points exclude the lower zone edge:
     kx_i = -pi/q + (i+1) * (2*pi/q)/nx, ky_j = (j+1) * 2*pi/ny.
     """
 
-    params: ModulationParams
     kxs: np.ndarray
     kys: np.ndarray
     energies: np.ndarray
-    states: np.ndarray
 
 
 def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
@@ -46,14 +44,22 @@ def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
 
 
 def band_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
-    """Solve the Bloch blocks on an nx x ny mesh of the zone."""
+    """Band energies of the Bloch blocks on an nx x ny mesh of the zone."""
     if nx < 2 or ny < 2:
         raise ValueError("mesh must be at least 2 x 2")
     kxs, kys = zone_mesh(params.q, nx, ny)
-    w, v = np.linalg.eigh(bloch_grid_hamiltonians(params, kxs, kys))
-    energies = np.transpose(w, (2, 0, 1))
-    states = np.transpose(v, (3, 0, 1, 2))
-    return BandGrid(params, kxs, kys, energies, states)
+    w = np.linalg.eigvalsh(bloch_grid_hamiltonians(params, kxs, kys))
+    return BandGrid(kxs, kys, np.transpose(w, (2, 0, 1)))
+
+
+def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, lowest=None):
+    """Ascending eigenvalues and column eigenvectors of the tridiagonal
+    matrix (diag, off): all of them by LAPACK's MRRR (stemr), or the lowest
+    `lowest` by bisection and inverse iteration (stebz)."""
+    if lowest is None:
+        return eigh_tridiagonal(diag, off)
+    return eigh_tridiagonal(diag, off, select="i",
+                            select_range=(0, lowest - 1))
 
 
 def direct_gaps(energies: np.ndarray) -> np.ndarray:

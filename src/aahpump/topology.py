@@ -117,7 +117,9 @@ def chern_numbers(params: ModulationParams, nx: int = 48, ny: int = 48,
     Bands whose minimum pointwise spacing to an adjacent band falls below
     gap_tol (default 1e-6 * |J|) are reported as Undefined rather than
     silently computed.  Raises EvenDenominator for even q and MeshTooCoarse
-    when the flux of a gapped band fails to round to an integer within 0.01.
+    when the flux of a gapped band fails to round to an integer within 0.01,
+    or when every band is defined but the integers do not sum to zero (two
+    nearly touching bands whose curvature the mesh does not resolve).
     """
     if params.q % 2 == 0:
         raise EvenDenominator(f"q = {params.q} is even; Chern numbers are "
@@ -144,7 +146,11 @@ def chern_numbers(params: ModulationParams, nx: int = 48, ny: int = 48,
             raise MeshTooCoarse(
                 f"band {n + 1} flux {c:.6f} does not round to an integer")
         entries.append(int(c_int))
-    return ChernVector(tuple(entries))
+    cv = ChernVector(tuple(entries))
+    if cv.all_defined and sum(entries) != 0:
+        raise MeshTooCoarse(f"Chern numbers {entries} sum to {sum(entries)}, "
+                            "not 0; refine the mesh")
+    return cv
 
 
 def plaquette_field(params: ModulationParams, band: int,

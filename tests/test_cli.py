@@ -181,6 +181,25 @@ class TestCommands:
         assert "config error: reduced q = " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # nothing written
 
+    @pytest.mark.parametrize("args, message", [
+        (["edges", "num_sites=6"], "num_sites = 6"),
+        (["bands", "nx=1"], "nx and ny must be >= 4"),
+        (["phase-diagram", "nx=1"], "nx and ny must be >= 4"),
+        (["bands", "scan=true", "scan_step=0"], "scan_step must be > 0"),
+        (["edges", "edge_sites=0"], "edge_sites must be >= 1"),
+        (["edges", "edge_threshold=2"], "edge_threshold must lie in (0, 1)"),
+        (["edges", "n_ky=1"], "n_ky must be >= 3"),
+    ], ids=["edges-num_sites=6", "bands-nx=1", "phase-diagram-nx=1",
+            "bands-scan_step=0", "edges-edge_sites=0",
+            "edges-edge_threshold=2", "edges-n_ky=1"])
+    def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
+                                        message):
+        assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert message in err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     def test_even_q_gap_scan_runs(self, tmp_path):
         # the gap scan needs no Chern numbers, so even q is fine there
         assert run(["bands", "--outdir", tmp_path, "--out", "r", "q=4",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,28 @@ class TestProfiles:
             assert np.abs(pot.profile(z, phase)
                           - windowed_spacing_profile(d, x, z, phase)
                           ).max() <= 1e-14
+
+    @given(p=st.integers(1, 6), q=st.sampled_from([1, 3, 5, 7]),
+           ws=st.floats(6.0, 25.0), wx=st.floats(1.0, 4.0),
+           wm_frac=st.floats(-1.0, 1.0), phi0=st.floats(0.0, 2 * np.pi),
+           num_guides=st.sampled_from([1, 3, 9, 21]))
+    @settings(max_examples=40, deadline=None)
+    def test_spacing_bound_holds_over_a_cycle(self, p, q, ws, wx, wm_frac,
+                                              phi0, num_guides):
+        with warnings.catch_warnings():  # overlapping guides are the point
+            warnings.simplefilter("ignore", UserWarning)
+            d = SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=wm_frac * ws,
+                                 phi0=phi0, Z=1.5e5, num_guides=num_guides)
+        x = np.arange(-400.0, 400.0, 0.15625)
+        pot = _SpacingPotential(d, x[_phase_support(d, x)])
+        peak = max(pot.profile(z).max() for z in np.linspace(0.0, d.Z, 400))
+        assert pot.bound() >= peak
+
+    def test_spacing_bound_on_fig5c(self):
+        d = spacing_design()
+        x = default_grid(d).xs
+        assert 2.0 <= _SpacingPotential(d, x[_phase_support(d, x)]).bound() \
+            < 2.5
 
     def test_super_gaussian_matches_sixth_power(self):
         x = np.linspace(-20.0, 20.0, 100001)

@@ -32,7 +32,6 @@ class TestBandGrid:
     def test_shapes_and_order(self):
         grid = band_grid(params(nu_d=0.5), 6, 6)
         assert grid.energies.shape == (3, 6, 6)
-        assert grid.states.shape == (3, 6, 6, 3)
         assert np.all(np.diff(grid.energies, axis=0) >= 0)
 
     def test_q1_cosine_band(self):

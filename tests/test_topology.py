@@ -3,8 +3,9 @@ import pytest
 
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.spectral import zone_mesh
-from aahpump.topology import ChernVector, EvenDenominator, Undefined, \
-    chern_numbers, phase_diagram, plaquette_field, plaquette_phases
+from aahpump.topology import ChernVector, EvenDenominator, MeshTooCoarse, \
+    Undefined, chern_numbers, phase_diagram, plaquette_field, \
+    plaquette_phases
 
 
 def params(nu_d=0.0, nu_od=1.0, q=3, delta_phi=0.0):
@@ -44,6 +45,15 @@ class TestChernNumbers:
         cv = ChernVector((1, Undefined(0.0), -1))
         assert not cv.all_defined
         assert len(cv) == 3 and cv[0] == 1
+
+    def test_nonzero_sum_raises(self):
+        # bands 3 and 4 are 3.4e-3 apart: on the 48 x 48 mesh they read
+        # (-5, 5) and the vector sums to -2; a 96 x 96 mesh gives (1, 1)
+        p = ModulationParams(1.0, 2.0421030431361977, 2.0421030431361977,
+                             6, 7)
+        with pytest.raises(MeshTooCoarse, match="sum to -2"):
+            chern_numbers(p)
+        assert chern_numbers(p, 96, 96).as_tuple() == (1, 1, 1, 1, -6, 1, 1)
 
 
 class TestPlaquettes:
