@@ -34,7 +34,7 @@ from .ioutil import format_float, write_csv, write_json, write_pgm
 from .model import ModulationParams
 from .propagation import BoundaryLeakage, GridUnderresolved, IndexModulated, \
     OpticalConstants, SpacingModulated, default_grid, gaussian_input, \
-    injection_guide, lz_ratio, run_summary, split_step_propagate
+    injection_guide, run_summary, split_step_propagate
 from .spectral import band_edges, band_grid, gap_scan
 from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
@@ -43,10 +43,6 @@ CM_TO_UM = 1e4
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class CheckFailure(AssertionError):
     pass
 
 
@@ -260,11 +256,12 @@ def cmd_bands(cfg, prefix, threads):
         write_csv(prefix + "_gaps.csv", header, rows)
         return {"scan": rows}
     grid = band_grid(_odd_q(params), cfg["nx"], cfg["ny"])
-    rows = []
-    for n in range(params.q):
-        for i, kx in enumerate(grid.kxs):
-            for j, ky in enumerate(grid.kys):
-                rows.append((kx, ky, n + 1, grid.energies[n, i, j]))
+    kxs, kys, energies = (grid.kxs.tolist(), grid.kys.tolist(),
+                          grid.energies.tolist())
+    rows = [(kx, ky, n + 1, e)
+            for n in range(params.q)
+            for kx, band_row in zip(kxs, energies[n])
+            for ky, e in zip(kys, band_row)]
     write_csv(prefix + "_bands.csv", ["kx", "ky", "band", "energy"], rows)
     if cfg["pgm"]:
         for n in range(params.q):
@@ -341,7 +338,6 @@ def cmd_edges(cfg, prefix, threads):
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
     flow = wr.flow
-    # plain Python values, which format_cell takes on its fast paths
     rows = [(ky, a, e, label)
             for ky, energies, labels in zip(flow.kys.tolist(),
                                             flow.energies.tolist(),
@@ -423,11 +419,12 @@ def cmd_pump(cfg, prefix, threads):
 
     intensity = traj.intensity()
     header = ["z_um"] + [format_float(x) for x in grid.xs.tolist()]
-    rows = [[z] + row.tolist() for z, row in zip(traj.zs.tolist(), intensity)]
-    write_csv(prefix + "_intensity.csv", header, rows)
+    write_csv(prefix + "_intensity.csv", header,
+              np.column_stack((traj.zs, intensity)))
     peaks = intensity.max(axis=1, keepdims=True)
     peaks[peaks == 0] = 1.0
-    write_pgm(prefix + "_intensity.pgm", intensity / peaks)
+    intensity /= peaks
+    write_pgm(prefix + "_intensity.pgm", intensity)
     return summary
 
 

@@ -1,49 +1,67 @@
 """Deterministic text output helpers shared by the library and the CLI.
 
-All floating-point output goes through format_float (printf "%.12g",
-negative zero normalized) so results are byte-identical regardless of
-thread count or platform locale.
+All floating-point output is printf FLOAT_FORMAT ("%.12g") after + 0.0,
+which turns -0 into 0, so results are byte-identical regardless of thread
+count or platform locale.  The writers format and write one row at a time.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
+
+FLOAT_FORMAT = "%.12g"
+_BLOCK_ROWS = 1024
+_FLOATS = (float, np.floating)
 
 
 def format_float(x) -> str:
     """printf "%.12g": 12 significant digits, exponent form when the
     rounded value is below 1e-4 or at least 1e12, trailing zeros dropped;
     -0 prints as 0 and non-finite values as nan, inf, -inf."""
-    return f"{x + 0.0:.12g}"
+    return FLOAT_FORMAT % (x + 0.0)
+
+
+def _column(cells):
+    """(format, values) of one CSV column: float cells (Python or numpy)
+    print as format_float does, every other cell as str() does."""
+    kinds = set(map(type, cells))
+    if all(issubclass(t, _FLOATS) for t in kinds):
+        return FLOAT_FORMAT, (np.array(cells, dtype=float) + 0.0).tolist()
+    if any(issubclass(t, _FLOATS) for t in kinds):
+        cells = [format_float(v) if isinstance(v, _FLOATS) else v
+                 for v in cells]
+    return "%s", cells
 
 
 def format_cell(v) -> str:
-    """CSV cell: floats via format_float, everything else via str."""
-    # exact-type fast paths: tables arrive as plain Python values
-    if type(v) is float:
-        return format_float(v)
-    if type(v) is str:
-        return v
-    if type(v) is int:
-        return str(v)
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    return str(v)
+    """One CSV cell, formatted as write_csv formats it."""
+    fmt, values = _column([v])
+    return fmt % tuple(values)
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated file with a header row and formatted cells."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(format_cell, row)))
+    """Comma-separated file with a header row, written one row at a time.
+
+    rows is a 2-D float array or an iterable of equally long rows; a cell
+    prints as format_cell does.  Rows are typed and formatted by column in
+    blocks of _BLOCK_ROWS, so memory does not grow with the table.
+    """
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+            for row in rows:
+                fh.write(line % tuple((row + 0.0).tolist()))
+            return
+        rows = iter(rows)
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            columns = [_column(cells) for cells in zip(*block, strict=True)]
+            line = ",".join(fmt for fmt, _ in columns) + "\n"
+            for cells in zip(*(values for _, values in columns)):
+                fh.write(line % cells)
 
 
 def _jsonable(v):
@@ -70,7 +88,8 @@ def write_json(path, obj) -> None:
 
 
 def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
-    """Plain-text (P2) PGM image of a 2-D array scaled to [0, max_gray].
+    """Plain-text (P2) PGM image of a 2-D array scaled to [0, max_gray],
+    written one row at a time.
 
     Rows of the array become image rows.  A constant array maps to zero.
     """
@@ -78,12 +97,12 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     if a.ndim != 2:
         raise ValueError("PGM export requires a 2-D array")
     lo, hi = float(a.min()), float(a.max())
-    if hi > lo:
-        gray = np.rint((a - lo) / (hi - lo) * max_gray).astype(int)
-    else:
-        gray = np.zeros(a.shape, dtype=int)
-    lines = ["P2", f"{a.shape[1]} {a.shape[0]}", str(max_gray)]
-    for row in gray:
-        lines.append(" ".join(map(str, row.tolist())))
+    levels = [str(v) for v in range(max_gray + 1)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{max_gray}\n")
+        for row in a:
+            if hi > lo:
+                gray = np.rint((row - lo) / (hi - lo) * max_gray).astype(int)
+            else:
+                gray = np.zeros(row.shape, dtype=int)
+            fh.write(" ".join(map(levels.__getitem__, gray.tolist())) + "\n")

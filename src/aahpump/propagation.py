@@ -167,12 +167,16 @@ class SpacingModulated:
         return float(self.guide_indices[-1] * self.ws + abs(self.wm))
 
 
-def _super_gaussian(x, center, wx):
-    """Guide shape exp(-((x - center)/wx)^6), with the sixth power taken as
-    u2*u2*u2 from u2 = ((x - center)/wx)^2 (a libm pow per sample costs
-    more than the exp)."""
-    u2 = ((x - center) / wx) ** 2
-    return np.exp(-u2 * u2 * u2)
+def _super_gaussian(x, center, wx, out=None):
+    """Guide shape exp(-((x - center)/wx)^6), written to out if given, with
+    the sixth power taken as -u2*u2*u2 from u2 = ((x - center)/wx)^2 (a
+    libm pow per sample costs more than the exp)."""
+    u2 = np.asarray(np.subtract(x, center, out=out))
+    np.square(np.divide(u2, wx, out=u2), out=u2)
+    arg = np.negative(u2)
+    arg *= u2
+    arg *= u2
+    return np.exp(arg, out=u2)
 
 
 def refractive_profile(design, x, z: float):
@@ -278,17 +282,19 @@ def gaussian_input(center: float, W: float, grid: SimulationGrid):
 
 @dataclass
 class FieldTrajectory:
-    """Recorded complex fields and norms along a propagation run."""
+    """Recorded complex fields, one (n_slices, nx) row per recorded z, and
+    norms along a propagation run."""
 
     grid: SimulationGrid
     zs: np.ndarray
-    fields: list
+    fields: np.ndarray
     norms: np.ndarray
     leakage_max: float
 
     def intensity(self) -> np.ndarray:
         """(n_slices, nx) array of |psi|^2."""
-        return np.abs(np.array(self.fields)) ** 2
+        a = np.abs(self.fields)
+        return np.square(a, out=a)
 
 
 def mean_position(psi, grid: SimulationGrid) -> float:
@@ -341,42 +347,48 @@ class _IndexPotential:
 class _SpacingPotential:
     """Gathered evaluation of all guide windows per step.
 
-    Each guide contributes only on its window [lo, hi) of samples, of radius
-    GUIDE_WINDOW_WIDTHS*wx, beyond which its shape is exactly 0.0.  The
-    windows are laid out as rows of one fixed-width (num_guides, W) index
-    block, samples beyond hi are masked to weight 0, and the rows are
-    summed into R by one bincount in guide order.
+    Each guide contributes only within GUIDE_WINDOW_WIDTHS*wx of its centre,
+    beyond which its shape is exactly 0.0.  The windows are rows of one
+    fixed-width (num_guides, W) index block into a copy of x padded by one
+    window plus the guides' reach beyond x, so no window is clipped or
+    masked: samples past a window's end hold exact zeros.  One bincount in
+    guide order sums the rows over the padded grid, then sliced back to x.
     """
 
     def __init__(self, design: SpacingModulated, x: np.ndarray):
         self.design = design
         self.x = x
-        self.dx = x[1] - x[0]
+        self.dx = dx = x[1] - x[0]
         self.half = GUIDE_WINDOW_WIDTHS * design.wx
         # guide j sits at base_j + wm*cos(angles_j + Omega*z)
         js = design.guide_indices
         self.base = js * design.ws
         self.angles = np.array([_mod_angle(j, design.p, design.q)
                                 for j in js]) + design.phi0
-        # hi - lo <= floor(b - a) + 3 for window ends a, b (in samples);
-        # b - a is 2*half/dx up to rounding, which one more sample covers
-        self.offsets = np.arange(int(2.0 * self.half / self.dx) + 4)
+        # a window from at most one sample below c - half reaches past
+        # c + half with one sample to spare
+        width = int(2.0 * self.half / dx) + 4
+        self.offsets = np.arange(width)
+        reach = design.center_bound + self.half
+        pad = width + math.ceil(max(0.0, x[0] + reach, reach - x[-1]) / dx)
+        self.xp = np.concatenate((x[0] - dx * np.arange(pad, 0, -1), x,
+                                  x[-1] + dx * np.arange(1, pad + 1)))
+        self.inner = slice(pad, pad + len(x))
+        self.idx = np.empty((len(js), width), dtype=np.intp)
+        self.g = np.empty(self.idx.shape)
 
     def profile(self, z: float, phase: float | None = None):
         d = self.design
-        nx = len(self.x)
         dz_phase = 0.0 if phase is None else phase - d.Omega * z
         c = self.base + d.wm * np.cos(self.angles + d.Omega * z + dz_phase)
-        # astype(int) truncates toward zero, as int() does
-        lo = np.maximum(0, ((c - self.half - self.x[0]) / self.dx)
-                        .astype(int))
-        hi = np.minimum(nx, ((c + self.half - self.x[0]) / self.dx)
-                        .astype(int) + 2)
-        idx = lo[:, None] + self.offsets
-        inside = idx < hi[:, None]
-        idx = np.minimum(idx, nx - 1)
-        g = _super_gaussian(self.x[idx], c[:, None], d.wx)
-        return np.bincount(idx.ravel(), (g * inside).ravel(), minlength=nx)
+        # the padding keeps every window start positive, so the truncating
+        # cast takes the floor
+        lo = ((c - self.half - self.xp[0]) / self.dx).astype(np.intp)
+        np.add(lo[:, None], self.offsets, out=self.idx)
+        g = np.take(self.xp, self.idx, out=self.g)
+        _super_gaussian(g, c[:, None], d.wx, out=g)
+        return np.bincount(self.idx.ravel(), g.ravel(),
+                           minlength=len(self.xp))[self.inner]
 
     def bound(self) -> float:
         """Bound on R at the samples x over every drive phase.
@@ -465,11 +477,12 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
 
     psi = np.asarray(psi0, dtype=complex)
     norm0 = np.sum(np.abs(psi) ** 2) * dx
-    fields = [psi.copy()]
+    fields = np.empty((len(steps), grid.nx), dtype=complex)
+    fields[0] = psi
     norms = [norm0]
     leak_max = float((np.abs(psi[boundary]) ** 2).max() * dx / norm0)
 
-    record = set(steps.tolist())
+    row_of_step = {n: k for k, n in enumerate(steps.tolist())}
     kick = v_scale * dz
     theta = np.empty(sup.stop - sup.start)
     factor = np.empty(theta.shape, dtype=complex)
@@ -488,9 +501,9 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         psi[sup] *= factor
         psi_k = np.fft.fft(psi)
         psi_k *= half_kin
-        if s + 1 in record:
-            out = np.fft.ifft(psi_k)
-            fields.append(out)
+        if s + 1 in row_of_step:
+            out = fields[row_of_step[s + 1]]
+            out[:] = np.fft.ifft(psi_k)
             norms.append(np.sum(np.abs(out) ** 2) * dx)
             leak = float((np.abs(out[boundary]) ** 2).max() * dx / norm0)
             leak_max = max(leak_max, leak)

@@ -54,12 +54,14 @@ def band_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
 
 def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, lowest=None):
     """Ascending eigenvalues and column eigenvectors of the tridiagonal
-    matrix (diag, off): all of them by LAPACK's MRRR (stemr), or the lowest
-    `lowest` by bisection and inverse iteration (stebz)."""
+    matrix (diag, off): all of them by LAPACK's divide and conquer (stevd),
+    or the lowest `lowest` by bisection and inverse iteration (stebz).  The
+    LAPACK routines are named, so results do not follow scipy's default."""
     if lowest is None:
-        return eigh_tridiagonal(diag, off)
+        return eigh_tridiagonal(diag, off, lapack_driver="stevd")
     return eigh_tridiagonal(diag, off, select="i",
-                            select_range=(0, lowest - 1))
+                            select_range=(0, lowest - 1),
+                            lapack_driver="stebz")
 
 
 def direct_gaps(energies: np.ndarray) -> np.ndarray:
@@ -88,7 +90,7 @@ def gap_scan(params_template: ModulationParams, nu_od_over_J,
 
     def one(r):
         grid = band_grid(params_template.with_ratio(r), nx, ny)
-        return (r, *direct_gaps(grid.energies))
+        return (r, *direct_gaps(grid.energies).tolist())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,81 @@ def reference_format_float(x) -> str:
         return s if s else "0"
     mantissa = mantissa.rstrip("0").rstrip(".")
     return f"{mantissa}e{exp:+03d}"
+
+
+def reference_format_cell(v) -> str:
+    """The per-cell formatter the row writers replaced, kept as the
+    oracle."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return f"{v + 0.0:.12g}"
+    return str(v)
+
+
+def reference_write_csv(path, header, rows):
+    """The whole-file CSV writer the row writer replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(map(reference_format_cell, row)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_pgm(path, values, max_gray=255):
+    """The whole-file PGM writer the row writer replaced."""
+    a = np.asarray(values, dtype=float)
+    lo, hi = float(a.min()), float(a.max())
+    if hi > lo:
+        gray = np.rint((a - lo) / (hi - lo) * max_gray).astype(int)
+    else:
+        gray = np.zeros(a.shape, dtype=int)
+    lines = ["P2", f"{a.shape[1]} {a.shape[0]}", str(max_gray)]
+    for row in gray:
+        lines.append(" ".join(map(str, row.tolist())))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# floats where %.12g output is easy to get wrong: signed zeros, non-finite
+# values, subnormals and both sides of the fixed/exponent switches
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+               5e-324, -5e-324, 2.2250738585072e-308, 1e-310, 1e-4,
+               np.nextafter(1e-4, 0.0), 9.999999999995e-5, 9.99999999999e-5,
+               1e12, np.nextafter(1e12, 0.0), 999999999999.5,
+               99999999999.95, 1.7976931348623157e308]
+table_floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                         st.sampled_from(EDGE_FLOATS).map(lambda x: -x),
+                         st.floats())
+text = st.text(alphabet="abcXYZ-_ 01.e", max_size=6)
+# cells of the kinds the bands, edges and phase-diagram tables hold
+cells = st.one_of(
+    table_floats, table_floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1), st.integers(-2**31, 2**31 - 1)
+    .map(np.int32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_), text, text.map(np.str_))
+
+
+@st.composite
+def float_tables(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    return np.array(draw(st.lists(table_floats, min_size=rows * cols,
+                                  max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def mixed_tables(draw):
+    """Rows of equal length; each column holds one kind of cell or, with
+    a column strategy of cells, several."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    kinds = [draw(st.sampled_from([cells, table_floats, st.integers(),
+                                   text, st.booleans()]))
+             for _ in range(cols)]
+    return [tuple(draw(kind) for kind in kinds) for _ in range(rows)]
 
 
 class TestFormatFloat:
@@ -112,6 +188,73 @@ class TestWriters:
         path = tmp_path / "c.pgm"
         write_pgm(path, np.ones((2, 3)))
         assert path.read_text().splitlines()[3:] == ["0 0 0", "0 0 0"]
+
+    @given(table=float_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_float_table_matches_reference(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv")
+        header = [f"c{i}" for i in range(table.shape[1])]
+        reference_write_csv(path / "want.csv", header, table.tolist())
+        write_csv(path / "array.csv", header, table)
+        write_csv(path / "rows.csv", header, table.tolist())
+        want = (path / "want.csv").read_bytes()
+        assert (path / "array.csv").read_bytes() == want
+        assert (path / "rows.csv").read_bytes() == want
+
+    @given(rows=mixed_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_rows_match_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv")
+        header = ["a", "b", "c", "d", "e"]
+        reference_write_csv(path / "want.csv", header, rows)
+        write_csv(path / "got.csv", header, rows)
+        assert (path / "got.csv").read_bytes() == \
+            (path / "want.csv").read_bytes()
+
+    def test_rows_across_blocks_match_reference(self, tmp_path):
+        # the kinds in a column change from one block of rows to the next
+        rng = np.random.default_rng(3)
+        rows = [(i, -0.0 if i % 7 == 0 else float(rng.normal()),
+                 np.float64(i) if i < 1500 else "undef", i % 2 == 0)
+                for i in range(2 * 1024 + 5)]
+        header = ["i", "x", "y", "even"]
+        reference_write_csv(tmp_path / "want.csv", header, rows)
+        write_csv(tmp_path / "got.csv", header, iter(rows))
+        assert (tmp_path / "got.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+
+    @given(shape=st.sampled_from([(1, 1), (1, 7), (7, 1), (4, 5)]),
+           values=st.lists(st.floats(-1e6, 1e6), min_size=35, max_size=35),
+           constant=st.booleans(),
+           max_gray=st.sampled_from([1, 15, 255, 1000, 65535]))
+    @settings(max_examples=200, deadline=None)
+    def test_pgm_matches_reference(self, tmp_path_factory, shape, values,
+                                   constant, max_gray):
+        path = tmp_path_factory.mktemp("pgm")
+        a = np.array(values[:shape[0] * shape[1]]).reshape(shape)
+        if constant:
+            a[:] = values[0]
+        reference_write_pgm(path / "want.pgm", a, max_gray)
+        write_pgm(path / "got.pgm", a, max_gray)
+        assert (path / "got.pgm").read_bytes() == \
+            (path / "want.pgm").read_bytes()
+
+    def test_csv_streams_rows(self, tmp_path):
+        # the fig5c intensity table: writing it must not build the file's
+        # text, or even a second copy of the table, in memory
+        table = np.random.default_rng(1).random((201, 4097))
+        header = [f"x{i}" for i in range(table.shape[1])]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "big.csv", header, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "r.csv", ["a", "b"], [(1, 2), (3,)])
 
     def test_pgm_requires_2d(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.spectral import band_edges, band_grid, direct_gaps, gap_scan, \
-    zone_mesh
+    tridiagonal_eigh, zone_mesh
 from aahpump.topology import _band_min_gaps
 
 
@@ -146,3 +147,25 @@ class TestBlochGridHermitian:
         H = bloch_grid_hamiltonians(p, kxs, kys)
         assert H.shape == (len(kxs), len(kys), p.q, p.q)
         assert np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max() <= 1e-12
+
+
+class TestTridiagonalEigh:
+    @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1),
+           lowest=st.sampled_from([None, 1, 2, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_named_lapack_routines_bitwise(self, n, seed, lowest):
+        # the whole spectrum by divide and conquer (stevd), the lowest
+        # modes by bisection and inverse iteration (stebz), never by
+        # whatever scipy's "auto" resolves to
+        rng = np.random.default_rng(seed)
+        diag, off = rng.normal(size=n), rng.normal(size=n - 1)
+        if lowest is None:
+            want = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+        else:
+            lowest = min(lowest, n)
+            want = eigh_tridiagonal(diag, off, select="i",
+                                    select_range=(0, lowest - 1),
+                                    lapack_driver="stebz")
+        got = tridiagonal_eigh(diag, off, lowest)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
