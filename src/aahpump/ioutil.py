@@ -92,10 +92,13 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     written one row at a time.
 
     Rows of the array become image rows.  A constant array maps to zero.
+    Non-finite values have no grey level and raise ValueError.
     """
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise ValueError("PGM export requires a 2-D array")
+    if not np.isfinite(a).all():
+        raise ValueError("PGM export requires finite values")
     lo, hi = float(a.min()), float(a.max())
     levels = [str(v) for v in range(max_gray + 1)]
     with open(path, "w") as fh:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,8 @@ BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
 # exactly 0.0 in float64 beyond |u| = 3.011 (u^6 > 745.1), so samples outside
 # a window of this radius would add only exact zeros.
 GUIDE_WINDOW_WIDTHS = 3.1
-# Arcs of the drive phase over which the spacing potential's bound on R is
-# taken: one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
+# Arcs of the drive phase over which the potential's bound on R is taken:
+# one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
 BOUND_PHASE_ARCS = 16
 
 
@@ -63,40 +63,23 @@ class OpticalConstants:
         return 2.0 * np.pi * self.n0 / self.wavelength
 
 
-def _check_design(num_guides, ws, wx, p, q, Z):
-    if wx <= 0:
-        raise ValueError("wx must be positive")
-    if num_guides < 1 or num_guides % 2 == 0:
-        raise ValueError("num_guides must be a positive odd count")
-    if Z <= 0:
-        raise ValueError("pump period Z must be positive")
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if ws <= 2.0 * wx:
-        warnings.warn(f"ws = {ws} <= 2*wx = {2 * wx}: guides are not well "
-                      "separated", stacklevel=3)
-
-
-@dataclass(frozen=True)
-class IndexModulated:
-    """Equally spaced guides with longitudinally modulated index depth.
-
-    Guide j (centered at j*ws, j symmetric about zero) carries the depth
-    factor 1 + alpha*cos(2*pi*(p/q)*j + Omega*z) with Omega = 2*pi/Z.
-    p/q is reduced to lowest terms on construction, as in ModulationParams.
-    """
-
-    alpha: float
-    p: int
-    q: int
-    ws: float
-    wx: float
-    Z: float
-    num_guides: int = DEFAULT_NUM_GUIDES
+class _GuideArray:
+    """Guide j at j*ws + wm*cos(a_j) with depth 1 + alpha*cos(a_j), where
+    a_j = 2*pi*(p/q)*j + phi0 + Omega*z; a design's unmodulated terms are
+    class constants, not fields.  p/q is reduced as in ModulationParams."""
 
     def __post_init__(self):
-        _check_design(self.num_guides, self.ws, self.wx, self.p, self.q,
-                      self.Z)
+        if self.wx <= 0:
+            raise ValueError("wx must be positive")
+        if self.num_guides < 1 or self.num_guides % 2 == 0:
+            raise ValueError("num_guides must be a positive odd count")
+        if self.Z <= 0:
+            raise ValueError("pump period Z must be positive")
+        if self.q <= 0:
+            raise ValueError("q must be positive")
+        if self.ws <= 2.0 * self.wx:
+            warnings.warn(f"ws = {self.ws} <= 2*wx = {2 * self.wx}: guides "
+                          "are not well separated", stacklevel=3)
         _reduce_ratio(self)
 
     @property
@@ -108,25 +91,44 @@ class IndexModulated:
         h = (self.num_guides - 1) // 2
         return np.arange(-h, h + 1)
 
+    def _angle(self, j, z: float) -> float:
+        return _mod_angle(j, self.p, self.q) + self.phi0 + self.Omega * z
+
     def guide_center(self, j: int, z: float = 0.0) -> float:
-        return j * self.ws
+        return j * self.ws + self.wm * math.cos(self._angle(j, z))
+
+    def depth_factor(self, j: int, z: float) -> float:
+        return 1.0 + self.alpha * math.cos(self._angle(j, z))
 
     @property
     def center_bound(self) -> float:
         """Bound on |guide_center(j, z)| over all guides and all z."""
-        return float(self.guide_indices[-1] * self.ws)
-
-    def depth_factor(self, j: int, z: float) -> float:
-        return 1.0 + self.alpha * math.cos(
-            _mod_angle(j, self.p, self.q) + self.Omega * z)
+        return float(self.guide_indices[-1] * self.ws + abs(self.wm))
 
 
 @dataclass(frozen=True)
-class SpacingModulated:
+class IndexModulated(_GuideArray):
+    """Equally spaced guides with longitudinally modulated index depth.
+
+    Guide j (centered at j*ws, j symmetric about zero) carries the depth
+    factor 1 + alpha*cos(2*pi*(p/q)*j + Omega*z) with Omega = 2*pi/Z.
+    """
+
+    alpha: float
+    p: int
+    q: int
+    ws: float
+    wx: float
+    Z: float
+    num_guides: int = DEFAULT_NUM_GUIDES
+    wm = phi0 = 0.0
+
+
+@dataclass(frozen=True)
+class SpacingModulated(_GuideArray):
     """Fixed-depth guides with longitudinally modulated positions.
 
     Guide j sits at x_j(z) = j*ws + wm*cos(2*pi*(p/q)*j + Omega*z + phi0).
-    p/q is reduced to lowest terms on construction, as in ModulationParams.
     """
 
     p: int
@@ -137,34 +139,14 @@ class SpacingModulated:
     phi0: float
     Z: float
     num_guides: int = DEFAULT_NUM_GUIDES
+    alpha = 0.0
 
     def __post_init__(self):
-        _check_design(self.num_guides, self.ws, self.wx, self.p, self.q,
-                      self.Z)
-        _reduce_ratio(self)
+        super().__post_init__()
         if abs(self.wm) >= self.ws / 2.0 - self.wx:
-            warnings.warn(
-                f"|wm| = {abs(self.wm)} >= ws/2 - wx = "
-                f"{self.ws / 2 - self.wx}: "
-                "neighbouring guides can overlap or cross", stacklevel=3)
-
-    @property
-    def Omega(self) -> float:
-        return 2.0 * np.pi / self.Z
-
-    @property
-    def guide_indices(self) -> np.ndarray:
-        h = (self.num_guides - 1) // 2
-        return np.arange(-h, h + 1)
-
-    def guide_center(self, j: int, z: float = 0.0) -> float:
-        return j * self.ws + self.wm * math.cos(
-            _mod_angle(j, self.p, self.q) + self.phi0 + self.Omega * z)
-
-    @property
-    def center_bound(self) -> float:
-        """Bound on |guide_center(j, z)| over all guides and all z."""
-        return float(self.guide_indices[-1] * self.ws + abs(self.wm))
+            warnings.warn(f"|wm| = {abs(self.wm)} >= ws/2 - wx = "
+                          f"{self.ws / 2 - self.wx}: neighbouring guides "
+                          "can overlap or cross", stacklevel=3)
 
 
 def _super_gaussian(x, center, wx, out=None):
@@ -180,15 +162,8 @@ def _super_gaussian(x, center, wx, out=None):
 
 
 def refractive_profile(design, x, z: float):
-    """Dimensionless index profile R(x, z) of the array; x may be an array."""
-    x = np.asarray(x, dtype=float)
-    R = np.zeros(x.shape)
-    for j in design.guide_indices:
-        g = _super_gaussian(x, design.guide_center(j, z), design.wx)
-        if isinstance(design, IndexModulated):
-            g = g * design.depth_factor(j, z)
-        R += g
-    return R
+    """Dimensionless index profile R(x, z) on a uniform increasing grid x."""
+    return _GuidePotential(design, x).profile(design.Omega * z)
 
 
 def injection_guide(design) -> int:
@@ -317,35 +292,8 @@ def lz_ratio(G1: float, Z: float) -> float:
     return math.exp(-G1 * G1 * Z)
 
 
-class _IndexPotential:
-    """O(nx) per-step evaluation via R = G0 + alpha*(Gc*cos - Gs*sin)."""
-
-    def __init__(self, design: IndexModulated, x: np.ndarray):
-        G0 = np.zeros(x.shape)
-        Gc = np.zeros(x.shape)
-        Gs = np.zeros(x.shape)
-        for j in design.guide_indices:
-            g = _super_gaussian(x, j * design.ws, design.wx)
-            theta = _mod_angle(j, design.p, design.q)
-            G0 += g
-            Gc += math.cos(theta) * g
-            Gs += math.sin(theta) * g
-        self.G0, self.Gc, self.Gs = G0, Gc, Gs
-        self.alpha = design.alpha
-        self.Omega = design.Omega
-
-    def profile(self, z: float, phase: float | None = None):
-        ph = self.Omega * z if phase is None else phase
-        return self.G0 + self.alpha * (math.cos(ph) * self.Gc
-                                       - math.sin(ph) * self.Gs)
-
-    def bound(self) -> float:
-        return float((self.G0 + abs(self.alpha)
-                      * np.hypot(self.Gc, self.Gs)).max())
-
-
-class _SpacingPotential:
-    """Gathered evaluation of all guide windows per step.
+class _GuidePotential:
+    """R of either design on the grid x, from one gathered window block.
 
     Each guide contributes only within GUIDE_WINDOW_WIDTHS*wx of its centre,
     beyond which its shape is exactly 0.0.  The windows are rows of one
@@ -353,18 +301,25 @@ class _SpacingPotential:
     window plus the guides' reach beyond x, so no window is clipped or
     masked: samples past a window's end hold exact zeros.  One bincount in
     guide order sums the rows over the padded grid, then sliced back to x.
+    With wm == 0 the windows never move, so the sums with weights 1,
+    cos(theta_j) and sin(theta_j) are taken once and each phase costs O(nx):
+    R = G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs).
     """
 
-    def __init__(self, design: SpacingModulated, x: np.ndarray):
-        self.design = design
-        self.x = x
-        self.dx = dx = x[1] - x[0]
+    def __init__(self, design, x):
+        x = np.asarray(x, dtype=float)
+        steps = np.diff(x) if x.ndim == 1 else np.zeros(0)
+        if not (len(steps) and steps[0] > 0
+                and np.abs(steps - steps[0]).max() <= 1e-9 * steps[0]):
+            raise ValueError("x must be an increasing uniform grid of at "
+                             "least 2 samples")
+        self.design, self.x = design, x
+        self.dx = dx = steps[0]
         self.half = GUIDE_WINDOW_WIDTHS * design.wx
-        # guide j sits at base_j + wm*cos(angles_j + Omega*z)
-        js = design.guide_indices
-        self.base = js * design.ws
-        self.angles = np.array([_mod_angle(j, design.p, design.q)
-                                for j in js]) + design.phi0
+        # guide j sits at base_j + wm*cos(angles_j + phase)
+        self.base = design.guide_indices * design.ws
+        self.angles = _mod_angle(design.guide_indices, design.p,
+                                 design.q) + design.phi0
         # a window from at most one sample below c - half reaches past
         # c + half with one sample to spare
         width = int(2.0 * self.half / dx) + 4
@@ -374,29 +329,41 @@ class _SpacingPotential:
         self.xp = np.concatenate((x[0] - dx * np.arange(pad, 0, -1), x,
                                   x[-1] + dx * np.arange(1, pad + 1)))
         self.inner = slice(pad, pad + len(x))
-        self.idx = np.empty((len(js), width), dtype=np.intp)
+        self.idx = np.empty((design.num_guides, width), dtype=np.intp)
         self.g = np.empty(self.idx.shape)
+        # fixed windows: G0, Gc, Gs as compact copies, which step faster
+        self.fixed = None if design.wm != 0.0 else [
+            self._sum(self.base, w).copy() for w in
+            (None, np.cos(self.angles), np.sin(self.angles))]
 
-    def profile(self, z: float, phase: float | None = None):
-        d = self.design
-        dz_phase = 0.0 if phase is None else phase - d.Omega * z
-        c = self.base + d.wm * np.cos(self.angles + d.Omega * z + dz_phase)
+    def _sum(self, centres, weights=None):
         # the padding keeps every window start positive, so the truncating
         # cast takes the floor
-        lo = ((c - self.half - self.xp[0]) / self.dx).astype(np.intp)
+        lo = ((centres - self.half - self.xp[0]) / self.dx).astype(np.intp)
         np.add(lo[:, None], self.offsets, out=self.idx)
         g = np.take(self.xp, self.idx, out=self.g)
-        _super_gaussian(g, c[:, None], d.wx, out=g)
+        _super_gaussian(g, centres[:, None], self.design.wx, out=g)
+        if weights is not None:
+            g *= weights[:, None]
         return np.bincount(self.idx.ravel(), g.ravel(),
                            minlength=len(self.xp))[self.inner]
+
+    def profile(self, phase: float):
+        d = self.design
+        if self.fixed is not None:
+            G0, Gc, Gs = self.fixed
+            return G0 + d.alpha * (math.cos(phase) * Gc
+                                   - math.sin(phase) * Gs)
+        return self._sum(self.base + d.wm * np.cos(self.angles + phase))
 
     def bound(self) -> float:
         """Bound on R at the samples x over every drive phase.
 
         The phase circle is cut into BOUND_PHASE_ARCS arcs.  Over one arc,
         guide j's centre stays in an interval it computes, so at x the guide
-        adds at most 1 inside that interval and, outside it, its shape at
-        the distance to the interval; the bound is the largest sum over the
+        adds at most its largest depth factor on the arc inside that
+        interval and, outside it, that factor times its shape at the
+        distance to the interval; the bound is the largest sum over the
         samples and the arcs.  With one arc each interval is j*ws +- |wm|.
         """
         d = self.design
@@ -415,16 +382,18 @@ class _SpacingPotential:
             c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
             dist = np.maximum(np.maximum(np.minimum(c1, c2) - x,
                                          x - np.maximum(c1, c2)), 0.0)
-            bound = max(bound, float(_super_gaussian(dist, 0.0, d.wx)
-                                     .sum(axis=1).max()))
-        return bound
+            depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
+            bound = max(bound, float((_super_gaussian(dist, 0.0, d.wx)
+                                      * depth).sum(axis=1).max()))
+        # profile() rounds in another order: allow 4 ulps per guide
+        return bound * (1.0 + 4 * d.num_guides * np.finfo(float).eps)
 
 
 def _phase_support(design, x: np.ndarray) -> slice:
     """Slice of the increasing grid x outside which R(x, z) is exactly 0 at
     every z: the design's bound on the guide centres plus the window radius
     GUIDE_WINDOW_WIDTHS*wx, beyond which the guide shape underflows.  It
-    holds at least two samples, as the potentials read dx from x."""
+    holds at least two samples, as the potential reads dx from x."""
     reach = design.center_bound + GUIDE_WINDOW_WIDTHS * design.wx
     lo = int(np.searchsorted(x, -reach))
     hi = int(np.searchsorted(x, reach, side="right"))
@@ -453,9 +422,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
             f"dx = {dx:.4g} exceeds wx/4 = {design.wx / 4:.4g}")
     # the potential phase factor is exactly 1 outside x[sup]
     sup = _phase_support(design, x)
-    pot = (_IndexPotential(design, x[sup])
-           if isinstance(design, IndexModulated)
-           else _SpacingPotential(design, x[sup]))
+    pot = _GuidePotential(design, x[sup])
     v_scale = constants.k0 * constants.gamma / constants.n0
     if dz * abs(v_scale) * pot.bound() > PHASE_STEP_MAX:
         raise GridUnderresolved(
@@ -483,7 +450,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     leak_max = float((np.abs(psi[boundary]) ** 2).max() * dx / norm0)
 
     row_of_step = {n: k for k, n in enumerate(steps.tolist())}
-    kick = v_scale * dz
+    kick, Omega = v_scale * dz, design.Omega
     theta = np.empty(sup.stop - sup.start)
     factor = np.empty(theta.shape, dtype=complex)
     # exp(i*theta) as cos/sin written into one buffer, without the
@@ -494,8 +461,8 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         z_mid = (s + 0.5) * dz
         psi_k *= half_kin
         psi = np.fft.ifft(psi_k)
-        phase = None if phase_fn is None else phase_fn(z_mid)
-        np.multiply(pot.profile(z_mid, phase), kick, out=theta)
+        phase = Omega * z_mid if phase_fn is None else phase_fn(z_mid)
+        np.multiply(pot.profile(phase), kick, out=theta)
         np.cos(theta, out=factor.real)
         np.sin(theta, out=factor.imag)
         psi[sup] *= factor

@@ -7,7 +7,7 @@ import aahpump
 # names removed from the package; none may come back into its namespace
 REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "NonHermitianInput", "BandIndexOutOfRange", "HERMITICITY_TOL",
-           "eigh")
+           "eigh", "_IndexPotential", "_SpacingPotential")
 
 
 def test_all_names_resolve():
@@ -22,5 +22,5 @@ def test_removed_names_not_importable(name):
     assert not hasattr(aahpump, name)
     with pytest.raises(ImportError):
         exec(f"from aahpump import {name}", {})
-    for module in ("model", "spectral", "topology"):
+    for module in ("model", "spectral", "topology", "propagation"):
         assert not hasattr(importlib.import_module(f"aahpump.{module}"), name)

@@ -1,9 +1,10 @@
 """Preset headline numbers against committed reference values.
 
-golden.json holds, per preset, the numbers a figure rests on: the fig3a gap
-scan, the gaps and Chern vectors of fig3b-d, the windings, branch counts,
-fiducials and Chern vectors of fig4a/4b, the fitted parameters of the two
-extract presets and the pump C_est of fig5a/b/c.  Floats are compared at
+golden.json holds, per preset, the numbers a figure rests on: the fig2
+phase-diagram cells (a Chern vector per cell, "undef" for a closed gap), the
+fig3a gap scan, the gaps and Chern vectors of fig3b-d, the windings, branch
+counts, fiducials and Chern vectors of fig4a/4b, the fitted parameters of the
+two extract presets and the pump C_est of fig5a/b/c.  Floats are compared at
 GOLDEN_RTOL, not byte for byte, so that a different BLAS or eigensolver
 rounding passes while a changed formula fails.  Lattice energies are in
 units of J = 1, and a gap that vanishes is compared at GOLDEN_ATOL * |J|.
@@ -21,14 +22,15 @@ import tempfile
 
 import pytest
 
-from aahpump.cli import COMMANDS, PRESETS, build_config, main as cli_main
+from aahpump.cli import COMMANDS, PRESETS, _cell_str, build_config, \
+    main as cli_main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
 GOLDEN_RTOL = 1e-9
 GOLDEN_ATOL = 1e-12
 LATTICE_J = 1.0  # the lattice commands fix J = 1
 
-LATTICE = ("fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
+LATTICE = ("fig2", "fig3a", "fig3b", "fig3c", "fig3d", "fig4a", "fig4b")
 EXTRACT = ("extract-gamma5", "extract-gamma9")
 PUMPS = ("fig5a", "fig5b", "fig5c")
 
@@ -57,6 +59,9 @@ def preset_values(name, outdir):
     command, overrides, _, _ = PRESETS[name]
     cfg = build_config(command, overrides, None, [])
     result = COMMANDS[command](cfg, os.path.join(outdir, name), 1)
+    if name == "fig2":
+        return {"cells": [[_cell_str(cv) for cv in row]
+                          for row in result["diagram"].cells]}
     if name == "fig3a":
         return {"scan": _plain(result["scan"])}
     return {key: _plain(result[key]) for key in KEYS[command]}

@@ -259,3 +259,11 @@ class TestWriters:
     def test_pgm_requires_2d(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pgm_rejects_non_finite(self, tmp_path, bad):
+        # a non-finite value has no grey level; nothing is written
+        a = np.array([[0.0, 1.0], [2.0, bad]])
+        with pytest.raises(ValueError):
+            write_pgm(tmp_path / "x.pgm", a)
+        assert not (tmp_path / "x.pgm").exists()

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aahpump.cli import PRESETS, _build_design, build_config
 from aahpump.model import _mod_angle
 from aahpump.propagation import GUIDE_WINDOW_WIDTHS, BoundaryLeakage, \
     GridUnderresolved, IndexModulated, OpticalConstants, SimulationGrid, \
-    SpacingModulated, _IndexPotential, _SpacingPotential, _phase_support, \
-    _super_gaussian, default_grid, gaussian_input, injection_guide, \
-    lz_ratio, mean_position, pump_chern, refractive_profile, run_summary, \
+    SpacingModulated, _GuidePotential, _phase_support, _super_gaussian, \
+    default_grid, gaussian_input, injection_guide, lz_ratio, \
+    mean_position, pump_chern, refractive_profile, run_summary, \
     split_step_propagate
 
 CONST = OpticalConstants(gamma=9e-4)
@@ -41,21 +42,46 @@ def make_design(name):
     raise ValueError(name)
 
 
+def reference_profile(d, x, z, phase=None):
+    """Per-guide loop over the whole grid, with the drive phase Omega*z
+    unless phase is given: the gathered potential's oracle."""
+    ph = d.Omega * z if phase is None else phase
+    R = np.zeros(x.shape)
+    for j in d.guide_indices:
+        a = _mod_angle(j, d.p, d.q) + d.phi0 + ph
+        g = _super_gaussian(x, j * d.ws + d.wm * math.cos(a), d.wx)
+        if isinstance(d, IndexModulated):
+            g = g * (1.0 + d.alpha * math.cos(a))
+        R += g
+    return R
+
+
 def windowed_spacing_profile(d, x, z, phase=None):
     """Per-guide loop over the support windows: the gathered potential's
     reference."""
     R = np.zeros(x.shape)
     dx = x[1] - x[0]
     half = GUIDE_WINDOW_WIDTHS * d.wx
-    dz_phase = 0.0 if phase is None else phase - d.Omega * z
+    ph = d.Omega * z if phase is None else phase
     for j in d.guide_indices:
-        c = j * d.ws + d.wm * math.cos(
-            _mod_angle(j, d.p, d.q) + d.phi0 + d.Omega * z + dz_phase)
+        c = j * d.ws + d.wm * math.cos(_mod_angle(j, d.p, d.q) + d.phi0 + ph)
         lo = max(0, int((c - half - x[0]) / dx))
         hi = min(len(x), int((c + half - x[0]) / dx) + 2)
         if lo < hi:
             R[lo:hi] += _super_gaussian(x[lo:hi], c, d.wx)
     return R
+
+
+def profile_at(d, x0, z):
+    """R at the point x0, evaluated on a small uniform grid centred on it."""
+    return refractive_profile(d, x0 + 0.15625 * np.arange(-2, 3), z)[2]
+
+
+def preset_design(name):
+    command, overrides, _, _ = PRESETS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return _build_design(build_config(command, overrides, None, []))
 
 
 SPACING_GRIDS = [
@@ -68,14 +94,12 @@ SPACING_GRIDS = [
 class TestProfiles:
     def test_unmodulated_peak(self):
         d = index_design(alpha=0.0)
-        assert refractive_profile(d, 30.0, 0.0) == pytest.approx(1.0,
-                                                                 abs=1e-6)
+        assert profile_at(d, 30.0, 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_modulated_peak_factor(self):
         # alpha = 0.5 at the j = 0 guide center, z = 0: factor 1.5
         d = index_design()
-        assert refractive_profile(d, 0.0, 0.0) == pytest.approx(1.5,
-                                                                abs=1e-6)
+        assert profile_at(d, 0.0, 0.0) == pytest.approx(1.5, abs=1e-6)
 
     def test_spacing_centers_formula(self):
         d = spacing_design()
@@ -83,25 +107,51 @@ class TestProfiles:
             x_j = j * 20.0 + 18.0 * math.cos(
                 2 * math.pi * j / 3 + math.pi / 5)
             assert d.guide_center(j, 0.0) == pytest.approx(x_j)
-            assert refractive_profile(d, x_j, 0.0) >= 1.0 - 1e-6
+            assert profile_at(d, x_j, 0.0) >= 1.0 - 1e-6
 
     def test_factorized_index_potential_matches_direct(self):
         d = index_design()
         x = np.linspace(-120, 120, 1537)
-        pot = _IndexPotential(d, x)
+        pot = _GuidePotential(d, x)
         for z in (0.0, 1e4, 1.37e5):
-            assert np.abs(pot.profile(z)
-                          - refractive_profile(d, x, z)).max() < 1e-12
+            assert np.abs(pot.profile(d.Omega * z)
+                          - reference_profile(d, x, z)).max() < 1e-12
 
     def test_windowed_spacing_potential_matches_direct(self):
         # samples beyond a window hold exact zeros of the guide shape, so
         # the windowed sum equals the all-guide sum bit for bit
         d = spacing_design()
         for x in SPACING_GRIDS:
-            pot = _SpacingPotential(d, x)
             for z in np.linspace(0.0, d.Z, 37):
-                assert np.array_equal(pot.profile(z),
-                                      refractive_profile(d, x, z))
+                assert np.array_equal(refractive_profile(d, x, z),
+                                      reference_profile(d, x, z))
+
+    def test_unmodulated_index_potential_matches_direct(self):
+        # the extraction's uniform basis: G0 alone, summed as the loop sums
+        d = index_design(alpha=0.0)
+        for x in SPACING_GRIDS:
+            for z in np.linspace(0.0, d.Z, 37):
+                assert np.array_equal(refractive_profile(d, x, z),
+                                      reference_profile(d, x, z))
+
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    def test_profile_takes_the_drive_phase(self, design):
+        d = make_design(design)
+        x = SPACING_GRIDS[2]
+        pot = _GuidePotential(d, x)
+        for phase in (0.0, 2.0, -7.5, 123.4):
+            got, want = pot.profile(phase), reference_profile(d, x, 0.0, phase)
+            if design == "index":
+                assert np.abs(got - want).max() <= 1e-12
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x", [30.0, np.array([30.0]), [0.0, 1.0, 3.0],
+                                   [1.0, 0.0], np.zeros((2, 2))])
+    def test_profile_needs_a_uniform_grid(self, x):
+        for d in (index_design(), spacing_design()):
+            with pytest.raises(ValueError, match="uniform grid"):
+                refractive_profile(d, x, 0.0)
 
     @pytest.mark.parametrize("design", ["index", "spacing",
                                         "spacing_negative_wm"])
@@ -119,33 +169,47 @@ class TestProfiles:
     @pytest.mark.parametrize("phase", [None, 0.0, 2.0, -7.5])
     def test_gathered_spacing_potential_matches_window_loop(self, x, phase):
         d = spacing_design()
-        pot = _SpacingPotential(d, x)
+        pot = _GuidePotential(d, x)
         for z in (0.0, 3.3e4, 1.1e5, 1.5e5):
-            assert np.abs(pot.profile(z, phase)
+            assert np.abs(pot.profile(d.Omega * z if phase is None else phase)
                           - windowed_spacing_profile(d, x, z, phase)
                           ).max() <= 1e-14
 
-    @given(p=st.integers(1, 6), q=st.sampled_from([1, 3, 5, 7]),
-           ws=st.floats(6.0, 25.0), wx=st.floats(1.0, 4.0),
-           wm_frac=st.floats(-1.0, 1.0), phi0=st.floats(0.0, 2 * np.pi),
+    @given(spacing=st.booleans(), p=st.integers(1, 6),
+           q=st.sampled_from([1, 3, 5, 7]), ws=st.floats(6.0, 25.0),
+           wx=st.floats(1.0, 4.0), frac=st.floats(-1.0, 1.0),
+           phi0=st.floats(0.0, 2 * np.pi),
            num_guides=st.sampled_from([1, 3, 9, 21]))
     @settings(max_examples=40, deadline=None)
-    def test_spacing_bound_holds_over_a_cycle(self, p, q, ws, wx, wm_frac,
-                                              phi0, num_guides):
+    def test_spacing_bound_holds_over_a_cycle(self, spacing, p, q, ws, wx,
+                                              frac, phi0, num_guides):
+        # frac is wm/ws for a spacing design and alpha for an index design
         with warnings.catch_warnings():  # overlapping guides are the point
             warnings.simplefilter("ignore", UserWarning)
-            d = SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=wm_frac * ws,
-                                 phi0=phi0, Z=1.5e5, num_guides=num_guides)
+            d = (SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=frac * ws,
+                                  phi0=phi0, Z=1.5e5, num_guides=num_guides)
+                 if spacing else
+                 IndexModulated(alpha=frac, p=p, q=q, ws=ws, wx=wx, Z=1.5e5,
+                                num_guides=num_guides))
         x = np.arange(-400.0, 400.0, 0.15625)
-        pot = _SpacingPotential(d, x[_phase_support(d, x)])
-        peak = max(pot.profile(z).max() for z in np.linspace(0.0, d.Z, 400))
+        pot = _GuidePotential(d, x[_phase_support(d, x)])
+        peak = max(pot.profile(d.Omega * z).max()
+                   for z in np.linspace(0.0, d.Z, 400))
         assert pot.bound() >= peak
+
+    @pytest.mark.parametrize("name, bound", [("fig5a", 1.5), ("fig5b", 1.5),
+                                             ("fig5c", 2.0)])
+    def test_bound_on_presets(self, name, bound):
+        d = preset_design(name)
+        x = default_grid(d).xs
+        assert _GuidePotential(d, x[_phase_support(d, x)]).bound() == \
+            pytest.approx(bound, abs=1e-12)
 
     def test_spacing_bound_on_fig5c(self):
         d = spacing_design()
         x = default_grid(d).xs
-        assert 2.0 <= _SpacingPotential(d, x[_phase_support(d, x)]).bound() \
-            < 2.5
+        assert _GuidePotential(d, x[_phase_support(d, x)]).bound() == \
+            pytest.approx(2.0, abs=1e-12)
 
     def test_super_gaussian_matches_sixth_power(self):
         x = np.linspace(-20.0, 20.0, 100001)
@@ -229,8 +293,7 @@ def reference_propagate(psi0, design, constants, grid, phase_fn=None):
     evaluates real cos/sin and complex exp with the same kernels
     (test_phase_factor_matches_complex_exp bounds their difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
-    pot = (_IndexPotential(design, x) if isinstance(design, IndexModulated)
-           else _SpacingPotential(design, x))
+    pot = _GuidePotential(design, x)
     v_scale = constants.k0 * constants.gamma / constants.n0
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
@@ -242,8 +305,8 @@ def reference_propagate(psi0, design, constants, grid, phase_fn=None):
     for s in range(grid.steps[-1]):
         z_mid = (s + 0.5) * dz
         psi = np.fft.ifft(psi_k * half_kin)
-        phase = None if phase_fn is None else phase_fn(z_mid)
-        psi *= phase_factor(v_scale * dz * pot.profile(z_mid, phase))
+        phase = design.Omega * z_mid if phase_fn is None else phase_fn(z_mid)
+        psi *= phase_factor(v_scale * dz * pot.profile(phase))
         psi_k = np.fft.fft(psi) * half_kin
         if s + 1 in record:
             out = np.fft.ifft(psi_k)
