@@ -17,11 +17,9 @@ byte-identical regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -203,46 +201,6 @@ def _cell_str(cv: ChernVector) -> list:
     return [("undef" if isinstance(c, Undefined) else c) for c in cv]
 
 
-def _cache_key(template: ModulationParams, od, d, nx, ny) -> str:
-    """Hash of the inputs of every phase-diagram cell (not of --threads)."""
-    config = (template.p, template.q, template.delta_phi, nx, ny,
-              list(od), list(d))
-    return hashlib.sha256(repr(config).encode()).hexdigest()
-
-
-def _cache_line(flat, cv: ChernVector) -> str:
-    # an Undefined entry keeps its min_gap, exactly (repr round-trips)
-    return f"{flat} " + " ".join(
-        f"undef:{c.min_gap!r}" if isinstance(c, Undefined) else str(c)
-        for c in cv) + "\n"
-
-
-def _cache_entry(token: str):
-    if token.startswith("undef:"):
-        return Undefined(float(token[len("undef:"):]))
-    return int(token)
-
-
-def _read_cell_cache(path, key_line, q) -> dict:
-    """Flat cell index -> ChernVector from a phase-diagram cache, or {} if
-    the file is missing or its first line is not key_line."""
-    if not os.path.exists(path):
-        return {}
-    cache = {}
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != key_line:
-            return {}
-        for line in fh:
-            parts = line.split()
-            try:
-                if len(parts) == q + 1:
-                    cache[int(parts[0])] = ChernVector(
-                        tuple(map(_cache_entry, parts[1:])))
-            except ValueError:  # a line cut short by an interrupted run
-                continue
-    return cache
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_bands(cfg, prefix, threads):
@@ -283,52 +241,19 @@ def cmd_phase_diagram(cfg, prefix, threads):
     template = _odd_q(ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
                                        cfg["delta_phi_rad"]))
     q = template.q
-
-    # the cache's first line keys it to everything a cell depends on; a
-    # cache written for another configuration is discarded, not reused
-    cache_path = prefix + "_cells.cache"
-    key_line = "key " + _cache_key(template, od, d, cfg["nx"], cfg["ny"])
-    cache = _read_cell_cache(cache_path, key_line, q)
-    lock = threading.Lock()
-    fh = open(cache_path, "a" if cache else "w")
-    if not cache:
-        fh.write(key_line + "\n")
-
-    def on_cell(flat, cv):
-        with lock:
-            fh.write(_cache_line(flat, cv))
-            fh.flush()
-
-    try:
-        diagram = phase_diagram(template, od, d, cfg["nx"], cfg["ny"],
-                                threads=threads, cell_cache=cache,
-                                on_cell=on_cell)
-    finally:
-        fh.close()
-    # rewrite the cache sorted by cell index so reruns are byte-identical
-    with open(cache_path, "w") as fh:
-        fh.write(key_line + "\n")
-        for i in range(len(od)):
-            for j in range(len(d)):
-                fh.write(_cache_line(i * len(d) + j, diagram.cells[i][j]))
-
-    rows = []
-    for i, r_od in enumerate(od):
-        for j, r_d in enumerate(d):
-            rows.append([r_od, r_d] + _cell_str(diagram.cells[i][j]))
+    diagram = phase_diagram(template, od, d, cfg["nx"], cfg["ny"],
+                            threads=threads, cache=prefix + "_cells.cache")
+    rows = [[r_od, r_d] + _cell_str(diagram.cells[i][j])
+            for i, r_od in enumerate(od) for j, r_d in enumerate(d)]
     header = ["nu_od_over_J", "nu_d_over_J"] + \
         [f"C{n}" for n in range(1, q + 1)]
     write_csv(prefix + "_phase_diagram.csv", header, rows)
     for n in range(q):
-        img = np.zeros((len(d), len(od)))
-        values = [diagram.cells[i][j][n] for i in range(len(od))
-                  for j in range(len(d))
-                  if isinstance(diagram.cells[i][j][n], int)]
-        floor = (min(values) - 1) if values else -1
-        for i in range(len(od)):
-            for j in range(len(d)):
-                c = diagram.cells[i][j][n]
-                img[j, i] = c if isinstance(c, int) else floor
+        # an undefined cell is drawn one level below the lowest Chern number
+        img = np.array([[cv[n] if isinstance(cv[n], int) else np.nan
+                         for cv in row] for row in diagram.cells]).T
+        undef = np.isnan(img)
+        img[undef] = img[~undef].min() - 1 if not undef.all() else -1
         write_pgm(f"{prefix}_C{n + 1}.pgm", img)
     return {"diagram": diagram, "od": od, "d": d}
 
@@ -456,11 +381,13 @@ def _expect(errors, label, ok):
 
 
 def _check_fig2(res, errors):
-    od, d, diagram = res["od"], res["d"], res["diagram"]
-    def cell(r_od, r_d):
-        return tuple(diagram.cells[od.index(r_od)][d.index(r_d)])
-    _expect(errors, "cell (1, 0) != (-1, 2, -1)", cell(1.0, 0.0) == (-1, 2, -1))
-    _expect(errors, "cell (10, 0) != (2, -4, 2)", cell(10.0, 0.0) == (2, -4, 2))
+    od, d, cells = res["od"], res["d"], res["diagram"].cells
+    for r_od, target in ((1.0, (-1, 2, -1)), (10.0, (2, -4, 2))):
+        if r_od not in od or 0.0 not in d:
+            errors.append(f"cell ({r_od:g}, 0) is outside the swept ranges")
+        else:
+            _expect(errors, f"cell ({r_od:g}, 0) != {target}",
+                    tuple(cells[od.index(r_od)][d.index(0.0)]) == target)
 
 
 def _check_fig3a(res, errors):

@@ -118,17 +118,15 @@ def spectral_flow(params: ModulationParams, num_sites: int,
     return SpectralFlow(params, num_sites, kys, energies, _LABELS[codes])
 
 
-def gap_fiducials(params: ModulationParams, nx: int = 48, ny: int = 48,
-                  gap_tol: float | None = None):
+def gap_fiducials(params: ModulationParams):
     """Mid-gap fiducial energies: midpoints between adjacent bulk band edges.
 
-    Returns (fiducials, band_tops, band_bottoms).  Raises
-    FiducialInGapViolation if any bulk gap is closed (narrower than gap_tol,
-    default 1e-6 * |J|), which would place the fiducial inside a band.
+    Returns (fiducials, band_tops, band_bottoms) of a 48 x 48 zone mesh.
+    Raises FiducialInGapViolation if any bulk gap is closed (narrower than
+    DEFAULT_GAP_TOL_FACTOR * |J|), which would put the fiducial in a band.
     """
-    if gap_tol is None:
-        gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
-    tops, bottoms = band_edges(band_grid(params, nx, ny))
+    gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
+    tops, bottoms = band_edges(band_grid(params, 48, 48))
     closed = np.flatnonzero(bottoms[1:] - tops[:-1] < gap_tol)
     if closed.size:
         n = closed[0]
@@ -207,7 +205,6 @@ def winding_numbers(params: ModulationParams, num_sites: int,
 
 
 def bulk_edge_check(params: ModulationParams, num_sites: int,
-                    nx: int = 48, ny: int = 48,
                     n_ky: int = DEFAULT_N_KY,
                     windings: WindingResult | None = None) -> dict:
     """Compare bulk Chern numbers with edge winding-number differences.
@@ -222,7 +219,7 @@ def bulk_edge_check(params: ModulationParams, num_sites: int,
     threshold (near a gap closure, say) would otherwise drop out of the
     windings unseen.
     """
-    cherns = tuple(chern_numbers(params, nx, ny))
+    cherns = tuple(chern_numbers(params))
     if windings is None:
         windings = winding_numbers(params, num_sites, n_ky)
     for n, k in enumerate(windings.bulk_crossings):

@@ -60,13 +60,30 @@ class ExtractedParams:
     overlap_deficit: float   # max |<trial_j|trial_j+1>| before orthogonalization
 
 
-def _fd_eig(V: np.ndarray, dx: float, k0: float, n_modes: int):
-    """Lowest n_modes of -(1/2 k0) d^2/dx^2 + V on a hard-walled grid."""
+def _fd_operator(V: np.ndarray, dx: float, k0: float):
+    """Diagonal and off-diagonal of -(1/2 k0) d^2/dx^2 + V on a hard-walled
+    grid (3-point finite differences)."""
     t = 1.0 / (2.0 * k0 * dx * dx)
-    diag = 2.0 * t + V
-    off = np.full(len(V) - 1, -t)
-    vals, vecs = tridiagonal_eigh(diag, off, n_modes)
+    return 2.0 * t + V, np.full(len(V) - 1, -t)
+
+
+def _fd_eig(V: np.ndarray, dx: float, k0: float, n_modes: int):
+    """Lowest n_modes of the finite-difference operator, unit L2 norm."""
+    vals, vecs = tridiagonal_eigh(*_fd_operator(V, dx, k0), n_modes)
     return vals, vecs / math.sqrt(dx)
+
+
+def _bound_mode(V: np.ndarray, dx: float, k0: float):
+    """(level, profile) of the lowest mode, its largest lobe positive; raises
+    NoBoundMode unless the level lies below the asymptotic (zero) potential."""
+    vals, vecs = _fd_eig(V, dx, k0, 1)
+    if vals[0] >= 0.0:
+        raise NoBoundMode(
+            f"lowest level {vals[0]:.3e} not below the asymptotic potential")
+    phi = vecs[:, 0]
+    if phi[np.argmax(np.abs(phi))] < 0:
+        phi = -phi
+    return float(vals[0]), phi
 
 
 def localized_mode(constants: OpticalConstants, design: IndexModulated,
@@ -85,23 +102,8 @@ def localized_mode(constants: OpticalConstants, design: IndexModulated,
     depth = design.depth_factor(guide, z)
     V = -(constants.k0 * constants.gamma / constants.n0) * depth \
         * _super_gaussian(xs, c, design.wx)
-    vals, vecs = _fd_eig(V, dx, constants.k0, 1)
-    if vals[0] >= 0.0:
-        raise NoBoundMode(
-            f"lowest level {vals[0]:.3e} not below the asymptotic potential")
-    phi = vecs[:, 0]
-    if phi[np.argmax(np.abs(phi))] < 0:
-        phi = -phi
-    return LocalizedMode(xs, phi, float(vals[0]), c)
-
-
-def _apply_h(W: np.ndarray, V: np.ndarray, dx: float, k0: float):
-    """H @ W for column vectors W (hard-walled 3-point Laplacian)."""
-    t = 1.0 / (2.0 * k0 * dx * dx)
-    HW = (2.0 * t + V)[:, None] * W
-    HW[:-1] -= t * W[1:]
-    HW[1:] -= t * W[:-1]
-    return HW
+    level, phi = _bound_mode(V, dx, constants.k0)
+    return LocalizedMode(xs, phi, level, c)
 
 
 def extract_parameters(constants: OpticalConstants, design: IndexModulated,
@@ -139,12 +141,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     _, band = _fd_eig(V_uniform, dx, k0, n_basis)
 
     # one isolated-guide trial mode, translated to every guide center
-    vals0, vecs0 = _fd_eig(-scale * g0, dx, k0, 1)
-    if vals0[0] >= 0.0:
-        raise NoBoundMode("uniform guide supports no bound mode")
-    trial0 = vecs0[:, 0]
-    if trial0[np.argmax(np.abs(trial0))] < 0:
-        trial0 = -trial0
+    _, trial0 = _bound_mode(-scale * g0, dx, k0)
     trials = np.zeros((n, n_basis))
     for i, j in enumerate(basis_design.guide_indices):
         trials[:, i] = np.roll(trial0, j * samples_per_ws)
@@ -162,7 +159,10 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
 
     # matrix elements of the fully modulated Hamiltonian at this z
     V_full = -scale * refractive_profile(basis_design, xs, z)
-    HW = _apply_h(W, V_full, dx, k0)
+    diag, off = _fd_operator(V_full, dx, k0)
+    HW = diag[:, None] * W
+    HW[:-1] += off[:, None] * W[1:]
+    HW[1:] += off[:, None] * W[:-1]
     M = W.T @ HW * dx
 
     q = design.q

@@ -10,7 +10,10 @@ admissible (|F| < pi) and the band stays separated from its neighbours.
 
 from __future__ import annotations
 
+import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +113,12 @@ def _band_min_gaps(values: np.ndarray) -> np.ndarray:
     return np.minimum(np.r_[np.inf, d], np.r_[d, np.inf])
 
 
-def chern_numbers(params: ModulationParams, nx: int = 48, ny: int = 48,
-                  gap_tol: float | None = None) -> ChernVector:
+def chern_numbers(params: ModulationParams, nx: int = 48,
+                  ny: int = 48) -> ChernVector:
     """Chern numbers of all q bands on an nx x ny mesh.
 
     Bands whose minimum pointwise spacing to an adjacent band falls below
-    gap_tol (default 1e-6 * |J|) are reported as Undefined rather than
+    DEFAULT_GAP_TOL_FACTOR * |J| are reported as Undefined rather than
     silently computed.  Raises EvenDenominator for even q and MeshTooCoarse
     when the flux of a gapped band fails to round to an integer within 0.01,
     or when every band is defined but the integers do not sum to zero (two
@@ -126,8 +129,7 @@ def chern_numbers(params: ModulationParams, nx: int = 48, ny: int = 48,
                               "only defined here for odd q")
     if nx < 4 or ny < 4:
         raise ValueError("mesh must be at least 4 x 4")
-    if gap_tol is None:
-        gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
+    gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
     values, vectors = _eig_grid_with_wrap(params, nx, ny)
     min_gaps = _band_min_gaps(values)
     entries = []
@@ -173,46 +175,86 @@ class PhaseDiagram:
     cells: list  # cells[i][j] is the ChernVector at (nu_od[i], nu_d[j])
 
 
+def _cell_line(flat: int, cv: ChernVector) -> str:
+    # an Undefined entry keeps its min_gap, exactly (repr round-trips)
+    return f"{flat} " + " ".join(
+        f"undef:{c.min_gap!r}" if isinstance(c, Undefined) else str(c)
+        for c in cv) + "\n"
+
+
+def _read_cache(path, key_line: str, q: int) -> dict:
+    """Flat cell index -> ChernVector from a phase-diagram cache, or {} if
+    the file is missing or keyed otherwise.  A line without its newline was
+    cut short (3.552713678800501e-15 to 3.55 still parses): it is skipped."""
+    if not os.path.exists(path):
+        return {}
+    cells = {}
+    with open(path) as fh:
+        if fh.readline() != key_line + "\n":
+            return {}
+        for line in fh:
+            parts = line.split()
+            try:
+                if line.endswith("\n") and len(parts) == q + 1:
+                    cells[int(parts[0])] = ChernVector(tuple(
+                        Undefined(float(t[len("undef:"):]))
+                        if t.startswith("undef:") else int(t)
+                        for t in parts[1:]))
+            except ValueError:  # a whole line that is not a cell
+                continue
+    return cells
+
+
+def _write_cache(path, key_line: str, cells: dict):
+    with open(path, "w") as fh:
+        fh.write(key_line + "\n")
+        fh.writelines(_cell_line(flat, cells[flat]) for flat in sorted(cells))
+
+
 def phase_diagram(params_template: ModulationParams, nu_od_over_J,
-                  nu_d_over_J, nx: int = 48, ny: int = 48,
-                  gap_tol: float | None = None, threads: int = 1,
-                  cell_cache: dict | None = None,
-                  on_cell=None) -> PhaseDiagram:
+                  nu_d_over_J, nx: int = 48, ny: int = 48, threads: int = 1,
+                  cache=None) -> PhaseDiagram:
     """Chern numbers over a grid of modulation amplitudes.
 
     Cells where the computation fails (gap closure, inadmissible mesh) are
-    recorded as all-Undefined instead of aborting the sweep.  cell_cache maps
-    flat cell index -> ChernVector for resumable sweeps; on_cell(index, cv)
-    is invoked for each newly computed cell.
+    recorded as all-Undefined instead of aborting the sweep.  A cache file
+    makes the sweep resumable; its first line hashes what a cell depends
+    on, so a file keyed to another sweep is discarded.  The calling thread
+    appends new cells in cell order and rewrites the file sorted at the
+    end; with threads > 1 an interrupted run may recompute a few cells.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
     d = np.asarray(list(nu_d_over_J), dtype=float)
     if len(od) == 0 or len(d) == 0:
         raise ValueError("sample lists must be nonempty")
-    J = params_template.J
-    cache = cell_cache or {}
+    J, q = params_template.J, params_template.q
 
     def one(flat):
         i, j = divmod(flat, len(d))
-        if flat in cache:
-            return cache[flat]
         p = ModulationParams(J, d[j] * J, od[i] * J,
-                             params_template.p, params_template.q,
-                             params_template.delta_phi)
+                             params_template.p, q, params_template.delta_phi)
         try:
-            cv = chern_numbers(p, nx, ny, gap_tol)
+            return chern_numbers(p, nx, ny)
         except MeshTooCoarse:
-            cv = ChernVector(tuple(Undefined(0.0) for _ in range(p.q)))
-        if on_cell is not None:
-            on_cell(flat, cv)
-        return cv
+            return ChernVector(tuple(Undefined(0.0) for _ in range(p.q)))
 
-    flats = range(len(od) * len(d))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, flats))
-    else:
-        results = [one(f) for f in flats]
-    cells = [[results[i * len(d) + j] for j in range(len(d))]
+    # the key hashes Python floats: numpy 2 prints np.float64 differently
+    config = (params_template.p, q, params_template.delta_phi, nx, ny,
+              od.tolist(), d.tolist())
+    key_line = "key " + hashlib.sha256(repr(config).encode()).hexdigest()
+    done = _read_cache(cache, key_line, q) if cache is not None else {}
+    todo = [flat for flat in range(len(od) * len(d)) if flat not in done]
+    if cache is not None:
+        _write_cache(cache, key_line, done)  # drops a cut-short line
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        results = pool.map(one, todo) if pool else map(one, todo)
+        for flat, cv in zip(todo, results):
+            done[flat] = cv
+            if cache is not None:
+                with open(cache, "a") as fh:
+                    fh.write(_cell_line(flat, cv))
+    if cache is not None:
+        _write_cache(cache, key_line, done)
+    cells = [[done[i * len(d) + j] for j in range(len(d))]
              for i in range(len(od))]
     return PhaseDiagram(od, d, cells)

@@ -7,7 +7,8 @@ import aahpump
 # names removed from the package; none may come back into its namespace
 REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "NonHermitianInput", "BandIndexOutOfRange", "HERMITICITY_TOL",
-           "eigh", "_IndexPotential", "_SpacingPotential")
+           "eigh", "_IndexPotential", "_SpacingPotential", "_cache_key",
+           "_cache_line", "_cache_entry", "_read_cell_cache")
 
 
 def test_all_names_resolve():
@@ -22,5 +23,5 @@ def test_removed_names_not_importable(name):
     assert not hasattr(aahpump, name)
     with pytest.raises(ImportError):
         exec(f"from aahpump import {name}", {})
-    for module in ("model", "spectral", "topology", "propagation"):
+    for module in ("model", "spectral", "topology", "propagation", "cli"):
         assert not hasattr(importlib.import_module(f"aahpump.{module}"), name)

@@ -129,6 +129,24 @@ class TestCommands:
         assert resumed == first
         assert (tmp_path / "g_cells.cache").read_bytes() == cached
 
+    def test_phase_diagram_cut_cache_line_recomputed(self, tmp_path):
+        # the last cell (nu_od/J = 4) is undefined with a tiny min_gap; a
+        # cache line cut anywhere, even where it still parses (a min_gap
+        # cut to 3.55, a Chern number cut to its sign), must be recomputed
+        args = ["phase-diagram", "--outdir", tmp_path, "--out", "c",
+                "nu_od_over_J_min=3", "nu_od_over_J_max=4",
+                "nu_d_over_J_min=0", "nu_d_over_J_max=0", "nx=12", "ny=12"]
+        assert run(args) == 0
+        csv = (tmp_path / "c_phase_diagram.csv").read_bytes()
+        cache = (tmp_path / "c_cells.cache").read_bytes()
+        last = cache.rindex(b"\n", 0, len(cache) - 1) + 1
+        assert b"undef:" in cache[last:]
+        for cut in range(last + 1, len(cache)):
+            (tmp_path / "c_cells.cache").write_bytes(cache[:cut])
+            assert run(args) == 0
+            assert (tmp_path / "c_cells.cache").read_bytes() == cache, cut
+            assert (tmp_path / "c_phase_diagram.csv").read_bytes() == csv
+
     def test_underresolved_windings_exit_3(self, tmp_path, capsys):
         rc = run(["edges", "--outdir", tmp_path, "nu_od_over_J=10",
                   "n_ky=4"])
@@ -140,6 +158,15 @@ class TestCommands:
                   "--outdir", tmp_path, "nu_od_over_J=10"])
         assert rc == 4
         assert "check failed" in capsys.readouterr().err
+        # swept ranges that miss a reference cell fail the check, not crash
+        rc = run(["phase-diagram", "--preset", "fig2", "--check",
+                  "--outdir", tmp_path, "nu_od_over_J_min=2",
+                  "nu_od_over_J_max=3", "nu_d_over_J_min=0",
+                  "nu_d_over_J_max=0"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "check failed [fig2]: cell (1, 0) is outside" in err
+        assert "check failed [fig2]: cell (10, 0) is outside" in err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         rc = run(["pump", "--preset", "fig5a", "--outdir", tmp_path,

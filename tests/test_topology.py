@@ -85,7 +85,7 @@ class TestPhaseDiagram:
         assert tuple(diag.cells[0][0]) == (-1, 2, -1)
         assert tuple(diag.cells[1][0]) == (2, -4, 2)
 
-    def test_threads_and_cache(self):
+    def test_threads_and_cache(self, tmp_path):
         od, d = [1.0, 4.0, 10.0], [-1.0, 0.0, 1.0]
         a = phase_diagram(params(), od, d, nx=24, ny=24, threads=1)
         b = phase_diagram(params(), od, d, nx=24, ny=24, threads=8)
@@ -93,11 +93,20 @@ class TestPhaseDiagram:
             for j in range(3):
                 ca, cb = a.cells[i][j], b.cells[i][j]
                 assert [str(x) for x in ca] == [str(x) for x in cb]
-        # cached cells are returned as-is, not recomputed
-        marker = ChernVector((9, 9, 9))
-        c = phase_diagram(params(), od, d, nx=24, ny=24,
-                          cell_cache={0: marker})
-        assert c.cells[0][0] is marker
+        # a correctly keyed cached cell is served as-is, not recomputed
+        cache = tmp_path / "cells.cache"
+        phase_diagram(params(), od, d, nx=24, ny=24, cache=cache)
+        key = cache.read_text().splitlines()[0]
+        cache.write_text(f"{key}\n0 9 9 9\n")
+        c = phase_diagram(params(), od, d, nx=24, ny=24, threads=8,
+                          cache=cache)
+        assert c.cells[0][0] == ChernVector((9, 9, 9))
+        assert cache.read_text().splitlines()[1] == "0 9 9 9"
+        # a file keyed to another sweep is discarded
+        cache.write_text("key 0\n0 9 9 9\n")
+        c = phase_diagram(params(), od, d, nx=24, ny=24, cache=cache)
+        assert c.cells[0][0] == a.cells[0][0]
+        assert cache.read_text().splitlines()[0] == key
 
     def test_transition_cell_not_fatal(self):
         diag = phase_diagram(params(), [4.0], [0.0], nx=48, ny=48)
