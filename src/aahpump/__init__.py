@@ -6,30 +6,28 @@ propagation for Thouless pumping of light, and tight-binding parameter
 extraction from localized waveguide modes.
 """
 
-from .model import ModulationParams, OpenChainSpec, bloch_hamiltonian, \
-    hopping, onsite_potential, open_hamiltonian
+from .model import ModulationParams, open_hamiltonian
 from .spectral import BandGrid, band_edges, band_grid, direct_gaps, \
     gap_scan, tridiagonal_eigh, zone_mesh
 from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
-    Undefined, chern_numbers, phase_diagram, plaquette_field
+    Undefined, chern_numbers, phase_diagram
 from .edges import FiducialInGapViolation, WindingUnderresolved, \
     bulk_edge_check, gap_fiducials, spectral_flow, winding_numbers
 from .propagation import BoundaryLeakage, FieldTrajectory, GridUnderresolved, \
     IndexModulated, OpticalConstants, SimulationGrid, SpacingModulated, \
     default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
     pump_chern, refractive_profile, split_step_propagate
-from .extraction import ExtractedParams, FitDegenerate, LocalizedMode, \
-    NoBoundMode, extract_parameters, localized_mode
+from .extraction import ExtractedParams, FitDegenerate, NoBoundMode, \
+    extract_parameters
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModulationParams", "OpenChainSpec",
-    "bloch_hamiltonian", "hopping", "onsite_potential", "open_hamiltonian",
+    "ModulationParams", "open_hamiltonian",
     "BandGrid", "band_edges", "band_grid", "direct_gaps", "gap_scan",
     "tridiagonal_eigh", "zone_mesh",
     "ChernVector", "EvenDenominator", "MeshTooCoarse", "Undefined",
-    "chern_numbers", "phase_diagram", "plaquette_field",
+    "chern_numbers", "phase_diagram",
     "FiducialInGapViolation", "WindingUnderresolved", "bulk_edge_check",
     "gap_fiducials", "spectral_flow", "winding_numbers",
     "BoundaryLeakage", "FieldTrajectory", "GridUnderresolved",
@@ -37,6 +35,5 @@ __all__ = [
     "SpacingModulated", "default_grid", "gaussian_input", "injection_guide",
     "lz_ratio", "mean_position", "pump_chern", "refractive_profile",
     "split_step_propagate",
-    "ExtractedParams", "FitDegenerate", "LocalizedMode", "NoBoundMode",
-    "extract_parameters", "localized_mode",
+    "ExtractedParams", "FitDegenerate", "NoBoundMode", "extract_parameters",
 ]

@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .edges import FiducialInGapViolation, WindingUnderresolved, \
     bulk_edge_check, gap_fiducials, winding_numbers
-from .extraction import FitDegenerate, NoBoundMode, extract_parameters, \
-    extraction_report
+from .extraction import FitDegenerate, NoBoundMode, _basis_grid, \
+    extract_parameters, extraction_report
 from .ioutil import format_float, write_csv, write_json, write_pgm
 from .model import ModulationParams
 from .propagation import BoundaryLeakage, GridUnderresolved, IndexModulated, \
@@ -150,8 +150,10 @@ def _require_range(cfg, lo, hi, step):
 
 
 def _validate_config(command, cfg):
-    """Reject lattice settings the commands cannot run on, before any work
-    (or any output) starts."""
+    """Reject settings the commands cannot run on, before any work (or any
+    output) starts."""
+    _require(cfg["q"] >= 1, f"q must be >= 1, got {cfg['q']}")
+    _require(cfg["p"] >= 0, f"p must be >= 0, got {cfg['p']}")
     if command in ("bands", "phase-diagram"):
         # a band grid needs a 2 x 2 mesh, Chern numbers a 4 x 4 one
         low = 2 if command == "bands" and cfg["scan"] else 4
@@ -176,9 +178,14 @@ def _validate_config(command, cfg):
         _require(cfg["n_ky"] >= 3, f"n_ky must be >= 3, got {cfg['n_ky']}")
 
 
+def _same_sample(x, value):
+    """x lies within a range sample's tolerance of value."""
+    return abs(x - value) <= 1e-9 * max(1.0, abs(value))
+
+
 def _inclusive_range(lo, hi, step):
     n = int(round((hi - lo) / step))
-    if abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
+    if not _same_sample(lo + n * step, hi):
         raise ConfigError(f"range [{lo}, {hi}] is not a whole number of "
                           f"steps of {step}")
     return [lo + i * step for i in range(n + 1)]
@@ -241,8 +248,8 @@ def cmd_phase_diagram(cfg, prefix, threads):
     template = _odd_q(ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
                                        cfg["delta_phi_rad"]))
     q = template.q
-    diagram = phase_diagram(template, od, d, cfg["nx"], cfg["ny"],
-                            threads=threads, cache=prefix + "_cells.cache")
+    diagram = phase_diagram(template, od, d, prefix + "_cells.cache",
+                            cfg["nx"], cfg["ny"], threads=threads)
     rows = [[r_od, r_d] + _cell_str(diagram.cells[i][j])
             for i, r_od in enumerate(od) for j, r_d in enumerate(d)]
     header = ["nu_od_over_J", "nu_d_over_J"] + \
@@ -270,7 +277,7 @@ def cmd_edges(cfg, prefix, threads):
             for a, (e, label) in enumerate(zip(energies, labels), 1)]
     write_csv(prefix + "_spectral_flow.csv",
               ["ky", "index", "energy", "label"], rows)
-    check = bulk_edge_check(params, cfg["num_sites"], windings=wr)
+    check = bulk_edge_check(params, wr)
     report = {
         "num_sites": cfg["num_sites"],
         "fiducial_energies": list(wr.fiducials),
@@ -300,17 +307,15 @@ def _build_design(cfg):
                       f"got {cfg['design']!r}")
 
 
-def _first_gap(params: ModulationParams) -> float:
-    fid, tops, bottoms = gap_fiducials(params)
-    return float(bottoms[1] - tops[0])
-
-
 def cmd_pump(cfg, prefix, threads):
     # Bad settings surface here as ValueError (a dz that does not divide
     # the slice spacing included); GridUnderresolved, a numerical failure,
     # is raised only by the stepper below.
+    lz = cfg["lz_estimate"] and cfg["design"] == "index"
     try:
         design = _build_design(cfg)
+        if lz:
+            _basis_grid(design)
         constants = OpticalConstants(gamma=cfg["gamma"])
         grid = default_grid(design, cfg["dx_um"], cfg["dz_um"],
                             cfg["num_slices"])
@@ -324,10 +329,11 @@ def cmd_pump(cfg, prefix, threads):
     traj = split_step_propagate(psi0, design, constants, grid)
 
     G1 = None
-    if cfg["lz_estimate"] and isinstance(design, IndexModulated):
+    if lz:
         fit = extract_parameters(constants, design)
-        G1 = _first_gap(ModulationParams(fit.J, fit.nu_d, fit.nu_od,
-                                         design.p, design.q, fit.delta_phi))
+        _, tops, bottoms = gap_fiducials(ModulationParams(
+            fit.J, fit.nu_d, fit.nu_od, design.p, design.q, fit.delta_phi))
+        G1 = float(bottoms[1] - tops[0])
     summary = run_summary(traj, design, constants, G1)
     summary.update({
         "injection_guide": guide,
@@ -354,9 +360,13 @@ def cmd_pump(cfg, prefix, threads):
 
 
 def cmd_extract(cfg, prefix, threads):
-    design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
-                            ws=cfg["ws_um"], wx=cfg["wx_um"],
-                            Z=cfg["Z_cm"] * CM_TO_UM)
+    try:
+        design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
+                                ws=cfg["ws_um"], wx=cfg["wx_um"],
+                                Z=cfg["Z_cm"] * CM_TO_UM)
+        _basis_grid(design, cfg["mode_dx_um"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     constants = OpticalConstants(gamma=cfg["gamma"])
     fit = extract_parameters(constants, design, dx=cfg["mode_dx_um"])
     report = extraction_report(constants, design, fit, cfg["mode_dx_um"])
@@ -382,12 +392,14 @@ def _expect(errors, label, ok):
 
 def _check_fig2(res, errors):
     od, d, cells = res["od"], res["d"], res["diagram"].cells
+    j = next((j for j, r in enumerate(d) if _same_sample(r, 0.0)), None)
     for r_od, target in ((1.0, (-1, 2, -1)), (10.0, (2, -4, 2))):
-        if r_od not in od or 0.0 not in d:
+        i = next((i for i, r in enumerate(od) if _same_sample(r, r_od)), None)
+        if i is None or j is None:
             errors.append(f"cell ({r_od:g}, 0) is outside the swept ranges")
         else:
             _expect(errors, f"cell ({r_od:g}, 0) != {target}",
-                    tuple(cells[od.index(r_od)][d.index(0.0)]) == target)
+                    tuple(cells[i][j]) == target)
 
 
 def _check_fig3a(res, errors):
@@ -536,11 +548,10 @@ def build_config(command, preset_overrides, config_path, overrides):
     return cfg
 
 
-def list_presets(stream=None):
-    stream = stream or sys.stdout
+def list_presets():
     width = max(len(name) for name in PRESETS)
     for name, (command, _, _, description) in PRESETS.items():
-        stream.write(f"{name:<{width}}  [{command}]  {description}\n")
+        sys.stdout.write(f"{name:<{width}}  [{command}]  {description}\n")
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModulationParams, OpenChainSpec, open_hamiltonian
+from .model import ModulationParams, open_hamiltonian
 from .spectral import band_edges, band_grid, tridiagonal_eigh
 from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
@@ -52,9 +52,11 @@ _BULK, _LEFT, _RIGHT = 0, 1, 2
 _LABELS = np.array([BULK, LEFT, RIGHT], dtype=object)
 
 
-def _edge_weights(states: np.ndarray, m: int):
-    """(left, right) probability weights in the outermost m sites of each
-    column of states.
+def _edge_codes(states: np.ndarray, m: int, threshold: float) -> np.ndarray:
+    """Edge code of each column of states from its probability weights in
+    the outermost m sites: left when its left weight reaches threshold and
+    is at least its right weight, else right when the right weight reaches
+    threshold, else bulk.
 
     The |v|^2 rows are made C-contiguous so that numpy sums each state
     pairwise, exactly as it sums one 1-D state; a strided row sum differs
@@ -62,28 +64,9 @@ def _edge_weights(states: np.ndarray, m: int):
     """
     p = np.ascontiguousarray(np.abs(states.T) ** 2)
     p = p / p.sum(axis=1, keepdims=True)
-    return p[:, :m].sum(axis=1), p[:, -m:].sum(axis=1)
-
-
-def _edge_codes(states: np.ndarray, m: int, threshold: float) -> np.ndarray:
-    """Edge code of each column of states: left when its left weight
-    reaches threshold and is at least its right weight, else right when the
-    right weight reaches threshold, else bulk."""
-    left, right = _edge_weights(states, m)
+    left, right = p[:, :m].sum(axis=1), p[:, -m:].sum(axis=1)
     return np.where((left >= threshold) & (left >= right), _LEFT,
                     np.where(right >= threshold, _RIGHT, _BULK))
-
-
-def edge_weight(state: np.ndarray, m: int = DEFAULT_EDGE_SITES):
-    """(left, right) probability weight in the outermost m sites each."""
-    left, right = _edge_weights(np.reshape(state, (-1, 1)), m)
-    return float(left[0]), float(right[0])
-
-
-def classify_state(state: np.ndarray, m: int = DEFAULT_EDGE_SITES,
-                   threshold: float = DEFAULT_EDGE_THRESHOLD) -> str:
-    """LeftEdge / RightEdge / Bulk by probability weight in m outer sites."""
-    return _LABELS[_edge_codes(np.reshape(state, (-1, 1)), m, threshold)[0]]
 
 
 @dataclass(frozen=True)
@@ -94,8 +77,6 @@ class SpectralFlow:
     object array of the LeftEdge / RightEdge / Bulk strings.
     """
 
-    params: ModulationParams
-    num_sites: int
     kys: np.ndarray
     energies: np.ndarray
     labels: np.ndarray
@@ -111,11 +92,11 @@ def spectral_flow(params: ModulationParams, num_sites: int,
     energies = np.empty((n_ky, num_sites))
     codes = np.empty((n_ky, num_sites), dtype=np.int8)
     for t, ky in enumerate(kys):
-        H = open_hamiltonian(params, OpenChainSpec(num_sites, ky))
+        H = open_hamiltonian(params, num_sites, ky)
         vals, vecs = tridiagonal_eigh(H.diagonal(), H.diagonal(1))
         energies[t] = vals
         codes[t] = _edge_codes(vecs, m, threshold)
-    return SpectralFlow(params, num_sites, kys, energies, _LABELS[codes])
+    return SpectralFlow(kys, energies, _LABELS[codes])
 
 
 def gap_fiducials(params: ModulationParams):
@@ -158,8 +139,8 @@ class WindingResult:
 
 def winding_numbers(params: ModulationParams, num_sites: int,
                     n_ky: int = DEFAULT_N_KY, m: int = DEFAULT_EDGE_SITES,
-                    threshold: float = DEFAULT_EDGE_THRESHOLD,
-                    flow: SpectralFlow | None = None) -> WindingResult:
+                    threshold: float = DEFAULT_EDGE_THRESHOLD
+                    ) -> WindingResult:
     """Signed fiducial-crossing winding numbers of each bulk gap.
 
     Crossings are detected on the sorted eigenvalue branches between
@@ -171,8 +152,7 @@ def winding_numbers(params: ModulationParams, num_sites: int,
     CROSSING_STEP_MAX of its gap's width (bottom of the band above minus
     top of the band below) between two samples.
     """
-    if flow is None:
-        flow = spectral_flow(params, num_sites, n_ky, m, threshold)
+    flow = spectral_flow(params, num_sites, n_ky, m, threshold)
     fiducials, tops, bottoms = gap_fiducials(params)
     E, labels = flow.energies, flow.labels
     E2, labels2 = np.roll(E, -1, axis=0), np.roll(labels, -1, axis=0)
@@ -204,24 +184,19 @@ def winding_numbers(params: ModulationParams, num_sites: int,
                          tuple(bulk), flow)
 
 
-def bulk_edge_check(params: ModulationParams, num_sites: int,
-                    n_ky: int = DEFAULT_N_KY,
-                    windings: WindingResult | None = None) -> dict:
-    """Compare bulk Chern numbers with edge winding-number differences.
+def bulk_edge_check(params: ModulationParams,
+                    windings: WindingResult) -> dict:
+    """Compare bulk Chern numbers with the edge windings of params' chain.
 
     The Chern number of band n equals I_n - I_{n-1}, where I_n is the
-    winding of gap n and I_0 = I_q = 0.  windings, when given, is used
-    instead of computing the windings of a num_sites chain on n_ky samples.
-    Returns a report dict with both sides and a boolean 'consistent'; the
-    Chern side holds the ChernVector entries, so an Undefined band never
-    matches.  Raises WindingUnderresolved if a branch labelled Bulk crosses
-    a fiducial: an in-gap state too spread out to reach the edge weight
-    threshold (near a gap closure, say) would otherwise drop out of the
-    windings unseen.
+    winding of gap n and I_0 = I_q = 0.  Returns a report dict with both
+    sides and a boolean 'consistent'; the Chern side holds the ChernVector
+    entries, so an Undefined band never matches.  Raises
+    WindingUnderresolved if a branch labelled Bulk crosses a fiducial: an
+    in-gap state too spread out to reach the edge weight threshold (near a
+    gap closure, say) would otherwise drop out of the windings unseen.
     """
     cherns = tuple(chern_numbers(params))
-    if windings is None:
-        windings = winding_numbers(params, num_sites, n_ky)
     for n, k in enumerate(windings.bulk_crossings):
         if k:
             raise WindingUnderresolved(

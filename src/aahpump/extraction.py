@@ -25,7 +25,6 @@ from .propagation import IndexModulated, OpticalConstants, \
 from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
-MODE_WINDOW_SPACINGS = 4  # isolated-mode window width, in units of ws
 BASIS_GUIDES = 13         # guides in the Wannier construction
 
 
@@ -35,16 +34,6 @@ class NoBoundMode(ValueError):
 
 class FitDegenerate(ValueError):
     """The periodic Fourier inversion of the fitted samples is singular."""
-
-
-@dataclass(frozen=True)
-class LocalizedMode:
-    """Real bound-mode profile (unit L2 norm) and its propagation constant."""
-
-    xs: np.ndarray
-    profile: np.ndarray
-    propagation_constant: float
-    center: float
 
 
 @dataclass(frozen=True)
@@ -86,63 +75,52 @@ def _bound_mode(V: np.ndarray, dx: float, k0: float):
     return float(vals[0]), phi
 
 
-def localized_mode(constants: OpticalConstants, design: IndexModulated,
-                   guide: int, z: float = 0.0,
-                   dx: float = MODE_DX) -> LocalizedMode:
-    """Lowest bound mode of one guide's potential, isolated from the array.
-
-    Solves the 1D operator on a window of MODE_WINDOW_SPACINGS * ws around
-    the guide center with 3-point finite differences.  Raises NoBoundMode if
-    the lowest level is not below the asymptotic (zero) potential.
-    """
-    c = design.guide_center(guide, z)
-    half = 0.5 * MODE_WINDOW_SPACINGS * design.ws
+def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
+    """(xs, samples per ws) of the grid shared by the basis construction and
+    the matrix elements, on which every guide centre is a sample.  Raises
+    ValueError unless BASIS_GUIDES covers q central sites with a guide to
+    spare on each side, and dx divides ws."""
+    if design.q + 3 > BASIS_GUIDES:
+        raise ValueError(f"q = {design.q} needs more than the "
+                         f"{BASIS_GUIDES} guides of the basis")
+    if dx <= 0:
+        raise ValueError(f"mode dx must be positive, got {dx}")
+    samples_per_ws = int(round(design.ws / dx))
+    if abs(samples_per_ws * dx - design.ws) > 1e-12:
+        raise ValueError("ws must be a multiple of dx for the shared grid")
+    half = ((BASIS_GUIDES - 1) // 2 + 2) * design.ws
     n = int(round(2.0 * half / dx)) + 1
-    xs = c - half + dx * np.arange(n)
-    depth = design.depth_factor(guide, z)
-    V = -(constants.k0 * constants.gamma / constants.n0) * depth \
-        * _super_gaussian(xs, c, design.wx)
-    level, phi = _bound_mode(V, dx, constants.k0)
-    return LocalizedMode(xs, phi, level, c)
+    return -half + dx * np.arange(n), samples_per_ws
 
 
 def extract_parameters(constants: OpticalConstants, design: IndexModulated,
-                       z: float = 0.0, dx: float = MODE_DX,
-                       n_basis: int = BASIS_GUIDES) -> ExtractedParams:
+                       dx: float = MODE_DX) -> ExtractedParams:
     """Fit (J, nu_od, nu_d, delta_phi) for an index-modulated array.
 
     The localized basis comes from the uniform-depth array (the modulation
-    average): its lowest n_basis bound levels span the first band manifold,
-    isolated-guide trial modes are projected onto that manifold, and the
-    projections are Loewdin-orthonormalized.  The fit uses the q central
-    sites and bonds at the given z (drive phase Omega*z enters the cosines).
+    average): its lowest BASIS_GUIDES bound levels span the first band
+    manifold, isolated-guide trial modes are projected onto that manifold,
+    and the projections are Loewdin-orthonormalized.  The fit uses the q
+    central sites and bonds at drive phase 0.
     """
     if design.q < 3:
         raise FitDegenerate(f"q = {design.q} leaves the amplitude/phase/"
                             "offset inversion underdetermined")
-    if n_basis % 2 == 0 or n_basis < design.q + 3:
-        raise ValueError("n_basis must be odd and cover q central sites")
+    xs, samples_per_ws = _basis_grid(design, dx)
+    n = len(xs)
     k0 = constants.k0
     scale = k0 * constants.gamma / constants.n0
-    half_idx = (n_basis - 1) // 2
-    basis_design = replace(design, num_guides=n_basis)
-
-    # common grid; guide centers fall exactly on grid points
-    samples_per_ws = int(round(design.ws / dx))
-    if abs(samples_per_ws * dx - design.ws) > 1e-12:
-        raise ValueError("ws must be a multiple of dx for the shared grid")
-    half = (half_idx + 2) * design.ws
-    n = int(round(2.0 * half / dx)) + 1
-    xs = -half + dx * np.arange(n)
+    half_idx = (BASIS_GUIDES - 1) // 2
+    basis_design = replace(design, num_guides=BASIS_GUIDES)
 
     g0 = _super_gaussian(xs, 0.0, design.wx)
     V_uniform = -scale * refractive_profile(replace(basis_design, alpha=0.0),
-                                            xs, z)
-    _, band = _fd_eig(V_uniform, dx, k0, n_basis)
+                                            xs, 0.0)
+    _, band = _fd_eig(V_uniform, dx, k0, BASIS_GUIDES)
 
     # one isolated-guide trial mode, translated to every guide center
     _, trial0 = _bound_mode(-scale * g0, dx, k0)
-    trials = np.zeros((n, n_basis))
+    trials = np.zeros((n, BASIS_GUIDES))
     for i, j in enumerate(basis_design.guide_indices):
         trials[:, i] = np.roll(trial0, j * samples_per_ws)
     raw_overlap = trials.T @ trials * dx
@@ -157,8 +135,8 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
         raise FitDegenerate("projected trial modes are linearly dependent")
     W = proj @ (s_vecs / np.sqrt(s_vals) @ s_vecs.T)
 
-    # matrix elements of the fully modulated Hamiltonian at this z
-    V_full = -scale * refractive_profile(basis_design, xs, z)
+    # matrix elements of the fully modulated Hamiltonian at phase 0
+    V_full = -scale * refractive_profile(basis_design, xs, 0.0)
     diag, off = _fd_operator(V_full, dx, k0)
     HW = diag[:, None] * W
     HW[:-1] += off[:, None] * W[1:]
@@ -167,8 +145,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
 
     q = design.q
     sites = [half_idx + j for j in range(q)]         # guides j = 0 .. q-1
-    thetas = np.array([_mod_angle(j, design.p, design.q) + design.Omega * z
-                       for j in range(q)])
+    thetas = _mod_angle(np.arange(q), design.p, design.q)
     eps = np.array([M[i, i] for i in sites])
     t = np.array([M[i, i + 1] for i in sites])
 

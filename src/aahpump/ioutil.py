@@ -36,18 +36,13 @@ def _column(cells):
     return "%s", cells
 
 
-def format_cell(v) -> str:
-    """One CSV cell, formatted as write_csv formats it."""
-    fmt, values = _column([v])
-    return fmt % tuple(values)
-
-
 def write_csv(path, header, rows) -> None:
     """Comma-separated file with a header row, written one row at a time.
 
-    rows is a 2-D float array or an iterable of equally long rows; a cell
-    prints as format_cell does.  Rows are typed and formatted by column in
-    blocks of _BLOCK_ROWS, so memory does not grow with the table.
+    rows is a 2-D float array or an iterable of equally long rows; a float
+    cell prints as format_float does, any other cell as str() does.  Rows
+    are typed and formatted by column in blocks of _BLOCK_ROWS, so memory
+    does not grow with the table.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

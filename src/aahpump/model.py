@@ -48,26 +48,10 @@ class ModulationParams:
             raise ValueError(f"p must be >= 0, got {self.p}")
         _reduce_ratio(self)
 
-    @property
-    def beta(self) -> float:
-        return self.p / self.q
-
     def with_ratio(self, nu_od_over_J: float) -> "ModulationParams":
         """Copy with nu_od set to the given multiple of J."""
         return ModulationParams(self.J, self.nu_d, nu_od_over_J * self.J,
                                 self.p, self.q, self.delta_phi)
-
-
-@dataclass(frozen=True)
-class OpenChainSpec:
-    """Open (hard-wall) chain of num_sites sites at modulation phase ky."""
-
-    num_sites: int
-    ky: float = 0.0
-
-    def __post_init__(self):
-        if self.num_sites < 2:
-            raise ValueError(f"need at least 2 sites, got {self.num_sites}")
 
 
 def _mod_angle(j, p: int, q: int):
@@ -77,52 +61,20 @@ def _mod_angle(j, p: int, q: int):
 
 
 def _site_energies(params: ModulationParams, angles, ky):
-    """(on-site, bond) energies at modulation angles 2*pi*beta*j, broadcast
-    over arrays of angles or of ky; the array form of onsite_potential and
-    hopping, with the same operation order."""
+    """(on-site, bond) energies nu_d*cos(a + ky) and -J + nu_od*cos(a + ky +
+    dphi) at modulation angles a = 2*pi*beta*j, broadcast over arrays of
+    angles or of ky."""
     return (params.nu_d * np.cos(angles + ky),
             -params.J + params.nu_od * np.cos(angles + ky + params.delta_phi))
-
-
-def onsite_potential(j: int, params: ModulationParams, ky: float) -> float:
-    """On-site energy nu_d * cos(2*pi*beta*j + ky) at site j."""
-    return params.nu_d * math.cos(_mod_angle(j, params.p, params.q) + ky)
-
-
-def hopping(j: int, params: ModulationParams, ky: float) -> float:
-    """Bond energy -J + nu_od * cos(2*pi*beta*j + ky + dphi) between j, j+1."""
-    return -params.J + params.nu_od * math.cos(
-        _mod_angle(j, params.p, params.q) + ky + params.delta_phi)
-
-
-def bloch_hamiltonian(params: ModulationParams, kx: float,
-                      ky: float) -> np.ndarray:
-    """q x q Bloch block at momentum (kx, ky).
-
-    Every hopping bond carries the phase e^{i kx} (periodic gauge); the bond
-    j = q wraps from site q back to site 1.  The result is Hermitian by
-    construction (no symmetrization is applied).
-    """
-    q = params.q
-    H = np.zeros((q, q), dtype=complex)
-    for j in range(1, q + 1):
-        H[j - 1, j - 1] += onsite_potential(j, params, ky)
-        t = hopping(j, params, ky) * np.exp(1j * kx)
-        a, b = j - 1, j % q
-        if a == b:
-            H[a, a] += 2.0 * t.real
-        else:
-            H[a, b] += t
-            H[b, a] += np.conj(t)
-    return H
 
 
 def bloch_grid_hamiltonians(params: ModulationParams,
                             kxs: np.ndarray, kys: np.ndarray) -> np.ndarray:
     """Stacked Bloch blocks, shape (len(kxs), len(kys), q, q).
 
-    Vectorized equivalent of calling bloch_hamiltonian at every mesh point;
-    used by the band-structure and topology scans.
+    Every hopping bond carries the phase e^{i kx} (periodic gauge); the bond
+    j = q wraps from site q back to site 1.  The blocks are Hermitian by
+    construction (no symmetrization is applied).
     """
     q = params.q
     kxs = np.asarray(kxs, dtype=float)
@@ -144,16 +96,19 @@ def bloch_grid_hamiltonians(params: ModulationParams,
     return H
 
 
-def open_hamiltonian(params: ModulationParams, spec: OpenChainSpec) -> np.ndarray:
-    """N x N real symmetric tridiagonal open-chain Hamiltonian.
+def open_hamiltonian(params: ModulationParams, num_sites: int,
+                     ky: float) -> np.ndarray:
+    """num_sites x num_sites real symmetric tridiagonal Hamiltonian of the
+    open (hard-wall) chain at modulation phase ky.
 
-    Hard-wall boundaries: bonds j = 1 .. N-1 only, no wrap-around term.
-    The entries equal onsite_potential / hopping bit for bit.  The matrix
-    must be the sum of the three np.diag terms: the sum turns the -0.0 that
-    nu_d = 0 times a negative cosine leaves on the diagonal into +0.0, and
-    eigh's near-zero eigenvalues depend on that sign in their last bits.
+    Bonds j = 1 .. N-1 only, no wrap-around term.  The matrix must be the
+    sum of the three np.diag terms: the sum turns the -0.0 that nu_d = 0
+    times a negative cosine leaves on the diagonal into +0.0, and eigh's
+    near-zero eigenvalues depend on that sign in their last bits.
     """
-    angles = _mod_angle(np.arange(1, spec.num_sites + 1), params.p, params.q)
-    diag, off = _site_energies(params, angles, spec.ky)
+    if num_sites < 2:
+        raise ValueError(f"need at least 2 sites, got {num_sites}")
+    angles = _mod_angle(np.arange(1, num_sites + 1), params.p, params.q)
+    diag, off = _site_energies(params, angles, ky)
     off = off[:-1]
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

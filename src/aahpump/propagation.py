@@ -77,6 +77,8 @@ class _GuideArray:
             raise ValueError("pump period Z must be positive")
         if self.q <= 0:
             raise ValueError("q must be positive")
+        if self.p < 0:
+            raise ValueError(f"p must be >= 0, got {self.p}")
         if self.ws <= 2.0 * self.wx:
             warnings.warn(f"ws = {self.ws} <= 2*wx = {2 * self.wx}: guides "
                           "are not well separated", stacklevel=3)
@@ -402,18 +404,16 @@ def _phase_support(design, x: np.ndarray) -> slice:
 
 def split_step_propagate(psi0, design, constants: OpticalConstants,
                          grid: SimulationGrid,
-                         leakage_abort: float = LEAKAGE_MAX,
-                         phase_fn=None) -> FieldTrajectory:
+                         leakage_abort: float = LEAKAGE_MAX
+                         ) -> FieldTrajectory:
     """Strang-split spectral propagation over the grid's recorded z range.
 
     Records the field at every entry of grid.z_slices (multiples of dz,
     starting at 0; the grid checks this).  The boundary strips of width
     2*ws are monitored at every recorded slice: if any single sample there
     carries a power fraction above leakage_abort the run raises
-    BoundaryLeakage.
-
-    phase_fn optionally remaps z to the drive phase (default Omega*z),
-    allowing monotone gap-adaptive pump schedules.  psi0 is not modified.
+    BoundaryLeakage.  The drive phase at z is Omega*z.  psi0 is not
+    modified.
     """
     x = grid.xs
     dx, dz = grid.dx, grid.dz
@@ -461,8 +461,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         z_mid = (s + 0.5) * dz
         psi_k *= half_kin
         psi = np.fft.ifft(psi_k)
-        phase = Omega * z_mid if phase_fn is None else phase_fn(z_mid)
-        np.multiply(pot.profile(phase), kick, out=theta)
+        np.multiply(pot.profile(Omega * z_mid), kick, out=theta)
         np.cos(theta, out=factor.real)
         np.sin(theta, out=factor.imag)
         psi[sup] *= factor

@@ -74,18 +74,6 @@ class ChernVector:
         return tuple(self.entries)
 
 
-def _eig_grid_with_wrap(params: ModulationParams, nx: int, ny: int):
-    """Eigensystem on the (nx+1) x (ny+1) mesh including wrap-around points.
-
-    The wrap points carry the actual wrapped momenta (kx + 2*pi/q, ky + 2*pi);
-    their eigenvectors agree with the identified states up to a phase, which
-    the gauge-invariant plaquette product cancels exactly.
-    """
-    kxs, kys = zone_mesh(params.q, nx, ny, extra=1)
-    H = bloch_grid_hamiltonians(params, kxs, kys)
-    return np.linalg.eigh(H)
-
-
 def plaquette_phases(states: np.ndarray) -> np.ndarray:
     """Per-plaquette field strength from single-band states.
 
@@ -130,7 +118,11 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
     if nx < 4 or ny < 4:
         raise ValueError("mesh must be at least 4 x 4")
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
-    values, vectors = _eig_grid_with_wrap(params, nx, ny)
+    # the wrap-around row and column carry the actual wrapped momenta (kx +
+    # 2*pi/q, ky + 2*pi); their eigenvectors agree with the identified
+    # states up to a phase, which the plaquette product cancels exactly
+    kxs, kys = zone_mesh(params.q, nx, ny, extra=1)
+    values, vectors = np.linalg.eigh(bloch_grid_hamiltonians(params, kxs, kys))
     min_gaps = _band_min_gaps(values)
     entries = []
     for n in range(params.q):
@@ -155,23 +147,10 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
     return cv
 
 
-def plaquette_field(params: ModulationParams, band: int,
-                    nx: int = 48, ny: int = 48) -> np.ndarray:
-    """Plaquette field of one band (1-based index), for diagnostics/export."""
-    if params.q % 2 == 0:
-        raise EvenDenominator(f"q = {params.q} is even")
-    if not 1 <= band <= params.q:
-        raise IndexError(f"band {band} outside 1..{params.q}")
-    _, vectors = _eig_grid_with_wrap(params, nx, ny)
-    return plaquette_phases(vectors[:, :, :, band - 1])
-
-
 @dataclass(frozen=True)
 class PhaseDiagram:
     """ChernVector per cell of a (nu_od, nu_d) parameter sweep (units of J)."""
 
-    nu_od_over_J: np.ndarray
-    nu_d_over_J: np.ndarray
     cells: list  # cells[i][j] is the ChernVector at (nu_od[i], nu_d[j])
 
 
@@ -212,16 +191,16 @@ def _write_cache(path, key_line: str, cells: dict):
 
 
 def phase_diagram(params_template: ModulationParams, nu_od_over_J,
-                  nu_d_over_J, nx: int = 48, ny: int = 48, threads: int = 1,
-                  cache=None) -> PhaseDiagram:
+                  nu_d_over_J, cache, nx: int = 48, ny: int = 48,
+                  threads: int = 1) -> PhaseDiagram:
     """Chern numbers over a grid of modulation amplitudes.
 
     Cells where the computation fails (gap closure, inadmissible mesh) are
-    recorded as all-Undefined instead of aborting the sweep.  A cache file
-    makes the sweep resumable; its first line hashes what a cell depends
-    on, so a file keyed to another sweep is discarded.  The calling thread
-    appends new cells in cell order and rewrites the file sorted at the
-    end; with threads > 1 an interrupted run may recompute a few cells.
+    recorded as all-Undefined instead of aborting the sweep.  The cache
+    file makes the sweep resumable; its first line hashes what a cell
+    depends on, so a file keyed to another sweep is discarded.  The calling
+    thread appends new cells in cell order and rewrites the file sorted at
+    the end; with threads > 1 an interrupted run may recompute a few cells.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
     d = np.asarray(list(nu_d_over_J), dtype=float)
@@ -242,19 +221,16 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
     config = (params_template.p, q, params_template.delta_phi, nx, ny,
               od.tolist(), d.tolist())
     key_line = "key " + hashlib.sha256(repr(config).encode()).hexdigest()
-    done = _read_cache(cache, key_line, q) if cache is not None else {}
+    done = _read_cache(cache, key_line, q)
     todo = [flat for flat in range(len(od) * len(d)) if flat not in done]
-    if cache is not None:
-        _write_cache(cache, key_line, done)  # drops a cut-short line
+    _write_cache(cache, key_line, done)  # drops a cut-short line
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         results = pool.map(one, todo) if pool else map(one, todo)
         for flat, cv in zip(todo, results):
             done[flat] = cv
-            if cache is not None:
-                with open(cache, "a") as fh:
-                    fh.write(_cell_line(flat, cv))
-    if cache is not None:
-        _write_cache(cache, key_line, done)
+            with open(cache, "a") as fh:
+                fh.write(_cell_line(flat, cv))
+    _write_cache(cache, key_line, done)
     cells = [[done[i * len(d) + j] for j in range(len(d))]
              for i in range(len(od))]
-    return PhaseDiagram(od, d, cells)
+    return PhaseDiagram(cells)

@@ -168,6 +168,21 @@ class TestCommands:
         assert "check failed [fig2]: cell (1, 0) is outside" in err
         assert "check failed [fig2]: cell (10, 0) is outside" in err
 
+    def test_check_finds_cells_between_float_steps(self, tmp_path, capsys):
+        # 0.1 + 3 * 0.3 is 0.9999999999999999, written as 1 in the CSV
+        args = ["phase-diagram", "--preset", "fig2", "--check", "--outdir",
+                tmp_path, "nu_od_over_J_min=0.1", "nu_od_over_J_step=0.3",
+                "nu_d_over_J_min=0", "nu_d_over_J_max=0"]
+        assert run(args + ["nu_od_over_J_max=1"]) == 4
+        assert (tmp_path / "fig2_phase_diagram.csv").read_text() \
+            .splitlines()[-1] == "1,0,-1,2,-1"
+        err = capsys.readouterr().err
+        assert "cell (1, 0)" not in err
+        assert "check failed [fig2]: cell (10, 0) is outside" in err
+        # with 0.1 + 33 * 0.3 for 10 both cells are found and checked
+        assert run(args + ["nu_od_over_J_max=10"]) == 0
+        assert "check passed [fig2]" in capsys.readouterr().out
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         rc = run(["pump", "--preset", "fig5a", "--outdir", tmp_path,
                   "dz_um=50"])
@@ -186,6 +201,10 @@ class TestCommands:
         pytest.param("fig5b", ["design=spacing", "num_guides=1"],
                      "needs num_guides >= 3",
                      id="fig5b-design=spacing-num_guides=1"),
+        # rejected before the propagation, not by the lz fit after it
+        pytest.param("fig5b", ["p=-1"], "p must be >= 0", id="fig5b-p=-1"),
+        pytest.param("fig5b", ["q=11"], "needs more than the 13 guides",
+                     id="fig5b-q=11"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
@@ -195,6 +214,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "config error:" in err
         assert message in err
+        assert list(tmp_path.iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("args", [
         ["bands", "q=4", "nx=8", "ny=8"],
@@ -216,9 +236,21 @@ class TestCommands:
         (["edges", "edge_sites=0"], "edge_sites must be >= 1"),
         (["edges", "edge_threshold=2"], "edge_threshold must lie in (0, 1)"),
         (["edges", "n_ky=1"], "n_ky must be >= 3"),
+        (["bands", "q=0"], "q must be >= 1"),
+        (["bands", "p=-1"], "p must be >= 0"),
+        (["phase-diagram", "p=-1"], "p must be >= 0"),
+        (["edges", "p=-1"], "p must be >= 0"),
+        (["extract", "wx_um=0"], "wx must be positive"),
+        (["extract", "Z_cm=0"], "pump period Z must be positive"),
+        (["extract", "q=11"], "needs more than the 13 guides"),
+        (["extract", "mode_dx_um=0.3"], "ws must be a multiple of dx"),
+        (["extract", "mode_dx_um=0"], "mode dx must be positive"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "phase-diagram-nx=1",
             "bands-scan_step=0", "edges-edge_sites=0",
-            "edges-edge_threshold=2", "edges-n_ky=1"])
+            "edges-edge_threshold=2", "edges-n_ky=1", "bands-q=0",
+            "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
+            "extract-wx_um=0", "extract-Z_cm=0", "extract-q=11",
+            "extract-mode_dx_um=0.3", "extract-mode_dx_um=0"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
 from aahpump.edges import BULK, LEFT, RIGHT, FiducialInGapViolation, \
-    WindingUnderresolved, bulk_edge_check, classify_state, edge_weight, \
+    WindingUnderresolved, _LABELS, _edge_codes, bulk_edge_check, \
     gap_fiducials, spectral_flow, winding_numbers
-from aahpump.model import ModulationParams, OpenChainSpec, open_hamiltonian
-from aahpump.topology import MeshTooCoarse, chern_numbers
+from aahpump.model import ModulationParams, bloch_grid_hamiltonians, \
+    open_hamiltonian
+from aahpump.spectral import zone_mesh
+from aahpump.topology import MeshTooCoarse, chern_numbers, plaquette_phases
 
 
 def params(nu_d=0.0, nu_od=1.0, delta_phi=0.0):
@@ -94,6 +96,13 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def classify(states, m=5, threshold=0.5):
+    """Labels of the columns of states (or of one state), as spectral_flow
+    gives them."""
+    states = np.reshape(states, (len(states), -1))
+    return _LABELS[_edge_codes(states, m, threshold)].tolist()
+
+
 class TestInvariantProperties:
     @given(p=lattices())
     @settings(max_examples=60, deadline=None)
@@ -104,6 +113,26 @@ class TestInvariantProperties:
             assume(False)
         assume(cv.all_defined)
         assert sum(cv.as_tuple()) == 0
+
+    @given(p=lattices(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_gauge_invariance_of_chern_numbers(self, p, seed):
+        # a random phase per k on every band's states, the wrap-around row
+        # and column included, moves no plaquette and no Chern number
+        kxs, kys = zone_mesh(p.q, 48, 48, extra=1)
+        _, vecs = np.linalg.eigh(bloch_grid_hamiltonians(p, kxs, kys))
+        rng = np.random.default_rng(seed)
+        turned = vecs * np.exp(1j * rng.uniform(
+            0, 2 * np.pi, (len(kxs), len(kys), 1, p.q)))
+        for n in range(p.q):
+            try:
+                F0 = plaquette_phases(vecs[:, :, :, n])
+            except MeshTooCoarse:
+                continue
+            F1 = plaquette_phases(turned[:, :, :, n])
+            assert np.abs(F0 - F1).max() < 1e-12
+            assert round(F0.sum() / (2 * np.pi)) == \
+                round(F1.sum() / (2 * np.pi))
 
     # Known to fail for some q = 7 lattices: a left and a right edge branch
     # that cross each other at a fiducial within one ky step swap sorted
@@ -120,7 +149,7 @@ class TestInvariantProperties:
     def test_chern_equals_winding_difference(self, p):
         # C_n = I_n - I_{n-1} on the 89-site chain at n_ky = 400
         try:
-            report = bulk_edge_check(p, 89, n_ky=400)
+            report = bulk_edge_check(p, winding_numbers(p, 89, 400))
         except (MeshTooCoarse, FiducialInGapViolation, WindingUnderresolved):
             assume(False)
         cherns = report["chern_numbers"]
@@ -133,7 +162,7 @@ class TestMatchesScalarReference:
            ky=st.floats(0.0, 2 * math.pi))
     @settings(max_examples=100, deadline=None)
     def test_open_hamiltonian_bitwise(self, p, num_sites, ky):
-        H = open_hamiltonian(p, OpenChainSpec(num_sites, ky))
+        H = open_hamiltonian(p, num_sites, ky)
         assert np.array_equal(
             bits(H), bits(reference_open_hamiltonian(p, num_sites, ky)))
 
@@ -141,7 +170,7 @@ class TestMatchesScalarReference:
         # nu_d = 0 times a negative cosine is -0.0; the diag sum makes it
         # +0.0, which keeps eigh's near-zero eigenvalues bit for bit
         p = ModulationParams(1.0, 0.0, 10.0, 1, 3)
-        H = open_hamiltonian(p, OpenChainSpec(89, 2.5))
+        H = open_hamiltonian(p, 89, 2.5)
         assert np.array_equal(bits(H),
                               bits(reference_open_hamiltonian(p, 89, 2.5)))
         assert not np.signbit(np.diag(H)).any()
@@ -171,33 +200,27 @@ class TestMatchesScalarReference:
         widths = bottoms[1:] - tops[:-1]
         if any(r[4] > 0.25 * w for r, w in zip(ref, widths)):
             with pytest.raises(WindingUnderresolved):
-                winding_numbers(p, num_sites, n_ky, flow=flow)
+                winding_numbers(p, num_sites, n_ky)
             return
-        wr = winding_numbers(p, num_sites, n_ky, flow=flow)
+        wr = winding_numbers(p, num_sites, n_ky)
         assert wr.windings == tuple(r[0] for r in ref)
         assert wr.right_windings == tuple(r[1] for r in ref)
         assert wr.left_branch_crossings == tuple(r[2] for r in ref)
         assert wr.right_branch_crossings == tuple(r[3] for r in ref)
 
     def test_classify_matches_reference_per_state(self):
-        H = open_hamiltonian(params(nu_od=10.0), OpenChainSpec(89, 0.3))
+        H = open_hamiltonian(params(nu_od=10.0), 89, 0.3)
         _, vecs = np.linalg.eigh(H)
-        for a in range(89):
-            state = vecs[:, a]
-            assert classify_state(state) == reference_classify(state)
-            prob = np.abs(state) ** 2
-            prob = prob / prob.sum()
-            assert edge_weight(state) == (float(prob[:5].sum()),
-                                          float(prob[-5:].sum()))
+        assert classify(vecs) == [reference_classify(vecs[:, a])
+                                  for a in range(89)]
 
 
 class TestClassification:
     def test_edge_weight_normalizes(self):
+        # |v|^2 sums to 1/4 here: only a normalized weight reaches 0.99
         v = np.zeros(20)
-        v[0] = 2.0
-        left, right = edge_weight(v, m=5)
-        assert left == pytest.approx(1.0)
-        assert right == pytest.approx(0.0)
+        v[0] = 0.5
+        assert classify(v, threshold=0.99) == [LEFT]
 
     def test_classify(self):
         left = np.zeros(30)
@@ -205,9 +228,9 @@ class TestClassification:
         right = np.zeros(30)
         right[-2:] = 1.0
         bulk = np.ones(30)
-        assert classify_state(left) == LEFT
-        assert classify_state(right) == RIGHT
-        assert classify_state(bulk) == BULK
+        assert classify(left) == [LEFT]
+        assert classify(right) == [RIGHT]
+        assert classify(bulk) == [BULK]
 
 
 class TestSpectralFlow:
@@ -221,7 +244,7 @@ class TestSpectralFlow:
         # chiral (nu_d = 0) open chains have exactly E -> -E symmetric
         # spectra at every ky, with no momentum shift needed
         for ky in (0.0, 0.7, 2.0, 4.5):
-            H = open_hamiltonian(params(nu_od=2.0), OpenChainSpec(89, ky))
+            H = open_hamiltonian(params(nu_od=2.0), 89, ky)
             e = np.linalg.eigvalsh(H)
             assert np.abs(e + e[::-1]).max() < 1e-10
 
@@ -231,8 +254,7 @@ class TestSpectralFlow:
     def test_chiral_symmetry_property(self, p, num_sites, ky):
         # at nu_d = 0 the sublattice sign flip maps H to -H
         p = ModulationParams(p.J, 0.0, p.nu_od, p.p, p.q, p.delta_phi)
-        e = np.linalg.eigvalsh(open_hamiltonian(p, OpenChainSpec(num_sites,
-                                                                 ky)))
+        e = np.linalg.eigvalsh(open_hamiltonian(p, num_sites, ky))
         assert np.abs(e + e[::-1]).max() <= 1e-12 * max(1.0, np.abs(e).max()) \
             * num_sites
 
@@ -283,30 +305,31 @@ class TestWindings:
 class TestBulkEdge:
     @pytest.mark.parametrize("nu_od", [1.0, 10.0])
     def test_consistent(self, nu_od):
-        report = bulk_edge_check(params(nu_od=nu_od), 89)
+        p = params(nu_od=nu_od)
+        report = bulk_edge_check(p, winding_numbers(p, 89))
         assert report["consistent"]
         assert report["chern_from_windings"] == report["chern_numbers"]
 
     def test_unattributed_crossings_fail_loudly(self):
         # near the closure at nu_od/J = 4 the in-gap states spread past the
         # 5 outer sites, are labelled Bulk, and the windings read (0, 0)
+        p = params(nu_od=3.5)
         with pytest.raises(WindingUnderresolved, match="labelled Bulk"):
-            bulk_edge_check(params(nu_od=3.5), 89)
-        wr = winding_numbers(params(nu_od=3.5), 89, m=10)
+            bulk_edge_check(p, winding_numbers(p, 89))
+        wr = winding_numbers(p, 89, m=10)
         assert wr.windings == (-1, 1) and wr.bulk_crossings == (0, 0)
-        assert bulk_edge_check(params(nu_od=3.5), 89,
-                               windings=wr)["consistent"]
+        assert bulk_edge_check(p, wr)["consistent"]
 
     @pytest.mark.xfail(raises=AssertionError, strict=True,
                        reason="unseen crossings of swapping edge branches")
     def test_swapping_edge_branches_at_coarse_ky(self):
         # the property's known counterexample; n_ky = 2000 reads it right
         p = ModulationParams(1.0, 0.0, 6.795043468751103, 4, 7)
-        assert bulk_edge_check(p, 89, n_ky=400)["consistent"]
+        assert bulk_edge_check(p, winding_numbers(p, 89, 400))["consistent"]
 
     def test_reuses_given_windings(self):
         wr = winding_numbers(params(nu_od=10.0), 89)
-        report = bulk_edge_check(params(nu_od=10.0), 89, windings=wr)
+        report = bulk_edge_check(params(nu_od=10.0), wr)
         assert report["gap_windings"] == wr.windings == (2, -2)
         assert report["chern_numbers"] == (2, -4, 2)
         assert report["consistent"]

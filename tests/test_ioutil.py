@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aahpump.ioutil import format_cell, format_float, write_csv, write_json, \
-    write_pgm
+from aahpump.ioutil import format_float, write_csv, write_json, write_pgm
 
 
 def reference_format_float(x) -> str:
@@ -45,6 +44,12 @@ def reference_write_csv(path, header, rows):
         lines.append(",".join(map(reference_format_cell, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def csv_cell(path, v) -> str:
+    """The one cell of a one-row, one-column table as write_csv writes it."""
+    write_csv(path, ["v"], [(v,)])
+    return path.read_text().splitlines()[1]
 
 
 def reference_write_pgm(path, values, max_gray=255):
@@ -142,23 +147,26 @@ class TestFormatFloat:
         assert format_float(float("inf")) == "inf"
         assert format_float(-np.inf) == "-inf"
 
-    def test_cells(self):
-        assert format_cell(True) == "True"
-        assert format_cell(np.int64(-3)) == "-3"
-        assert format_cell("undef") == "undef"
-        assert format_cell(np.float64(0.25)) == "0.25"
-        assert format_cell(-0.0) == "0"
+    def test_cells(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        assert csv_cell(path, True) == "True"
+        assert csv_cell(path, np.int64(-3)) == "-3"
+        assert csv_cell(path, "undef") == "undef"
+        assert csv_cell(path, np.float64(0.25)) == "0.25"
+        assert csv_cell(path, -0.0) == "0"
 
     @given(n=st.integers(-2**63, 2**63 - 1))
-    def test_int_fast_path_matches_numpy_ints(self, n):
-        assert format_cell(n) == format_cell(np.int64(n)) == str(n)
+    def test_int_fast_path_matches_numpy_ints(self, tmp_path_factory, n):
+        path = tmp_path_factory.mktemp("csv") / "cell.csv"
+        assert csv_cell(path, n) == csv_cell(path, np.int64(n)) == str(n)
 
-    def test_bools_and_strings_keep_their_form(self):
+    def test_bools_and_strings_keep_their_form(self, tmp_path):
         # bool is an int subclass, so it must miss the exact-int fast path
-        assert [format_cell(b) for b in (True, False, np.True_)] == \
+        path = tmp_path / "cell.csv"
+        assert [csv_cell(path, b) for b in (True, False, np.True_)] == \
             ["True", "False", "True"]
-        assert format_cell(np.str_("LeftEdge")) == "LeftEdge"
-        assert format_cell("") == ""
+        assert csv_cell(path, np.str_("LeftEdge")) == "LeftEdge"
+        assert csv_cell(path, "") == ""
 
 
 class TestWriters:

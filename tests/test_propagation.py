@@ -224,6 +224,12 @@ class TestProfiles:
             index_design(num_guides=4)
         with pytest.warns(UserWarning):
             index_design(ws=5.0)
+        # a negative p is rejected as ModulationParams rejects it
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            index_design(p=-1)
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            SpacingModulated(p=-1, q=3, ws=20.0, wx=3.0, wm=4.0, phi0=0.0,
+                             Z=1.5e5)
 
 
 class TestInjection:
@@ -285,7 +291,7 @@ def phase_factor(theta):
     return factor
 
 
-def reference_propagate(psi0, design, constants, grid, phase_fn=None):
+def reference_propagate(psi0, design, constants, grid):
     """Strang stepper with fresh arrays per step and the potential phase
     applied on the whole grid: the reference the in-place, support-trimmed
     stepper must reproduce bit for bit.  The phase factor is phase_factor,
@@ -305,8 +311,7 @@ def reference_propagate(psi0, design, constants, grid, phase_fn=None):
     for s in range(grid.steps[-1]):
         z_mid = (s + 0.5) * dz
         psi = np.fft.ifft(psi_k * half_kin)
-        phase = design.Omega * z_mid if phase_fn is None else phase_fn(z_mid)
-        psi *= phase_factor(v_scale * dz * pot.profile(phase))
+        psi *= phase_factor(v_scale * dz * pot.profile(design.Omega * z_mid))
         psi_k = np.fft.fft(psi) * half_kin
         if s + 1 in record:
             out = np.fft.ifft(psi_k)
@@ -330,8 +335,7 @@ class TestSplitStep:
         ("spacing", 7.5, -4),
         ("spacing_negative_wm", 7.5, -4),
     ])
-    @pytest.mark.parametrize("drive", ["default", "phase_fn"])
-    def test_matches_reference_stepper(self, design, dz, guide, drive):
+    def test_matches_reference_stepper(self, design, dz, guide):
         d = make_design(design)
         const = OpticalConstants(gamma=5e-4)
         grid = default_grid(d, dz=dz)
@@ -339,11 +343,8 @@ class TestSplitStep:
                               dz * np.arange(0, 301, 50))
         psi0 = gaussian_input(d.guide_center(guide, 0.0), 4.3, grid)
         psi0_before = psi0.copy()
-        phase_fn = (None if drive == "default"
-                    else lambda z: 1.3 * d.Omega * z + 0.2)
-        traj = split_step_propagate(psi0, d, const, grid, phase_fn=phase_fn)
-        fields, norms = reference_propagate(psi0_before, d, const, grid,
-                                            phase_fn)
+        traj = split_step_propagate(psi0, d, const, grid)
+        fields, norms = reference_propagate(psi0_before, d, const, grid)
         assert np.array_equal(psi0, psi0_before)
         assert len(traj.fields) == len(fields) == 7
         for got, want in zip(traj.fields, fields):
@@ -419,10 +420,10 @@ class TestSplitStep:
         assert all(map(np.array_equal, traj.fields, fields))
 
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
-           p=st.integers(1, 6), offset=st.floats(-np.pi, np.pi),
+           p=st.integers(1, 6),
            gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]))
     @settings(max_examples=25, deadline=None)
-    def test_unitary_for_any_drive(self, spacing, q, p, offset, gamma):
+    def test_unitary_for_any_drive(self, spacing, q, p, gamma):
         # one pump cycle in 100 steps
         if spacing:
             d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=4.0,
@@ -432,8 +433,7 @@ class TestSplitStep:
         grid = default_grid(d, dz=4.0, num_slices=4)
         traj = split_step_propagate(
             gaussian_input(0.0, 4.0, grid), d, OpticalConstants(gamma=gamma),
-            grid, leakage_abort=1.0,
-            phase_fn=lambda z: d.Omega * z + offset)
+            grid, leakage_abort=1.0)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
 
     def test_second_order_convergence(self):

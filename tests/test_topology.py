@@ -4,8 +4,7 @@ import pytest
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.spectral import zone_mesh
 from aahpump.topology import ChernVector, EvenDenominator, MeshTooCoarse, \
-    Undefined, chern_numbers, phase_diagram, plaquette_field, \
-    plaquette_phases
+    Undefined, chern_numbers, phase_diagram, plaquette_phases
 
 
 def params(nu_d=0.0, nu_od=1.0, q=3, delta_phi=0.0):
@@ -58,7 +57,10 @@ class TestChernNumbers:
 
 class TestPlaquettes:
     def test_field_sums_to_chern(self):
-        F = plaquette_field(params(nu_od=10.0), band=1, nx=24, ny=24)
+        kxs, kys = zone_mesh(3, 24, 24, extra=1)
+        _, vecs = np.linalg.eigh(
+            bloch_grid_hamiltonians(params(nu_od=10.0), kxs, kys))
+        F = plaquette_phases(vecs[:, :, :, 0])
         assert F.shape == (24, 24)
         assert F.sum() / (2 * np.pi) == pytest.approx(2.0, abs=1e-9)
 
@@ -74,44 +76,44 @@ class TestPlaquettes:
         F1 = plaquette_phases(states * phases[:, :, None])
         assert np.abs(F0 - F1).max() < 1e-12
 
-    def test_band_index_bounds(self):
-        with pytest.raises(IndexError):
-            plaquette_field(params(), band=4)
-
 
 class TestPhaseDiagram:
-    def test_known_cells(self):
-        diag = phase_diagram(params(), [1.0, 10.0], [0.0], nx=24, ny=24)
+    def test_known_cells(self, tmp_path):
+        diag = phase_diagram(params(), [1.0, 10.0], [0.0], tmp_path / "c",
+                             nx=24, ny=24)
         assert tuple(diag.cells[0][0]) == (-1, 2, -1)
         assert tuple(diag.cells[1][0]) == (2, -4, 2)
 
     def test_threads_and_cache(self, tmp_path):
         od, d = [1.0, 4.0, 10.0], [-1.0, 0.0, 1.0]
-        a = phase_diagram(params(), od, d, nx=24, ny=24, threads=1)
-        b = phase_diagram(params(), od, d, nx=24, ny=24, threads=8)
+        a = phase_diagram(params(), od, d, tmp_path / "a", nx=24, ny=24,
+                          threads=1)
+        b = phase_diagram(params(), od, d, tmp_path / "b", nx=24, ny=24,
+                          threads=8)
         for i in range(3):
             for j in range(3):
                 ca, cb = a.cells[i][j], b.cells[i][j]
                 assert [str(x) for x in ca] == [str(x) for x in cb]
         # a correctly keyed cached cell is served as-is, not recomputed
         cache = tmp_path / "cells.cache"
-        phase_diagram(params(), od, d, nx=24, ny=24, cache=cache)
+        phase_diagram(params(), od, d, cache, nx=24, ny=24)
         key = cache.read_text().splitlines()[0]
         cache.write_text(f"{key}\n0 9 9 9\n")
-        c = phase_diagram(params(), od, d, nx=24, ny=24, threads=8,
-                          cache=cache)
+        c = phase_diagram(params(), od, d, cache, nx=24, ny=24, threads=8)
         assert c.cells[0][0] == ChernVector((9, 9, 9))
         assert cache.read_text().splitlines()[1] == "0 9 9 9"
         # a file keyed to another sweep is discarded
         cache.write_text("key 0\n0 9 9 9\n")
-        c = phase_diagram(params(), od, d, nx=24, ny=24, cache=cache)
+        c = phase_diagram(params(), od, d, cache, nx=24, ny=24)
         assert c.cells[0][0] == a.cells[0][0]
         assert cache.read_text().splitlines()[0] == key
 
-    def test_transition_cell_not_fatal(self):
-        diag = phase_diagram(params(), [4.0], [0.0], nx=48, ny=48)
+    def test_transition_cell_not_fatal(self, tmp_path):
+        diag = phase_diagram(params(), [4.0], [0.0], tmp_path / "c",
+                             nx=48, ny=48)
         assert any(isinstance(c, Undefined) for c in diag.cells[0][0])
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            phase_diagram(params(), [], [0.0])
+            phase_diagram(params(), [], [0.0], tmp_path / "c")
+        assert list(tmp_path.iterdir()) == []
