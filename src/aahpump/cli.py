@@ -174,7 +174,6 @@ def _validate_config(command, cfg):
         _require(0.0 < cfg["edge_threshold"] < 1.0,
                  f"edge_threshold must lie in (0, 1), "
                  f"got {cfg['edge_threshold']}")
-        # one or two samples retrace their own steps: no loop to wind around
         _require(cfg["n_ky"] >= 3, f"n_ky must be >= 3, got {cfg['n_ky']}")
 
 
@@ -269,6 +268,7 @@ def cmd_edges(cfg, prefix, threads):
     params = _odd_q(_tb_params(cfg))
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
+    check = bulk_edge_check(params, wr)
     flow = wr.flow
     rows = [(ky, a, e, label)
             for ky, energies, labels in zip(flow.kys.tolist(),
@@ -277,7 +277,6 @@ def cmd_edges(cfg, prefix, threads):
             for a, (e, label) in enumerate(zip(energies, labels), 1)]
     write_csv(prefix + "_spectral_flow.csv",
               ["ky", "index", "energy", "label"], rows)
-    check = bulk_edge_check(params, wr)
     report = {
         "num_sites": cfg["num_sites"],
         "fiducial_energies": list(wr.fiducials),
@@ -331,9 +330,9 @@ def cmd_pump(cfg, prefix, threads):
     G1 = None
     if lz:
         fit = extract_parameters(constants, design)
-        _, tops, bottoms = gap_fiducials(ModulationParams(
+        _, widths = gap_fiducials(ModulationParams(
             fit.J, fit.nu_d, fit.nu_od, design.p, design.q, fit.delta_phi))
-        G1 = float(bottoms[1] - tops[0])
+        G1 = float(widths[0])
     summary = run_summary(traj, design, constants, G1)
     summary.update({
         "injection_guide": guide,

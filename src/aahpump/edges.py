@@ -7,12 +7,14 @@ eigenvalue branches crossing the fiducial over one pump cycle: a branch
 moving downward in energy with increasing ky contributes +1, a branch moving
 upward contributes -1.  Right-edge crossings carry the opposite total.
 
-The work is done in array form: each ky costs one open-chain build and one
-tridiagonal solve, after which all its eigenstates are classified at once as
-integer codes (mapped to the LeftEdge / RightEdge / Bulk labels once, at the
-end), and the crossings of each fiducial are found in one pass over all
-samples.  A branch that moves more than CROSSING_STEP_MAX of its gap's width
-between two ky samples raises WindingUnderresolved instead of being counted.
+The work is done in array form: each ky costs one build of the open chain's
+two tridiagonal bands and one solve, after which all its eigenstates are
+classified at once as integer codes (mapped to the LeftEdge / RightEdge /
+Bulk labels once, at the end), and the crossings of each fiducial are found
+in one pass over all samples.  winding_numbers holds every check on that
+count: a crossing branch that moves more than CROSSING_STEP_MAX of its gap's
+width between two ky samples, or is labelled Bulk (too spread out to reach
+the edge weight threshold), raises WindingUnderresolved instead of counting.
 """
 
 from __future__ import annotations
@@ -86,14 +88,14 @@ def spectral_flow(params: ModulationParams, num_sites: int,
                   n_ky: int = DEFAULT_N_KY, m: int = DEFAULT_EDGE_SITES,
                   threshold: float = DEFAULT_EDGE_THRESHOLD) -> SpectralFlow:
     """Diagonalize the open chain on a uniform ky loop and label each state."""
-    if num_sites < 2 * m:
-        raise ValueError("chain too short for edge classification")
+    if not 1 <= m <= num_sites // 2:
+        raise ValueError(f"need 1 <= m <= num_sites / 2 edge sites for "
+                         f"{num_sites} sites, got m = {m}")
     kys = 2.0 * np.pi * np.arange(n_ky) / n_ky
     energies = np.empty((n_ky, num_sites))
     codes = np.empty((n_ky, num_sites), dtype=np.int8)
     for t, ky in enumerate(kys):
-        H = open_hamiltonian(params, num_sites, ky)
-        vals, vecs = tridiagonal_eigh(H.diagonal(), H.diagonal(1))
+        vals, vecs = tridiagonal_eigh(*open_hamiltonian(params, num_sites, ky))
         energies[t] = vals
         codes[t] = _edge_codes(vecs, m, threshold)
     return SpectralFlow(kys, energies, _LABELS[codes])
@@ -102,20 +104,20 @@ def spectral_flow(params: ModulationParams, num_sites: int,
 def gap_fiducials(params: ModulationParams):
     """Mid-gap fiducial energies: midpoints between adjacent bulk band edges.
 
-    Returns (fiducials, band_tops, band_bottoms) of a 48 x 48 zone mesh.
+    Returns (fiducials, widths) of a 48 x 48 zone mesh, where widths are the
+    indirect gaps (bottom of the band above minus top of the band below).
     Raises FiducialInGapViolation if any bulk gap is closed (narrower than
     DEFAULT_GAP_TOL_FACTOR * |J|), which would put the fiducial in a band.
     """
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
     tops, bottoms = band_edges(band_grid(params, 48, 48))
-    closed = np.flatnonzero(bottoms[1:] - tops[:-1] < gap_tol)
+    widths = bottoms[1:] - tops[:-1]
+    closed = np.flatnonzero(widths < gap_tol)
     if closed.size:
         n = closed[0]
-        raise FiducialInGapViolation(
-            f"bulk gap {n + 1} is closed "
-            f"(band {n + 1} top {tops[n]:.6g} >= "
-            f"band {n + 2} bottom {bottoms[n + 1]:.6g})")
-    return 0.5 * (tops[:-1] + bottoms[1:]), tops, bottoms
+        raise FiducialInGapViolation(f"bulk gap {n + 1} is closed: width "
+                                     f"{widths[n]:.6g} < {gap_tol:.3g}")
+    return 0.5 * (tops[:-1] + bottoms[1:]), widths
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,6 @@ class WindingResult:
     right_windings: tuple    # signed right-edge crossing count per gap
     left_branch_crossings: tuple   # unsigned left-edge crossings per gap
     right_branch_crossings: tuple  # unsigned right-edge crossings per gap
-    bulk_crossings: tuple    # crossings by branches labelled Bulk, per gap
     flow: SpectralFlow
 
     @property
@@ -148,21 +149,22 @@ def winding_numbers(params: ModulationParams, num_sites: int,
     attributed to an edge by its label at whichever of the two samples lies
     farther from the fiducial (the earlier one on a tie), and a left-edge
     branch crossing the fiducial contributes -sign(dE/dky).  Raises
-    WindingUnderresolved if a crossing branch moves more than
-    CROSSING_STEP_MAX of its gap's width (bottom of the band above minus
-    top of the band below) between two samples.
+    ValueError for n_ky < 3, and WindingUnderresolved if in some gap a
+    crossing branch moves more than CROSSING_STEP_MAX of the gap's width
+    between two samples or is labelled Bulk.
     """
+    if n_ky < 3:
+        raise ValueError(f"n_ky = {n_ky} < 3 samples retrace their steps")
     flow = spectral_flow(params, num_sites, n_ky, m, threshold)
-    fiducials, tops, bottoms = gap_fiducials(params)
+    fiducials, widths = gap_fiducials(params)
     E, labels = flow.energies, flow.labels
     E2, labels2 = np.roll(E, -1, axis=0), np.roll(labels, -1, axis=0)
     windings, right_windings = [], []
-    unsigned_left, unsigned_right, bulk = [], [], []
-    for n, Ef in enumerate(fiducials):
+    unsigned_left, unsigned_right = [], []
+    for n, (Ef, width) in enumerate(zip(fiducials, widths)):
         d, d2 = E - Ef, E2 - Ef
         t, a = np.nonzero(d * d2 < 0.0)
         slope = E2[t, a] - E[t, a]
-        width = bottoms[n + 1] - tops[n]
         if slope.size and np.abs(slope).max() > CROSSING_STEP_MAX * width:
             step = float(np.abs(slope).max())
             raise WindingUnderresolved(
@@ -174,14 +176,18 @@ def winding_numbers(params: ModulationParams, num_sites: int,
                          labels[t, a], labels2[t, a])
         sign = -np.sign(slope).astype(int)
         left, right = label == LEFT, label == RIGHT
+        bulk = int(np.count_nonzero(label == BULK))
+        if bulk:
+            raise WindingUnderresolved(
+                f"gap {n + 1}: {bulk} fiducial crossings by branches "
+                "labelled Bulk (edge weight below the threshold); raise "
+                "edge_sites or lower edge_threshold")
         windings.append(int(sign[left].sum()))
         right_windings.append(int(sign[right].sum()))
         unsigned_left.append(int(left.sum()))
         unsigned_right.append(int(right.sum()))
-        bulk.append(int(label.size - left.sum() - right.sum()))
     return WindingResult(fiducials, tuple(windings), tuple(right_windings),
-                         tuple(unsigned_left), tuple(unsigned_right),
-                         tuple(bulk), flow)
+                         tuple(unsigned_left), tuple(unsigned_right), flow)
 
 
 def bulk_edge_check(params: ModulationParams,
@@ -191,23 +197,13 @@ def bulk_edge_check(params: ModulationParams,
     The Chern number of band n equals I_n - I_{n-1}, where I_n is the
     winding of gap n and I_0 = I_q = 0.  Returns a report dict with both
     sides and a boolean 'consistent'; the Chern side holds the ChernVector
-    entries, so an Undefined band never matches.  Raises
-    WindingUnderresolved if a branch labelled Bulk crosses a fiducial: an
-    in-gap state too spread out to reach the edge weight threshold (near a
-    gap closure, say) would otherwise drop out of the windings unseen.
+    entries, so an Undefined band never matches.
     """
     cherns = tuple(chern_numbers(params))
-    for n, k in enumerate(windings.bulk_crossings):
-        if k:
-            raise WindingUnderresolved(
-                f"gap {n + 1}: {k} fiducial crossings by branches labelled "
-                "Bulk (edge weight below the threshold); raise edge_sites "
-                "or lower edge_threshold")
     bounded = (0,) + windings.windings + (0,)
     from_edges = tuple(bounded[n + 1] - bounded[n] for n in range(params.q))
     return {
         "chern_numbers": cherns,
-        "gap_windings": windings.windings,
         "chern_from_windings": from_edges,
         "consistent": from_edges == cherns,
     }

@@ -78,8 +78,11 @@ def _bound_mode(V: np.ndarray, dx: float, k0: float):
 def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     """(xs, samples per ws) of the grid shared by the basis construction and
     the matrix elements, on which every guide centre is a sample.  Raises
-    ValueError unless BASIS_GUIDES covers q central sites with a guide to
-    spare on each side, and dx divides ws."""
+    FitDegenerate for q < 3, and ValueError unless BASIS_GUIDES covers q
+    central sites with a guide to spare on each side, and dx divides ws."""
+    if design.q < 3:
+        raise FitDegenerate(f"q = {design.q} leaves the amplitude/phase/"
+                            "offset inversion underdetermined")
     if design.q + 3 > BASIS_GUIDES:
         raise ValueError(f"q = {design.q} needs more than the "
                          f"{BASIS_GUIDES} guides of the basis")
@@ -103,9 +106,6 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     and the projections are Loewdin-orthonormalized.  The fit uses the q
     central sites and bonds at drive phase 0.
     """
-    if design.q < 3:
-        raise FitDegenerate(f"q = {design.q} leaves the amplitude/phase/"
-                            "offset inversion underdetermined")
     xs, samples_per_ws = _basis_grid(design, dx)
     n = len(xs)
     k0 = constants.k0

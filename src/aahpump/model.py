@@ -4,7 +4,7 @@ On-site potentials V_j = nu_d * cos(2*pi*beta*j + ky) and modulated
 nearest-neighbour hoppings J_{j,j+1} = -J + nu_od * cos(2*pi*beta*j + ky + dphi)
 with rational modulation frequency beta = p/q, assembled either into q x q
 Bloch blocks (periodic boundaries, momentum kx along the chain) or into
-open-chain Hamiltonians of N sites.
+the two bands of the tridiagonal open-chain Hamiltonian of N sites.
 """
 
 from __future__ import annotations
@@ -96,19 +96,16 @@ def bloch_grid_hamiltonians(params: ModulationParams,
     return H
 
 
-def open_hamiltonian(params: ModulationParams, num_sites: int,
-                     ky: float) -> np.ndarray:
-    """num_sites x num_sites real symmetric tridiagonal Hamiltonian of the
-    open (hard-wall) chain at modulation phase ky.
+def open_hamiltonian(params: ModulationParams, num_sites: int, ky: float):
+    """(diag, off) bands, of lengths num_sites and num_sites - 1, of the
+    open (hard-wall) chain's tridiagonal Hamiltonian at modulation phase ky.
 
-    Bonds j = 1 .. N-1 only, no wrap-around term.  The matrix must be the
-    sum of the three np.diag terms: the sum turns the -0.0 that nu_d = 0
-    times a negative cosine leaves on the diagonal into +0.0, and eigh's
+    Bonds j = 1 .. N-1 only, no wrap-around term.  Adding 0.0 turns the -0.0
+    that nu_d = 0 times a negative cosine leaves into +0.0: the solver's
     near-zero eigenvalues depend on that sign in their last bits.
     """
     if num_sites < 2:
         raise ValueError(f"need at least 2 sites, got {num_sites}")
     angles = _mod_angle(np.arange(1, num_sites + 1), params.p, params.q)
     diag, off = _site_energies(params, angles, ky)
-    off = off[:-1]
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return diag + 0.0, off[:-1] + 0.0

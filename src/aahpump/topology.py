@@ -101,6 +101,15 @@ def _band_min_gaps(values: np.ndarray) -> np.ndarray:
     return np.minimum(np.r_[np.inf, d], np.r_[d, np.inf])
 
 
+def _require_computable(q: int, nx: int, ny: int) -> None:
+    """Reject an even q (EvenDenominator) and a mesh below 4 x 4."""
+    if q % 2 == 0:
+        raise EvenDenominator(f"q = {q} is even; Chern numbers are only "
+                              "defined here for odd q")
+    if nx < 4 or ny < 4:
+        raise ValueError("mesh must be at least 4 x 4")
+
+
 def chern_numbers(params: ModulationParams, nx: int = 48,
                   ny: int = 48) -> ChernVector:
     """Chern numbers of all q bands on an nx x ny mesh.
@@ -112,11 +121,7 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
     or when every band is defined but the integers do not sum to zero (two
     nearly touching bands whose curvature the mesh does not resolve).
     """
-    if params.q % 2 == 0:
-        raise EvenDenominator(f"q = {params.q} is even; Chern numbers are "
-                              "only defined here for odd q")
-    if nx < 4 or ny < 4:
-        raise ValueError("mesh must be at least 4 x 4")
+    _require_computable(params.q, nx, ny)
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
     # the wrap-around row and column carry the actual wrapped momenta (kx +
     # 2*pi/q, ky + 2*pi); their eigenvectors agree with the identified
@@ -201,12 +206,14 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
     depends on, so a file keyed to another sweep is discarded.  The calling
     thread appends new cells in cell order and rewrites the file sorted at
     the end; with threads > 1 an interrupted run may recompute a few cells.
+    Inputs no cell can be computed for raise before the cache is touched.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
     d = np.asarray(list(nu_d_over_J), dtype=float)
     if len(od) == 0 or len(d) == 0:
         raise ValueError("sample lists must be nonempty")
     J, q = params_template.J, params_template.q
+    _require_computable(q, nx, ny)
 
     def one(flat):
         i, j = divmod(flat, len(d))

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from aahpump.cli import PRESETS
 from aahpump.edges import winding_numbers
 from aahpump.extraction import extract_parameters
-from aahpump.model import ModulationParams, bloch_grid_hamiltonians, \
-    open_hamiltonian
+from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.propagation import IndexModulated, OpticalConstants, \
     default_grid, gaussian_input, split_step_propagate
 from aahpump.spectral import band_grid, direct_gaps, gap_scan, zone_mesh
 from aahpump.topology import chern_numbers, plaquette_phases
+from openchain import open_matrix
 
 
 def params(nu_d=0.0, nu_od=1.0, q=3, delta_phi=0.0):
@@ -86,8 +86,7 @@ class TestCriterion3ChiralSymmetry:
 
     def test_open_chain_mirror_symmetric(self):
         for ky in (0.0, 0.9, 2.5, 5.1):
-            e = np.linalg.eigvalsh(
-                open_hamiltonian(params(nu_od=1.0), 89, ky))
+            e = np.linalg.eigvalsh(open_matrix(params(nu_od=1.0), 89, ky))
             assert np.abs(np.sort(e) + np.sort(-e)[::-1]).max() < 1e-10
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,22 @@ class TestCommands:
                   "n_ky=4"])
         assert rc == 3
         assert "WindingUnderresolved" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    def test_bulk_labelled_crossings_exit_3(self, tmp_path, capsys):
+        # in-gap states too spread out for 5 edge sites are labelled Bulk
+        rc = run(["edges", "--outdir", tmp_path, "nu_od_over_J=3.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "WindingUnderresolved" in err and "labelled Bulk" in err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
+    def test_wider_edges_resolve_windings(self, tmp_path):
+        assert run(["edges", "--outdir", tmp_path, "--out", "r",
+                    "nu_od_over_J=3.5", "edge_sites=10"]) == 0
+        report = json.loads((tmp_path / "r_windings.json").read_text())
+        assert report["gap_windings"] == [-1, 1]
+        assert report["bulk_edge_consistent"] is True
 
     def test_check_mismatch_exits_4(self, tmp_path, capsys):
         rc = run(["bands", "--preset", "fig3b", "--check",
@@ -205,6 +223,9 @@ class TestCommands:
         pytest.param("fig5b", ["p=-1"], "p must be >= 0", id="fig5b-p=-1"),
         pytest.param("fig5b", ["q=11"], "needs more than the 13 guides",
                      id="fig5b-q=11"),
+        # the lz estimate's fit needs q >= 3
+        pytest.param("fig5b", ["q=1"], "inversion underdetermined",
+                     id="fig5b-q=1"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
@@ -243,6 +264,7 @@ class TestCommands:
         (["extract", "wx_um=0"], "wx must be positive"),
         (["extract", "Z_cm=0"], "pump period Z must be positive"),
         (["extract", "q=11"], "needs more than the 13 guides"),
+        (["extract", "q=1"], "inversion underdetermined"),
         (["extract", "mode_dx_um=0.3"], "ws must be a multiple of dx"),
         (["extract", "mode_dx_um=0"], "mode dx must be positive"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "phase-diagram-nx=1",
@@ -250,6 +272,7 @@ class TestCommands:
             "edges-edge_threshold=2", "edges-n_ky=1", "bands-q=0",
             "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
             "extract-wx_um=0", "extract-Z_cm=0", "extract-q=11",
+            "extract-q=1",
             "extract-mode_dx_um=0.3", "extract-mode_dx_um=0"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from aahpump.edges import BULK, LEFT, RIGHT, FiducialInGapViolation, \
     gap_fiducials, spectral_flow, winding_numbers
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians, \
     open_hamiltonian
-from aahpump.spectral import zone_mesh
+from aahpump.spectral import band_edges, band_grid, zone_mesh
 from aahpump.topology import MeshTooCoarse, chern_numbers, plaquette_phases
+from openchain import open_matrix
 
 
 def params(nu_d=0.0, nu_od=1.0, delta_phi=0.0):
@@ -57,11 +59,12 @@ def reference_spectral_flow(p, num_sites, n_ky, m=5, threshold=0.5):
 
 def reference_windings(energies, labels, fiducials):
     """Per gap: (left winding, right winding, left crossings, right
-    crossings, largest step of a crossing branch between two samples)."""
+    crossings, largest step of a crossing branch between two samples,
+    crossings by branches labelled Bulk)."""
     nt = energies.shape[0]
     out = []
     for Ef in fiducials:
-        w_left = w_right = n_left = n_right = 0
+        w_left = w_right = n_left = n_right = n_bulk = 0
         max_step = 0.0
         for t in range(nt):
             t2 = (t + 1) % nt
@@ -77,7 +80,9 @@ def reference_windings(energies, labels, fiducials):
                 elif label == RIGHT:
                     w_right += -int(np.sign(slope))
                     n_right += 1
-        out.append((w_left, w_right, n_left, n_right, max_step))
+                else:
+                    n_bulk += 1
+        out.append((w_left, w_right, n_left, n_right, max_step, n_bulk))
     return out
 
 
@@ -162,18 +167,20 @@ class TestMatchesScalarReference:
            ky=st.floats(0.0, 2 * math.pi))
     @settings(max_examples=100, deadline=None)
     def test_open_hamiltonian_bitwise(self, p, num_sites, ky):
-        H = open_hamiltonian(p, num_sites, ky)
-        assert np.array_equal(
-            bits(H), bits(reference_open_hamiltonian(p, num_sites, ky)))
+        diag, off = open_hamiltonian(p, num_sites, ky)
+        H = reference_open_hamiltonian(p, num_sites, ky)
+        assert np.array_equal(bits(diag), bits(H.diagonal()))
+        assert np.array_equal(bits(off), bits(H.diagonal(1)))
 
     def test_zero_onsite_diagonal_is_positive_zero(self):
-        # nu_d = 0 times a negative cosine is -0.0; the diag sum makes it
-        # +0.0, which keeps eigh's near-zero eigenvalues bit for bit
+        # nu_d = 0 times a negative cosine is -0.0; adding 0.0 makes it
+        # +0.0, which keeps the solver's near-zero eigenvalues bit for bit
         p = ModulationParams(1.0, 0.0, 10.0, 1, 3)
-        H = open_hamiltonian(p, 89, 2.5)
-        assert np.array_equal(bits(H),
-                              bits(reference_open_hamiltonian(p, 89, 2.5)))
-        assert not np.signbit(np.diag(H)).any()
+        diag, off = open_hamiltonian(p, 89, 2.5)
+        H = reference_open_hamiltonian(p, 89, 2.5)
+        assert np.array_equal(bits(diag), bits(H.diagonal()))
+        assert np.array_equal(bits(off), bits(H.diagonal(1)))
+        assert not np.signbit(diag).any()
 
     @given(p=lattices(), num_sites=st.integers(10, 60),
            n_ky=st.integers(8, 64))
@@ -192,13 +199,12 @@ class TestMatchesScalarReference:
     def test_windings_match_reference_or_fail_loudly(self, p, num_sites,
                                                        n_ky):
         try:
-            fiducials, tops, bottoms = gap_fiducials(p)
+            fiducials, widths = gap_fiducials(p)
         except FiducialInGapViolation:
             assume(False)
         flow = spectral_flow(p, num_sites, n_ky)
         ref = reference_windings(flow.energies, flow.labels, fiducials)
-        widths = bottoms[1:] - tops[:-1]
-        if any(r[4] > 0.25 * w for r, w in zip(ref, widths)):
+        if any(r[4] > 0.25 * w or r[5] for r, w in zip(ref, widths)):
             with pytest.raises(WindingUnderresolved):
                 winding_numbers(p, num_sites, n_ky)
             return
@@ -209,8 +215,7 @@ class TestMatchesScalarReference:
         assert wr.right_branch_crossings == tuple(r[3] for r in ref)
 
     def test_classify_matches_reference_per_state(self):
-        H = open_hamiltonian(params(nu_od=10.0), 89, 0.3)
-        _, vecs = np.linalg.eigh(H)
+        _, vecs = np.linalg.eigh(open_matrix(params(nu_od=10.0), 89, 0.3))
         assert classify(vecs) == [reference_classify(vecs[:, a])
                                   for a in range(89)]
 
@@ -244,8 +249,7 @@ class TestSpectralFlow:
         # chiral (nu_d = 0) open chains have exactly E -> -E symmetric
         # spectra at every ky, with no momentum shift needed
         for ky in (0.0, 0.7, 2.0, 4.5):
-            H = open_hamiltonian(params(nu_od=2.0), 89, ky)
-            e = np.linalg.eigvalsh(H)
+            e = np.linalg.eigvalsh(open_matrix(params(nu_od=2.0), 89, ky))
             assert np.abs(e + e[::-1]).max() < 1e-10
 
     @given(p=lattices(), num_sites=st.integers(2, 120),
@@ -254,7 +258,7 @@ class TestSpectralFlow:
     def test_chiral_symmetry_property(self, p, num_sites, ky):
         # at nu_d = 0 the sublattice sign flip maps H to -H
         p = ModulationParams(p.J, 0.0, p.nu_od, p.p, p.q, p.delta_phi)
-        e = np.linalg.eigvalsh(open_hamiltonian(p, num_sites, ky))
+        e = np.linalg.eigvalsh(open_matrix(p, num_sites, ky))
         assert np.abs(e + e[::-1]).max() <= 1e-12 * max(1.0, np.abs(e).max()) \
             * num_sites
 
@@ -262,13 +266,20 @@ class TestSpectralFlow:
         with pytest.raises(ValueError):
             spectral_flow(params(), 8, m=5)
 
+    def test_no_edge_sites_rejected(self):
+        # p[:, -0:] would select every site: all 480 states RightEdge
+        with pytest.raises(ValueError):
+            spectral_flow(params(), 30, 16, m=0)
+
 
 class TestFiducials:
     def test_midgap_position(self):
-        fid, tops, bottoms = gap_fiducials(params())
+        fid, widths = gap_fiducials(params())
+        tops, bottoms = band_edges(band_grid(params(), 48, 48))
         assert len(fid) == 2
         assert np.all(fid > tops[:-1])
         assert np.all(fid < bottoms[1:])
+        assert np.array_equal(widths, bottoms[1:] - tops[:-1])
 
     def test_closed_gap_rejected(self):
         with pytest.raises(FiducialInGapViolation):
@@ -294,6 +305,13 @@ class TestWindings:
             assert tuple(-w for w in wr.windings) == wr.right_windings
 
 
+    @pytest.mark.parametrize("n_ky", [1, 2])
+    def test_too_few_ky_samples_rejected(self, n_ky):
+        # one or two samples retrace their steps; at n_ky = 1 fig4a's
+        # (-1, 1) read (0, 0)
+        with pytest.raises(ValueError, match="n_ky"):
+            winding_numbers(params(nu_od=1.0), 89, n_ky)
+
     @pytest.mark.parametrize("n_ky", [4, 40])
     def test_underresolved_loop_fails_loudly(self, n_ky):
         # at nu_od/J = 10 the crossing branches move 1.45 (n_ky = 4) and
@@ -315,9 +333,9 @@ class TestBulkEdge:
         # 5 outer sites, are labelled Bulk, and the windings read (0, 0)
         p = params(nu_od=3.5)
         with pytest.raises(WindingUnderresolved, match="labelled Bulk"):
-            bulk_edge_check(p, winding_numbers(p, 89))
+            winding_numbers(p, 89)
         wr = winding_numbers(p, 89, m=10)
-        assert wr.windings == (-1, 1) and wr.bulk_crossings == (0, 0)
+        assert wr.windings == (-1, 1)
         assert bulk_edge_check(p, wr)["consistent"]
 
     @pytest.mark.xfail(raises=AssertionError, strict=True,
@@ -330,6 +348,12 @@ class TestBulkEdge:
     def test_reuses_given_windings(self):
         wr = winding_numbers(params(nu_od=10.0), 89)
         report = bulk_edge_check(params(nu_od=10.0), wr)
-        assert report["gap_windings"] == wr.windings == (2, -2)
+        assert wr.windings == (2, -2)
+        assert report["chern_from_windings"] == (2, -4, 2)
         assert report["chern_numbers"] == (2, -4, 2)
         assert report["consistent"]
+        # the comparison reads the windings it is given, not its own
+        report = bulk_edge_check(params(nu_od=10.0),
+                                 replace(wr, windings=(-1, 1)))
+        assert report["chern_from_windings"] == (-1, 2, -1)
+        assert not report["consistent"]

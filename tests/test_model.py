@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aahpump.model import ModulationParams, _mod_angle, \
     bloch_grid_hamiltonians, open_hamiltonian
+from openchain import open_matrix
 
 
 def params(nu_d=0.0, nu_od=1.0, p=1, q=3, delta_phi=0.0, J=1.0):
@@ -143,7 +144,7 @@ class TestBlochHamiltonian:
 class TestOpenHamiltonian:
     def test_structure(self):
         p = params(nu_d=0.4, nu_od=0.3)
-        H = open_hamiltonian(p, 7, 0.9)
+        H = open_matrix(p, 7, 0.9)
         assert H.shape == (7, 7)
         assert np.allclose(H, H.T)
         # tridiagonal: no next-nearest couplings, open ends; sites 1-based

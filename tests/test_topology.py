@@ -117,3 +117,9 @@ class TestPhaseDiagram:
         with pytest.raises(ValueError):
             phase_diagram(params(), [], [0.0], tmp_path / "c")
         assert list(tmp_path.iterdir()) == []
+        # an even q or a mesh below 4 x 4 fails before any cache is written
+        with pytest.raises(EvenDenominator):
+            phase_diagram(params(q=4), [1.0], [0.0], tmp_path / "c")
+        with pytest.raises(ValueError):
+            phase_diagram(params(), [1.0], [0.0], tmp_path / "c", nx=2)
+        assert list(tmp_path.iterdir()) == []
