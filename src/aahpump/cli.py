@@ -346,16 +346,26 @@ def cmd_pump(cfg, prefix, threads):
     if G1 is not None:
         summary["first_gap_per_um"] = G1
     write_json(prefix + "_summary.json", summary)
+    _write_intensity(prefix, traj)
+    return summary
 
-    intensity = traj.intensity()
-    header = ["z_um"] + [format_float(x) for x in grid.xs.tolist()]
-    write_csv(prefix + "_intensity.csv", header,
-              np.column_stack((traj.zs, intensity)))
+
+def _write_intensity(prefix, traj):
+    """|psi|^2 of every recorded slice as a CSV (z, then one column per x
+    sample) and as a PGM with each row over its own peak, both from one
+    (n_slices, nx + 1) table: z in column 0, and |psi| in the rest,
+    squared in place."""
+    fields = traj.fields
+    table = np.empty((fields.shape[0], fields.shape[1] + 1))
+    table[:, 0] = traj.zs
+    intensity = np.abs(fields, out=table[:, 1:])
+    np.square(intensity, out=intensity)
+    header = ["z_um"] + [format_float(x) for x in traj.grid.xs.tolist()]
+    write_csv(prefix + "_intensity.csv", header, table)
     peaks = intensity.max(axis=1, keepdims=True)
     peaks[peaks == 0] = 1.0
     intensity /= peaks
     write_pgm(prefix + "_intensity.pgm", intensity)
-    return summary
 
 
 def cmd_extract(cfg, prefix, threads):

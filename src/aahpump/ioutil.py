@@ -8,6 +8,7 @@ count or platform locale.  The writers format and write one row at a time.
 from __future__ import annotations
 
 import json
+import math
 from itertools import islice
 
 import numpy as np
@@ -92,9 +93,10 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise ValueError("PGM export requires a 2-D array")
-    if not np.isfinite(a).all():
-        raise ValueError("PGM export requires finite values")
+    # min and max are nan if any value is, and carry any infinity
     lo, hi = float(a.min()), float(a.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("PGM export requires finite values")
     levels = [str(v) for v in range(max_gray + 1)]
     with open(path, "w") as fh:
         fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{max_gray}\n")

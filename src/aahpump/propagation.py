@@ -268,11 +268,6 @@ class FieldTrajectory:
     norms: np.ndarray
     leakage_max: float
 
-    def intensity(self) -> np.ndarray:
-        """(n_slices, nx) array of |psi|^2."""
-        a = np.abs(self.fields)
-        return np.square(a, out=a)
-
 
 def mean_position(psi, grid: SimulationGrid) -> float:
     """Intensity-weighted mean transverse position <x> in um."""
@@ -367,6 +362,8 @@ class _GuidePotential:
         interval and, outside it, that factor times its shape at the
         distance to the interval; the bound is the largest sum over the
         samples and the arcs.  With one arc each interval is j*ws +- |wm|.
+        With wm == 0 every interval is the point j*ws on every arc, so the
+        shapes are taken once.
         """
         d = self.design
         x = self.x[:, None]
@@ -381,12 +378,13 @@ class _GuidePotential:
                           np.maximum(*ends))
             lo = np.where((a <= np.pi) & (a + arc >= np.pi), -1.0,
                           np.minimum(*ends))
-            c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
-            dist = np.maximum(np.maximum(np.minimum(c1, c2) - x,
-                                         x - np.maximum(c1, c2)), 0.0)
+            if k == 0 or d.wm != 0.0:
+                c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
+                dist = np.maximum(np.maximum(np.minimum(c1, c2) - x,
+                                             x - np.maximum(c1, c2)), 0.0)
+                shape = _super_gaussian(dist, 0.0, d.wx)
             depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
-            bound = max(bound, float((_super_gaussian(dist, 0.0, d.wx)
-                                      * depth).sum(axis=1).max()))
+            bound = max(bound, float((shape * depth).sum(axis=1).max()))
         # profile() rounds in another order: allow 4 ulps per guide
         return bound * (1.0 + 4 * d.num_guides * np.finfo(float).eps)
 

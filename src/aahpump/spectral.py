@@ -11,7 +11,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ModulationParams, bloch_grid_hamiltonians
 
@@ -56,7 +55,11 @@ def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, lowest=None):
     """Ascending eigenvalues and column eigenvectors of the tridiagonal
     matrix (diag, off): all of them by LAPACK's divide and conquer (stevd),
     or the lowest `lowest` by bisection and inverse iteration (stebz).  The
-    LAPACK routines are named, so results do not follow scipy's default."""
+    LAPACK routines are named, so results do not follow scipy's default.
+    scipy.linalg is imported here, at the first solve, so that runs which
+    never solve an open chain or a mode basis do not load it."""
+    from scipy.linalg import eigh_tridiagonal
+
     if lowest is None:
         return eigh_tridiagonal(diag, off, lapack_driver="stevd")
     return eigh_tridiagonal(diag, off, select="i",

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aahpump.cli import PRESETS, build_config, cmd_phase_diagram, \
-    load_config_file, main
+import aahpump
+from aahpump.cli import PRESETS, _build_design, _write_intensity, \
+    build_config, cmd_phase_diagram, load_config_file, main
+from aahpump.ioutil import format_float
+from aahpump.propagation import OpticalConstants, default_grid, \
+    gaussian_input, split_step_propagate
 from aahpump.topology import Undefined
 
 
@@ -329,3 +338,84 @@ class TestCommands:
 
     def test_bad_threads(self, tmp_path):
         assert run(["bands", "--threads", "0", "--outdir", tmp_path]) == 2
+
+
+# a fig5c-like run that is short: 400 steps on the preset's 4096 samples
+SHORT_FIG5C = ["Z_cm=0.3", "dz_um=7.5"]
+
+
+def short_fig5c(num_slices):
+    """The trajectory that split_step_propagate gives on the inputs of
+    the CLI's short fig5c run."""
+    cfg = build_config("pump", PRESETS["fig5c"][1], None,
+                       [*SHORT_FIG5C, f"num_slices={num_slices}"])
+    with pytest.warns(UserWarning, match="can overlap"):
+        design = _build_design(cfg)
+    grid = default_grid(design, cfg["dx_um"], cfg["dz_um"], num_slices)
+    psi0 = gaussian_input(design.guide_center(cfg["injection_guide"]),
+                          cfg["W_um"], grid)
+    return split_step_propagate(psi0, design,
+                                OpticalConstants(gamma=cfg["gamma"]), grid)
+
+
+class TestPumpOutput:
+    def test_intensity_rows_are_the_trajectory(self, tmp_path):
+        traj = short_fig5c(4)
+        with pytest.warns(UserWarning, match="can overlap"):
+            assert run(["pump", "--preset", "fig5c", "--outdir", tmp_path,
+                        *SHORT_FIG5C, "num_slices=4"]) == 0
+        lines = (tmp_path / "fig5c_intensity.csv").read_text().splitlines()
+        assert lines[0] == ",".join(
+            ["z_um", *map(format_float, traj.grid.xs.tolist())])
+        rows = [[z, *(np.abs(f) ** 2).tolist()]
+                for z, f in zip(traj.zs.tolist(), traj.fields)]
+        assert lines[1:] == [",".join(map(format_float, r)) for r in rows]
+
+    def test_output_stage_holds_one_table(self, tmp_path):
+        # beyond the trajectory, writing the CSV and the PGM allocates one
+        # (n_slices, nx + 1) float table and nothing of its size
+        traj = short_fig5c(200)
+        table_bytes = traj.fields.shape[0] * (traj.fields.shape[1] + 1) * 8
+        tracemalloc.start()
+        try:
+            _write_intensity(str(tmp_path / "r"), traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_bytes <= peak < 1.25 * table_bytes
+
+
+# imports aahpump.cli, runs each command line given as a JSON argument in
+# the outdir given first, and prints whether scipy.linalg was loaded after
+# the import and after the runs
+IMPORT_PROBE = """
+import json, sys
+from aahpump.cli import main
+loaded = ["scipy.linalg" in sys.modules]
+for args in json.loads(sys.argv[2]):
+    assert main([*args, "--outdir", sys.argv[1]]) == 0, args
+loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+class TestImportGraph:
+    @pytest.mark.parametrize("runs, loaded", [
+        ([["bands", "--preset", "fig3b"],
+          ["phase-diagram", "nu_od_over_J_max=1", "nu_d_over_J_min=0",
+           "nu_d_over_J_max=1", "nx=8", "ny=8"],
+          ["pump", "--preset", "fig5c", *SHORT_FIG5C, "num_slices=4"]],
+         False),
+        ([["edges", "num_sites=30", "n_ky=40"]], True),
+    ], ids=["bands-phase-diagram-pump-spacing", "edges"])
+    def test_scipy_linalg_loads_at_first_tridiagonal_solve(
+            self, tmp_path, runs, loaded):
+        src = str(Path(aahpump.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(tmp_path),
+             json.dumps(runs)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, loaded]

@@ -144,11 +144,12 @@ class TestInvariantProperties:
     # indices, so neither crossing is seen.  For p/q = 4/7, nu_od/J = 6.795
     # (TestBulkEdge.test_swapping_edge_branches_at_coarse_ky) the windings
     # read (-2, -4, 0, 0, 4, 2) at n_ky = 400 and the Chern-consistent
-    # (-2, -4, 1, -1, 4, 2) at n_ky = 2000.
+    # (-2, -4, 1, -1, 4, 2) at n_ky = 2000.  The draws are derandomized,
+    # so every run tries the same 25 lattices and reports the same outcome.
     @pytest.mark.xfail(raises=AssertionError, strict=False,
                        reason="unseen crossings of swapping edge branches")
     @given(p=lattices())
-    @settings(max_examples=25, deadline=None,
+    @settings(max_examples=25, deadline=None, derandomize=True,
               phases=[Phase.explicit, Phase.reuse, Phase.generate,
                       Phase.shrink])
     def test_chern_equals_winding_difference(self, p):
