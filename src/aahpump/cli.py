@@ -351,17 +351,12 @@ def cmd_pump(cfg, prefix, threads):
 
 
 def _write_intensity(prefix, traj):
-    """|psi|^2 of every recorded slice as a CSV (z, then one column per x
-    sample) and as a PGM with each row over its own peak, both from one
-    (n_slices, nx + 1) table: z in column 0, and |psi| in the rest,
-    squared in place."""
-    fields = traj.fields
-    table = np.empty((fields.shape[0], fields.shape[1] + 1))
-    table[:, 0] = traj.zs
-    intensity = np.abs(fields, out=table[:, 1:])
-    np.square(intensity, out=intensity)
+    """|psi|^2 of every recorded slice as a CSV, the trajectory's table as
+    it is (z, then one column per x sample), and as a PGM with each row
+    over its own peak: the table's intensity is normalised in place."""
     header = ["z_um"] + [format_float(x) for x in traj.grid.xs.tolist()]
-    write_csv(prefix + "_intensity.csv", header, table)
+    write_csv(prefix + "_intensity.csv", header, traj.table)
+    intensity = traj.intensity
     peaks = intensity.max(axis=1, keepdims=True)
     peaks[peaks == 0] = 1.0
     intensity /= peaks

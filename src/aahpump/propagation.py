@@ -259,27 +259,39 @@ def gaussian_input(center: float, W: float, grid: SimulationGrid):
 
 @dataclass
 class FieldTrajectory:
-    """Recorded complex fields, one (n_slices, nx) row per recorded z, and
-    norms along a propagation run."""
+    """A propagation run as it is written out: one (n_slices, nx + 1)
+    float table whose row k holds the k-th recorded z and then |psi|^2 at
+    every x sample, the norm of each recorded slice, the complex field at
+    the last recorded z, and the largest boundary power fraction seen."""
 
     grid: SimulationGrid
-    zs: np.ndarray
-    fields: np.ndarray
+    table: np.ndarray
     norms: np.ndarray
+    final: np.ndarray
     leakage_max: float
 
+    @property
+    def intensity(self) -> np.ndarray:
+        """|psi|^2, one row per recorded z: a view of the table."""
+        return self.table[:, 1:]
 
-def mean_position(psi, grid: SimulationGrid) -> float:
-    """Intensity-weighted mean transverse position <x> in um."""
-    w = np.abs(psi) ** 2
-    return float(np.sum(grid.xs * w) / np.sum(w))
+
+def mean_position(intensity, grid: SimulationGrid) -> float:
+    """Mean transverse position <x> in um weighted by one |psi|^2 row."""
+    return float(np.sum(grid.xs * intensity) / np.sum(intensity))
+
+
+def _shift_readout(trajectory: FieldTrajectory, q: int, ws: float) -> tuple:
+    """<x> at the first and at the last recorded z, and the Chern estimate
+    (<x>(Z) - <x>(0)) / (q * ws) that the two give."""
+    rows, grid = trajectory.intensity, trajectory.grid
+    x0, x1 = mean_position(rows[0], grid), mean_position(rows[-1], grid)
+    return x0, x1, (x1 - x0) / (q * ws)
 
 
 def pump_chern(trajectory: FieldTrajectory, q: int, ws: float) -> float:
     """Chern estimate (<x>(Z) - <x>(0)) / (q * ws) over one pump cycle."""
-    x0 = mean_position(trajectory.fields[0], trajectory.grid)
-    x1 = mean_position(trajectory.fields[-1], trajectory.grid)
-    return (x1 - x0) / (q * ws)
+    return _shift_readout(trajectory, q, ws)[2]
 
 
 def lz_ratio(G1: float, Z: float) -> float:
@@ -328,10 +340,13 @@ class _GuidePotential:
         self.inner = slice(pad, pad + len(x))
         self.idx = np.empty((design.num_guides, width), dtype=np.intp)
         self.g = np.empty(self.idx.shape)
-        # fixed windows: G0, Gc, Gs as compact copies, which step faster
-        self.fixed = None if design.wm != 0.0 else [
-            self._sum(self.base, w).copy() for w in
-            (None, np.cos(self.angles), np.sin(self.angles))]
+        # fixed windows: G0, Gc, Gs as compact copies, which step faster,
+        # and a buffer for profile()'s sine term
+        self.fixed = None
+        if design.wm == 0.0:
+            self.fixed = [self._sum(self.base, w).copy() for w in
+                          (None, np.cos(self.angles), np.sin(self.angles))]
+            self.sine_term = np.empty(len(x))
 
     def _sum(self, centres, weights=None):
         # the padding keeps every window start positive, so the truncating
@@ -345,13 +360,22 @@ class _GuidePotential:
         return np.bincount(self.idx.ravel(), g.ravel(),
                            minlength=len(self.xp))[self.inner]
 
-    def profile(self, phase: float):
+    def profile(self, phase: float, out=None):
+        """R at the drive phase, written to out if given."""
         d = self.design
-        if self.fixed is not None:
-            G0, Gc, Gs = self.fixed
-            return G0 + d.alpha * (math.cos(phase) * Gc
-                                   - math.sin(phase) * Gs)
-        return self._sum(self.base + d.wm * np.cos(self.angles + phase))
+        if self.fixed is None:
+            r = self._sum(self.base + d.wm * np.cos(self.angles + phase))
+            if out is None:
+                return r
+            out[:] = r
+            return out
+        # G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs), in that order
+        G0, Gc, Gs = self.fixed
+        out = np.multiply(math.cos(phase), Gc, out=out)
+        out -= np.multiply(math.sin(phase), Gs, out=self.sine_term)
+        out *= d.alpha
+        out += G0
+        return out
 
     def bound(self) -> float:
         """Bound on R at the samples x over every drive phase.
@@ -406,12 +430,13 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
                          ) -> FieldTrajectory:
     """Strang-split spectral propagation over the grid's recorded z range.
 
-    Records the field at every entry of grid.z_slices (multiples of dz,
-    starting at 0; the grid checks this).  The boundary strips of width
-    2*ws are monitored at every recorded slice: if any single sample there
-    carries a power fraction above leakage_abort the run raises
-    BoundaryLeakage.  The drive phase at z is Omega*z.  psi0 is not
-    modified.
+    Records |psi|^2 into the trajectory's table at every entry of
+    grid.z_slices (multiples of dz, starting at 0; the grid checks this),
+    and keeps the complex field of the last one.  The boundary strips of
+    width 2*ws are monitored at every recorded slice, z = 0 included: if
+    any single sample there carries a power fraction above leakage_abort
+    the run raises BoundaryLeakage.  The drive phase at z is Omega*z.
+    psi0 is not modified.
     """
     x = grid.xs
     dx, dz = grid.dx, grid.dz
@@ -432,24 +457,34 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         warnings.warn(f"domain width {grid.x_max - grid.x_min:.0f} um below "
                       f"recommended {width:.0f} um", stacklevel=2)
 
-    zs = np.asarray(grid.z_slices, dtype=float)
     steps = grid.steps
-
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
     boundary = (x < grid.x_min + 2.0 * design.ws) | \
                (x >= grid.x_max - 2.0 * design.ws)
 
-    psi = np.asarray(psi0, dtype=complex)
-    norm0 = np.sum(np.abs(psi) ** 2) * dx
-    fields = np.empty((len(steps), grid.nx), dtype=complex)
-    fields[0] = psi
-    norms = [norm0]
-    leak_max = float((np.abs(psi[boundary]) ** 2).max() * dx / norm0)
+    table = np.empty((len(steps), grid.nx + 1))
+    table[:, 0] = grid.z_slices
+    norms = np.empty(len(steps))
+    leaks = np.empty(len(steps))
+    psi = np.array(psi0, dtype=complex)
+    psi_sup = psi[sup]
 
+    def record(k):
+        row = np.abs(psi, out=table[k, 1:])
+        np.square(row, out=row)
+        norms[k] = np.sum(row) * dx
+        leaks[k] = row[boundary].max() * dx / norms[0]
+        if leaks[k] > leakage_abort:
+            raise BoundaryLeakage(
+                f"boundary power fraction {leaks[k]:.3e} > "
+                f"{leakage_abort:.1e} at z = {steps[k] * dz:.1f} um; "
+                "widen the domain or shorten the run")
+
+    record(0)
     row_of_step = {n: k for k, n in enumerate(steps.tolist())}
     kick, Omega = v_scale * dz, design.Omega
-    theta = np.empty(sup.stop - sup.start)
+    theta = np.empty(len(psi_sup))
     factor = np.empty(theta.shape, dtype=complex)
     # exp(i*theta) as cos/sin written into one buffer, without the
     # temporaries of np.exp(1j*theta); the two agree to an ulp, and bit for
@@ -458,42 +493,34 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     for s in range(steps[-1]):
         z_mid = (s + 0.5) * dz
         psi_k *= half_kin
-        psi = np.fft.ifft(psi_k)
-        np.multiply(pot.profile(Omega * z_mid), kick, out=theta)
+        np.fft.ifft(psi_k, out=psi)
+        pot.profile(Omega * z_mid, out=theta)
+        theta *= kick
         np.cos(theta, out=factor.real)
         np.sin(theta, out=factor.imag)
-        psi[sup] *= factor
-        psi_k = np.fft.fft(psi)
+        psi_sup *= factor
+        np.fft.fft(psi, out=psi_k)
         psi_k *= half_kin
         if s + 1 in row_of_step:
-            out = fields[row_of_step[s + 1]]
-            out[:] = np.fft.ifft(psi_k)
-            norms.append(np.sum(np.abs(out) ** 2) * dx)
-            leak = float((np.abs(out[boundary]) ** 2).max() * dx / norm0)
-            leak_max = max(leak_max, leak)
-            if leak_max > leakage_abort:
-                raise BoundaryLeakage(
-                    f"boundary power fraction {leak_max:.3e} > "
-                    f"{leakage_abort:.1e} at z = {(s + 1) * dz:.1f} um; "
-                    "widen the domain or shorten the run")
-    return FieldTrajectory(grid, zs, fields, np.array(norms), leak_max)
+            np.fft.ifft(psi_k, out=psi)
+            record(row_of_step[s + 1])
+    return FieldTrajectory(grid, table, norms, psi, float(leaks.max()))
 
 
 def run_summary(trajectory: FieldTrajectory, design,
                 constants: OpticalConstants, G1: float | None = None) -> dict:
     """Summary dict for JSON export: shift readout plus health metrics."""
     norms = trajectory.norms
+    x0, x1, chern = _shift_readout(trajectory, design.q, design.ws)
     out = {
         "design": type(design).__name__,
         "gamma": constants.gamma,
         "Z_um": float(design.Z),
         "num_guides": design.num_guides,
         "ws_um": design.ws,
-        "mean_x_start_um": mean_position(trajectory.fields[0],
-                                         trajectory.grid),
-        "mean_x_end_um": mean_position(trajectory.fields[-1],
-                                       trajectory.grid),
-        "chern_estimate": pump_chern(trajectory, design.q, design.ws),
+        "mean_x_start_um": x0,
+        "mean_x_end_um": x1,
+        "chern_estimate": chern,
         "norm_drift": float(np.abs(norms / norms[0] - 1.0).max()),
         "leakage_max": trajectory.leakage_max,
     }

@@ -189,7 +189,7 @@ class TestCriterion8FreeDiffractionOracle:
         s = W ** 2 + 2j * design.Z / free.k0
         ref = np.sqrt(W ** 2 / s) * np.exp(-grid.xs ** 2 / s)
         ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
-        err = np.sqrt(np.sum(np.abs(traj.fields[-1] - ref) ** 2) * grid.dx)
+        err = np.sqrt(np.sum(np.abs(traj.final - ref) ** 2) * grid.dx)
         assert err < 1e-3
 
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import aahpump
-from aahpump.cli import PRESETS, _build_design, _write_intensity, \
-    build_config, cmd_phase_diagram, load_config_file, main
+from aahpump.cli import PRESETS, _build_design, build_config, \
+    cmd_phase_diagram, cmd_pump, load_config_file, main
 from aahpump.ioutil import format_float
 from aahpump.propagation import OpticalConstants, default_grid, \
     gaussian_input, split_step_propagate
@@ -367,21 +367,23 @@ class TestPumpOutput:
         lines = (tmp_path / "fig5c_intensity.csv").read_text().splitlines()
         assert lines[0] == ",".join(
             ["z_um", *map(format_float, traj.grid.xs.tolist())])
-        rows = [[z, *(np.abs(f) ** 2).tolist()]
-                for z, f in zip(traj.zs.tolist(), traj.fields)]
-        assert lines[1:] == [",".join(map(format_float, r)) for r in rows]
+        assert np.array_equal(traj.intensity[-1], np.abs(traj.final) ** 2)
+        assert lines[1:] == [",".join(map(format_float, r))
+                             for r in traj.table.tolist()]
 
     def test_output_stage_holds_one_table(self, tmp_path):
-        # beyond the trajectory, writing the CSV and the PGM allocates one
-        # (n_slices, nx + 1) float table and nothing of its size
-        traj = short_fig5c(200)
-        table_bytes = traj.fields.shape[0] * (traj.fields.shape[1] + 1) * 8
+        # the whole pump op, stepper and output stage, holds one
+        # (n_slices, nx + 1) float table and nothing else of its size
+        cfg = build_config("pump", PRESETS["fig5c"][1], None,
+                           [*SHORT_FIG5C, "num_slices=200"])
         tracemalloc.start()
         try:
-            _write_intensity(str(tmp_path / "r"), traj)
+            with pytest.warns(UserWarning, match="can overlap"):
+                summary = cmd_pump(cfg, str(tmp_path / "r"), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        table_bytes = 201 * (summary["nx"] + 1) * 8
         assert table_bytes <= peak < 1.25 * table_bytes
 
 

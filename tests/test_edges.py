@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, \
+    strategies as st
 
 from aahpump.edges import BULK, LEFT, RIGHT, FiducialInGapViolation, \
     WindingUnderresolved, _LABELS, _edge_codes, bulk_edge_check, \
@@ -101,6 +102,15 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+def smallest_plaquette_links(states):
+    """Per plaquette of plaquette_phases(states), the smallest modulus of
+    its four links."""
+    m1 = np.abs(np.einsum("ijk,ijk->ij", states[:-1].conj(), states[1:]))
+    m2 = np.abs(np.einsum("ijk,ijk->ij", states[:, :-1].conj(),
+                          states[:, 1:]))
+    return np.minimum.reduce([m1[:, :-1], m2[1:], m1[:, 1:], m2[:-1]])
+
+
 def classify(states, m=5, threshold=0.5):
     """Labels of the columns of states (or of one state), as spectral_flow
     gives them."""
@@ -119,11 +129,19 @@ class TestInvariantProperties:
         assume(cv.all_defined)
         assert sum(cv.as_tuple()) == 0
 
+    # draws on which a fixed bound of 1e-12 failed, at a small link modulus
+    # (nu_d and nu_od as printed then, so the failing bits need not recur)
+    @example(p=ModulationParams(1.0, -1.6e-29, 0.0, 1, 7), seed=1)
+    @example(p=ModulationParams(1.0, 0.0, -4.002223, 1, 3, 3.765625), seed=0)
+    @example(p=ModulationParams(1.0, 0.0, 1.3642e-8, 1, 7, 1.0), seed=0)
     @given(p=lattices(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_gauge_invariance_of_chern_numbers(self, p, seed):
         # a random phase per k on every band's states, the wrap-around row
-        # and column included, moves no plaquette and no Chern number
+        # and column included, moves no plaquette beyond roundoff and no
+        # Chern number.  Rounding a link of modulus |U| turns its phase by
+        # about eps/|U|, so each plaquette is held to 4 eps over its
+        # smallest link modulus, and to 1e-12 wherever that is >= 1e-3.
         kxs, kys = zone_mesh(p.q, 48, 48, extra=1)
         _, vecs = np.linalg.eigh(bloch_grid_hamiltonians(p, kxs, kys))
         rng = np.random.default_rng(seed)
@@ -135,7 +153,9 @@ class TestInvariantProperties:
             except MeshTooCoarse:
                 continue
             F1 = plaquette_phases(turned[:, :, :, n])
-            assert np.abs(F0 - F1).max() < 1e-12
+            tol = np.maximum(1e-12, 4 * np.finfo(float).eps
+                             / smallest_plaquette_links(vecs[:, :, :, n]))
+            assert (np.abs(F0 - F1) < tol).all()
             assert round(F0.sum() / (2 * np.pi)) == \
                 round(F1.sum() / (2 * np.pi))
 

@@ -259,14 +259,15 @@ class TestGrid:
         g = default_grid(index_design())
         psi = gaussian_input(12.0, 4.0, g)
         assert np.sum(np.abs(psi) ** 2) * g.dx == pytest.approx(1.0)
-        assert mean_position(psi, g) == pytest.approx(12.0, abs=1e-9)
+        assert mean_position(np.abs(psi) ** 2, g) == \
+            pytest.approx(12.0, abs=1e-9)
 
 
 class TestDiagnostics:
     def test_mean_position_symmetric(self):
         g = default_grid(index_design())
-        assert mean_position(gaussian_input(0.0, 5.0, g), g) == \
-            pytest.approx(0.0, abs=1e-9)
+        intensity = np.abs(gaussian_input(0.0, 5.0, g)) ** 2
+        assert mean_position(intensity, g) == pytest.approx(0.0, abs=1e-9)
 
     def test_lz_ratio(self):
         assert lz_ratio(0.0, 1.0) == 1.0
@@ -320,6 +321,16 @@ def reference_propagate(psi0, design, constants, grid):
     return fields, np.array(norms)
 
 
+def assert_matches_reference(traj, fields, norms):
+    """The trajectory holds |psi|^2 of the reference fields, their norms
+    and the last of them, bit for bit."""
+    assert len(traj.intensity) == len(fields)
+    for got, want in zip(traj.intensity, fields):
+        assert np.array_equal(got, np.abs(want) ** 2)
+    assert np.array_equal(traj.norms, norms)
+    assert np.array_equal(traj.final, fields[-1])
+
+
 class TestSplitStep:
     def test_phase_factor_matches_complex_exp(self):
         # |theta| <= PHASE_STEP_MAX in the stepper; a wider range as well
@@ -346,10 +357,8 @@ class TestSplitStep:
         traj = split_step_propagate(psi0, d, const, grid)
         fields, norms = reference_propagate(psi0_before, d, const, grid)
         assert np.array_equal(psi0, psi0_before)
-        assert len(traj.fields) == len(fields) == 7
-        for got, want in zip(traj.fields, fields):
-            assert np.array_equal(got, want)
-        assert np.array_equal(traj.norms, norms)
+        assert_matches_reference(traj, fields, norms)
+        assert len(fields) == 7
 
     def test_free_diffraction_oracle(self):
         d = index_design(Z=1e4)
@@ -357,11 +366,15 @@ class TestSplitStep:
         grid = default_grid(d, num_slices=4)
         psi0 = gaussian_input(0.0, 30.0, grid)
         traj = split_step_propagate(psi0, d, free, grid, leakage_abort=1.0)
-        for z, psi in zip(traj.zs, traj.fields):
+        for z, intensity in zip(traj.table[:, 0], traj.intensity):
             ref = free_gaussian(grid.xs, 30.0, z, free.k0)
             ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
-            err = np.sqrt(np.sum(np.abs(psi - ref) ** 2) * grid.dx)
-            assert err < 1e-3
+            # an L2 error e of the field bounds the L1 error of |psi|^2
+            # by 2e (Cauchy-Schwarz, both unit-norm)
+            assert np.sum(np.abs(intensity - np.abs(ref) ** 2)) * grid.dx \
+                < 2e-3
+        err = np.sqrt(np.sum(np.abs(traj.final - ref) ** 2) * grid.dx)
+        assert err < 1e-3
 
     def test_stationary_guided_mode(self):
         # imaginary-distance relaxation of the split operator gives a mode
@@ -380,7 +393,7 @@ class TestSplitStep:
             psi = np.fft.ifft(np.fft.fft(psi) * decay)
             psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
         traj = split_step_propagate(psi, d, CONST, grid)
-        drift = np.abs(np.abs(traj.fields[-1]) ** 2
+        drift = np.abs(traj.intensity[-1]
                        - np.abs(psi) ** 2).max() / (np.abs(psi) ** 2).max()
         # imaginary-distance relaxation and the real-distance stepper agree
         # on the eigenvector only up to their (different) O(dz^2) splitting
@@ -395,15 +408,20 @@ class TestSplitStep:
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() < 1e-12
 
     def test_trajectory_is_one_array(self):
-        # the stepper records into one preallocated (n_slices, nx) array
+        # the stepper records into one preallocated (n_slices, nx + 1)
+        # float table: z in column 0, |psi|^2 in the rest
         d = spacing_design(Z=3000.0)
         grid = default_grid(d, dz=7.5, num_slices=4)
         traj = split_step_propagate(gaussian_input(d.guide_center(-4), 4.3,
                                                    grid), d,
                                     OpticalConstants(gamma=5e-4), grid)
-        assert isinstance(traj.fields, np.ndarray)
-        assert traj.fields.shape == (5, grid.nx)
-        assert traj.fields.dtype == complex
+        assert isinstance(traj.table, np.ndarray)
+        assert traj.table.shape == (5, grid.nx + 1)
+        assert traj.table.dtype == float
+        assert np.array_equal(traj.table[:, 0], grid.z_slices)
+        assert traj.intensity.base is traj.table
+        assert traj.final.shape == (grid.nx,)
+        assert traj.final.dtype == complex
 
     @pytest.mark.parametrize("x_min", [-400.0, 200.0])
     def test_grid_without_guides(self, x_min):
@@ -414,8 +432,8 @@ class TestSplitStep:
         psi0 = gaussian_input(x_min + 100.0, 4.0, grid)
         with pytest.warns(UserWarning, match="domain width"):
             traj = split_step_propagate(psi0, d, CONST, grid)
-        fields, _ = reference_propagate(psi0, d, CONST, grid)
-        assert all(map(np.array_equal, traj.fields, fields))
+        assert_matches_reference(traj, *reference_propagate(psi0, d, CONST,
+                                                            grid))
 
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
            p=st.integers(1, 6),
@@ -440,7 +458,7 @@ class TestSplitStep:
         def final_field(dz):
             grid = default_grid(d, dz=dz, num_slices=2)
             return split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                        CONST, grid).fields[-1]
+                                        CONST, grid).final
 
         ref = final_field(0.5)
         e_coarse = np.linalg.norm(final_field(4.0) - ref)
@@ -473,8 +491,8 @@ class TestReadout:
         grid = default_grid(d, num_slices=2)
         traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
                                     CONST, grid)
-        expected = (mean_position(traj.fields[-1], grid)
-                    - mean_position(traj.fields[0], grid)) / (3 * d.ws)
+        expected = (mean_position(np.abs(traj.final) ** 2, grid)
+                    - mean_position(traj.intensity[0], grid)) / (3 * d.ws)
         assert pump_chern(traj, 3, d.ws) == pytest.approx(expected)
 
     def test_run_summary_keys(self):
