@@ -214,8 +214,7 @@ def cmd_bands(cfg, prefix, threads):
     if cfg["scan"]:
         ratios = _inclusive_range(cfg["scan_min"], cfg["scan_max"],
                                   cfg["scan_step"])
-        rows = gap_scan(params, ratios, cfg["nx"], cfg["ny"],
-                        threads=threads)
+        rows = gap_scan(params, ratios, cfg["nx"], cfg["ny"])
         header = ["nu_od_over_J"] + [f"G{n}" for n in range(1, params.q)]
         write_csv(prefix + "_gaps.csv", header, rows)
         return {"scan": rows}
@@ -580,9 +579,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", help="output file prefix (default: preset "
                                      "name or command)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the gap scan and the "
-                            "phase-diagram cells (results are identical "
-                            "for any value)")
+                       help="worker threads for the phase-diagram cells "
+                            "(results are identical for any value)")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides (win over --config)")
 

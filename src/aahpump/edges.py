@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModulationParams, open_hamiltonian
-from .spectral import band_edges, band_grid, tridiagonal_eigh
+from .spectral import band_edges, tridiagonal_eigh, zone_edge_grid
 from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
 DEFAULT_EDGE_SITES = 5
@@ -104,13 +104,14 @@ def spectral_flow(params: ModulationParams, num_sites: int,
 def gap_fiducials(params: ModulationParams):
     """Mid-gap fiducial energies: midpoints between adjacent bulk band edges.
 
-    Returns (fiducials, widths) of a 48 x 48 zone mesh, where widths are the
-    indirect gaps (bottom of the band above minus top of the band below).
+    Returns (fiducials, widths) from the band edges of zone_edge_grid(params,
+    48, 48) (Chambers' relation: the full mesh's, to 5e-15), where widths are
+    the indirect gaps (bottom of the band above minus top of the band below).
     Raises FiducialInGapViolation if any bulk gap is closed (narrower than
     DEFAULT_GAP_TOL_FACTOR * |J|), which would put the fiducial in a band.
     """
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
-    tops, bottoms = band_edges(band_grid(params, 48, 48))
+    tops, bottoms = band_edges(zone_edge_grid(params, 48, 48))
     widths = bottoms[1:] - tops[:-1]
     closed = np.flatnonzero(widths < gap_tol)
     if closed.size:

@@ -7,7 +7,6 @@ indirect gap n is the bottom of band n+1 minus the top of band n
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,9 @@ from .model import ModulationParams, bloch_grid_hamiltonians
 class BandGrid:
     """Band energies over a uniform mesh of the Brillouin-like zone.
 
-    energies has shape (q, nx, ny) with bands sorted ascending, energies[n,
-    i, j] at mesh point (i, j).  Mesh points exclude the lower zone edge:
-    kx_i = -pi/q + (i+1) * (2*pi/q)/nx, ky_j = (j+1) * 2*pi/ny.
+    energies has shape (q, len(kxs), ny), bands ascending, energies[n, i, j]
+    at (kxs[i], kys[j]); kys are ky_j = (j+1) * 2*pi/ny and kxs are kx_i =
+    -pi/q + (i+1) * (2*pi/q)/nx, all i or zone_edge_grid's columns alone.
     """
 
     kxs: np.ndarray
@@ -44,9 +43,26 @@ def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
 
 def band_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
     """Band energies of the Bloch blocks on an nx x ny mesh of the zone."""
+    return _grid(params, nx, ny, slice(None))
+
+
+def zone_edge_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
+    """band_grid on the kx columns holding each band's top and bottom and
+    each direct gap's minimum: det(E - H) = D_ky(E) - 2 prod_j t_j(ky)
+    cos(q kx) (Chambers, Phys. Rev. 140, A135, 1965), so bands are monotone
+    in cos(q kx), neighbours in opposite senses.  The columns are i = nx - 1
+    (q kx = pi), ceil(nx/2) - 1 (q kx = 0) and, for odd nx, floor(nx/2) - 1
+    (the pair at +-pi/nx).  Where a bond vanishes at a mesh ky, bands are
+    flat in kx and may differ from band_grid's by rounding (<= 5e-15),
+    never to a smaller gap, a higher top or a lower bottom."""
+    return _grid(params, nx, ny, sorted({nx - 1, (nx - 1) // 2, nx // 2 - 1}))
+
+
+def _grid(params, nx, ny, columns) -> BandGrid:
     if nx < 2 or ny < 2:
         raise ValueError("mesh must be at least 2 x 2")
     kxs, kys = zone_mesh(params.q, nx, ny)
+    kxs = kxs[columns]
     w = np.linalg.eigvalsh(bloch_grid_hamiltonians(params, kxs, kys))
     return BandGrid(kxs, kys, np.transpose(w, (2, 0, 1)))
 
@@ -71,7 +87,8 @@ def direct_gaps(energies: np.ndarray) -> np.ndarray:
     """Direct gaps min_k [E_{n+1}(k) - E_n(k)], n = 1 .. q-1.
 
     energies has the band axis first, shape (q, nx, ny).  A negative or
-    near-zero gap flags closure.
+    near-zero gap flags closure.  On a zone_edge_grid it is the full mesh's
+    gap by Chambers' relation, to <= 5e-15 where a band is flat in kx.
     """
     return (energies[1:] - energies[:-1]).min(axis=(1, 2))
 
@@ -83,19 +100,13 @@ def band_edges(grid: BandGrid):
 
 
 def gap_scan(params_template: ModulationParams, nu_od_over_J,
-             nx: int = 48, ny: int = 48, threads: int = 1) -> list[tuple]:
-    """Direct gaps as a function of nu_od/J.
+             nx: int = 48, ny: int = 48) -> list[tuple]:
+    """Direct gaps of the nx x ny mesh as a function of nu_od/J, from its
+    zone_edge_grid columns (2 ny blocks a ratio, 3 ny for odd nx).
 
     Returns one (ratio, G_1, ..., G_{q-1}) tuple per requested ratio, in
-    input order.
+    input order.  Raises ValueError for nx or ny below 2.
     """
-    ratios = [float(r) for r in nu_od_over_J]
-
-    def one(r):
-        grid = band_grid(params_template.with_ratio(r), nx, ny)
-        return (r, *direct_gaps(grid.energies).tolist())
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, ratios))
-    return [one(r) for r in ratios]
+    return [(r, *direct_gaps(zone_edge_grid(params_template.with_ratio(r),
+                                            nx, ny).energies).tolist())
+            for r in map(float, nu_od_over_J)]

@@ -262,6 +262,7 @@ class TestCommands:
         (["edges", "num_sites=6"], "num_sites = 6"),
         (["bands", "nx=1"], "nx and ny must be >= 4"),
         (["phase-diagram", "nx=1"], "nx and ny must be >= 4"),
+        (["bands", "scan=true", "nx=1"], "nx and ny must be >= 2"),
         (["bands", "scan=true", "scan_step=0"], "scan_step must be > 0"),
         (["edges", "edge_sites=0"], "edge_sites must be >= 1"),
         (["edges", "edge_threshold=2"], "edge_threshold must lie in (0, 1)"),
@@ -277,7 +278,7 @@ class TestCommands:
         (["extract", "mode_dx_um=0.3"], "ws must be a multiple of dx"),
         (["extract", "mode_dx_um=0"], "mode dx must be positive"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "phase-diagram-nx=1",
-            "bands-scan_step=0", "edges-edge_sites=0",
+            "bands-scan-nx=1", "bands-scan_step=0", "edges-edge_sites=0",
             "edges-edge_threshold=2", "edges-n_ky=1", "bands-q=0",
             "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
             "extract-wx_um=0", "extract-Z_cm=0", "extract-q=11",

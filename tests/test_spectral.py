@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from aahpump import spectral
+from aahpump.edges import gap_fiducials
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.spectral import band_edges, band_grid, direct_gaps, gap_scan, \
-    tridiagonal_eigh, zone_mesh
+    tridiagonal_eigh, zone_edge_grid, zone_mesh
 from aahpump.topology import _band_min_gaps
 
 
@@ -53,10 +57,10 @@ class TestGaps:
         assert rows[1][1] == pytest.approx(direct[0])
         assert rows[1][2] == pytest.approx(direct[1])
 
-    def test_gap_scan_threads_identical(self):
-        ratios = [0.5, 1.0, 5.0, 9.0]
-        assert gap_scan(params(), ratios, 24, 24, threads=1) == \
-            gap_scan(params(), ratios, 24, 24, threads=4)
+    @pytest.mark.parametrize("nx, ny", [(1, 48), (48, 1)])
+    def test_gap_scan_rejects_mesh_below_2x2(self, nx, ny):
+        with pytest.raises(ValueError, match="at least 2 x 2"):
+            gap_scan(params(), [1.0], nx, ny)
 
 
 class TestSpectralSymmetries:
@@ -136,6 +140,65 @@ class TestGapFunctions:
         values = np.linalg.eigvalsh(bloch_grid_hamiltonians(p, kxs, kys))
         assert np.array_equal(_band_min_gaps(values),
                               reference_band_min_gaps(values))
+
+
+# every q from 1 to 9 with a p coprime to it, so the cell length stays q
+coprime_lattices = st.integers(1, 9).flatmap(lambda q: st.builds(
+    ModulationParams, st.just(1.0), st.floats(-3, 3), st.floats(-6, 6),
+    st.sampled_from([p for p in range(1, q + 1) if math.gcd(p, q) == 1]),
+    st.just(q), st.floats(0, 2 * np.pi)))
+
+
+class TestZoneEdgeColumns:
+    # Chambers' relation: det(E - H) depends on kx only through
+    # cos(q kx), so the columns where it is largest and smallest hold
+    # every band extreme and every direct-gap minimum of the mesh
+    @given(p=coprime_lattices, nx=st.integers(2, 49), ny=st.integers(2, 49))
+    @settings(max_examples=150, deadline=None)
+    # a bond vanishes on the mesh: bond 2 of q = 2 at ky = 2*pi, and bond
+    # q of nu_od = +J (at ky = 2*pi) or -J (at ky = pi) with dphi = 0
+    @example(p=ModulationParams(1.0, 0.5, 1.0, 1, 2), nx=48, ny=48)
+    @example(p=ModulationParams(1.0, 0.3, 1.0, 1, 3), nx=7, ny=9)
+    @example(p=ModulationParams(1.0, -0.7, -1.0, 2, 3), nx=10, ny=12)
+    @example(p=ModulationParams(1.0, 0.0, -1.0, 1, 4), nx=9, ny=8)
+    def test_match_full_mesh(self, p, nx, ny):
+        full, edge = band_grid(p, nx, ny), zone_edge_grid(p, nx, ny)
+        c = np.cos(p.q * full.kxs)
+        extreme = np.isclose(c, c.max(), rtol=0, atol=1e-12) | \
+            np.isclose(c, c.min(), rtol=0, atol=1e-12)
+        assert np.array_equal(edge.kxs, full.kxs[extreme])
+        assert np.array_equal(edge.kys, full.kys)
+        tol = 1e-13 * max(1.0, np.abs(full.energies).max())
+        gaps, edge_gaps = direct_gaps(full.energies), \
+            direct_gaps(edge.energies)
+        assert np.all((edge_gaps >= gaps) & (edge_gaps - gaps <= tol))
+        (tops, bottoms), (edge_tops, edge_bottoms) = band_edges(full), \
+            band_edges(edge)
+        assert np.all((edge_tops <= tops) & (tops - edge_tops <= tol))
+        assert np.all((edge_bottoms >= bottoms)
+                      & (edge_bottoms - bottoms <= tol))
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        built = []
+
+        def spy(params, kxs, kys):
+            built.append(len(kxs) * len(kys))
+            return bloch_grid_hamiltonians(params, kxs, kys)
+
+        monkeypatch.setattr(spectral, "bloch_grid_hamiltonians", spy)
+        return built
+
+    @pytest.mark.parametrize("nx, ny, per_ratio", [(48, 48, 96), (24, 7, 14),
+                                                   (7, 5, 15), (3, 4, 12)])
+    def test_gap_scan_builds_column_blocks_only(self, blocks, nx, ny,
+                                                per_ratio):
+        gap_scan(params(), [0.5, 1.0, 4.0], nx, ny)
+        assert blocks == [per_ratio] * 3
+
+    def test_gap_fiducials_build_two_columns(self, blocks):
+        gap_fiducials(params())
+        assert blocks == [2 * 48]
 
 
 class TestBlochGridHermitian:
