@@ -6,7 +6,7 @@ propagation for Thouless pumping of light, and tight-binding parameter
 extraction from localized waveguide modes.
 """
 
-from .model import ModulationParams, open_hamiltonian
+from .model import ConfigError, ModulationParams, open_hamiltonian
 from .spectral import BandGrid, band_edges, band_grid, direct_gaps, \
     gap_scan, tridiagonal_eigh, zone_mesh
 from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
@@ -23,7 +23,7 @@ from .extraction import ExtractedParams, FitDegenerate, NoBoundMode, \
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModulationParams", "open_hamiltonian",
+    "ConfigError", "ModulationParams", "open_hamiltonian",
     "BandGrid", "band_edges", "band_grid", "direct_gaps", "gap_scan",
     "tridiagonal_eigh", "zone_mesh",
     "ChernVector", "EvenDenominator", "MeshTooCoarse", "Undefined",

@@ -29,7 +29,7 @@ from .edges import FiducialInGapViolation, WindingUnderresolved, \
 from .extraction import FitDegenerate, NoBoundMode, _basis_grid, \
     extract_parameters, extraction_report
 from .ioutil import format_float, write_csv, write_json, write_pgm
-from .model import ModulationParams
+from .model import ConfigError, ModulationParams
 from .propagation import BoundaryLeakage, GridUnderresolved, IndexModulated, \
     OpticalConstants, SpacingModulated, default_grid, gaussian_input, \
     injection_guide, run_summary, split_step_propagate
@@ -38,10 +38,6 @@ from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
 
 CM_TO_UM = 1e4
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _bool(s):
@@ -138,51 +134,18 @@ NUMERICAL_ERRORS = (MeshTooCoarse, BoundaryLeakage, GridUnderresolved,
                     WindingUnderresolved, np.linalg.LinAlgError)
 
 
-def _require(ok, message):
-    if not ok:
-        raise ConfigError(message)
-
-
-def _require_range(cfg, lo, hi, step):
-    _require(cfg[step] > 0, f"{step} must be > 0, got {cfg[step]}")
-    _require(cfg[hi] >= cfg[lo],
-             f"{hi} = {cfg[hi]} is below {lo} = {cfg[lo]}")
-
-
-def _validate_config(command, cfg):
-    """Reject settings the commands cannot run on, before any work (or any
-    output) starts."""
-    _require(cfg["q"] >= 1, f"q must be >= 1, got {cfg['q']}")
-    _require(cfg["p"] >= 0, f"p must be >= 0, got {cfg['p']}")
-    if command in ("bands", "phase-diagram"):
-        # a band grid needs a 2 x 2 mesh, Chern numbers a 4 x 4 one
-        low = 2 if command == "bands" and cfg["scan"] else 4
-        _require(min(cfg["nx"], cfg["ny"]) >= low,
-                 f"nx and ny must be >= {low}, got {cfg['nx']} x {cfg['ny']}")
-    if command == "bands" and cfg["scan"]:
-        _require_range(cfg, "scan_min", "scan_max", "scan_step")
-    if command == "phase-diagram":
-        for axis in ("nu_od_over_J", "nu_d_over_J"):
-            _require_range(cfg, f"{axis}_min", f"{axis}_max", f"{axis}_step")
-    if command == "edges":
-        m = cfg["edge_sites"]
-        _require(m >= 1, f"edge_sites must be >= 1, got {m}")
-        _require(cfg["num_sites"] >= 2 * m,
-                 f"num_sites = {cfg['num_sites']} leaves no bulk between "
-                 f"two edges of edge_sites = {m}; need >= {2 * m}")
-        # a weight threshold of 1 or more labels no state as an edge state
-        _require(0.0 < cfg["edge_threshold"] < 1.0,
-                 f"edge_threshold must lie in (0, 1), "
-                 f"got {cfg['edge_threshold']}")
-        _require(cfg["n_ky"] >= 3, f"n_ky must be >= 3, got {cfg['n_ky']}")
-
-
 def _same_sample(x, value):
     """x lies within a range sample's tolerance of value."""
     return abs(x - value) <= 1e-9 * max(1.0, abs(value))
 
 
-def _inclusive_range(lo, hi, step):
+def _inclusive_range(cfg, axis):
+    """The samples axis_min, axis_min + axis_step, ..., axis_max of cfg."""
+    lo, hi, step = (cfg[f"{axis}_{end}"] for end in ("min", "max", "step"))
+    if step <= 0:
+        raise ConfigError(f"{axis}_step must be > 0, got {step}")
+    if hi < lo:
+        raise ConfigError(f"{axis}_max = {hi} is below {axis}_min = {lo}")
     n = int(round((hi - lo) / step))
     if not _same_sample(lo + n * step, hi):
         raise ConfigError(f"range [{lo}, {hi}] is not a whole number of "
@@ -195,14 +158,6 @@ def _tb_params(cfg) -> ModulationParams:
                             cfg["p"], cfg["q"], cfg["delta_phi_rad"])
 
 
-def _odd_q(params: ModulationParams) -> ModulationParams:
-    """params, if its reduced q is odd; Chern numbers need an odd q."""
-    if params.q % 2 == 0:
-        raise ConfigError(f"reduced q = {params.q} is even; Chern numbers "
-                          "are only computed for odd q")
-    return params
-
-
 def _cell_str(cv: ChernVector) -> list:
     return [("undef" if isinstance(c, Undefined) else c) for c in cv]
 
@@ -212,13 +167,17 @@ def _cell_str(cv: ChernVector) -> list:
 def cmd_bands(cfg, prefix, threads):
     params = _tb_params(cfg)
     if cfg["scan"]:
-        ratios = _inclusive_range(cfg["scan_min"], cfg["scan_max"],
-                                  cfg["scan_step"])
+        ratios = _inclusive_range(cfg, "scan")
         rows = gap_scan(params, ratios, cfg["nx"], cfg["ny"])
         header = ["nu_od_over_J"] + [f"G{n}" for n in range(1, params.q)]
         write_csv(prefix + "_gaps.csv", header, rows)
         return {"scan": rows}
-    grid = band_grid(_odd_q(params), cfg["nx"], cfg["ny"])
+    # Chern numbers first, so an even q or a coarse mesh fails before output
+    try:
+        cherns = _cell_str(chern_numbers(params, cfg["nx"], cfg["ny"]))
+    except MeshTooCoarse:
+        cherns = ["undef"] * params.q
+    grid = band_grid(params, cfg["nx"], cfg["ny"])
     kxs, kys, energies = (grid.kxs.tolist(), grid.kys.tolist(),
                           grid.energies.tolist())
     rows = [(kx, ky, n + 1, e)
@@ -231,20 +190,14 @@ def cmd_bands(cfg, prefix, threads):
             write_pgm(f"{prefix}_band{n + 1}.pgm", grid.energies[n])
     tops, bottoms = band_edges(grid)
     gaps = tuple((bottoms[1:] - tops[:-1]).tolist())
-    try:
-        cherns = _cell_str(chern_numbers(params, cfg["nx"], cfg["ny"]))
-    except MeshTooCoarse:
-        cherns = ["undef"] * params.q
     return {"gaps": gaps, "cherns": cherns}
 
 
 def cmd_phase_diagram(cfg, prefix, threads):
-    od = _inclusive_range(cfg["nu_od_over_J_min"], cfg["nu_od_over_J_max"],
-                          cfg["nu_od_over_J_step"])
-    d = _inclusive_range(cfg["nu_d_over_J_min"], cfg["nu_d_over_J_max"],
-                         cfg["nu_d_over_J_step"])
-    template = _odd_q(ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
-                                       cfg["delta_phi_rad"]))
+    od = _inclusive_range(cfg, "nu_od_over_J")
+    d = _inclusive_range(cfg, "nu_d_over_J")
+    template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
+                                cfg["delta_phi_rad"])
     q = template.q
     diagram = phase_diagram(template, od, d, prefix + "_cells.cache",
                             cfg["nx"], cfg["ny"], threads=threads)
@@ -264,7 +217,7 @@ def cmd_phase_diagram(cfg, prefix, threads):
 
 
 def cmd_edges(cfg, prefix, threads):
-    params = _odd_q(_tb_params(cfg))
+    params = _tb_params(cfg)
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
     check = bulk_edge_check(params, wr)
@@ -306,24 +259,16 @@ def _build_design(cfg):
 
 
 def cmd_pump(cfg, prefix, threads):
-    # Bad settings surface here as ValueError (a dz that does not divide
-    # the slice spacing included); GridUnderresolved, a numerical failure,
-    # is raised only by the stepper below.
     lz = cfg["lz_estimate"] and cfg["design"] == "index"
-    try:
-        design = _build_design(cfg)
-        if lz:
-            _basis_grid(design)
-        constants = OpticalConstants(gamma=cfg["gamma"])
-        grid = default_grid(design, cfg["dx_um"], cfg["dz_um"],
-                            cfg["num_slices"])
-        guide = cfg["injection_guide"]
-        if guide is None:
-            guide = injection_guide(design)
-        psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"],
-                              grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    design = _build_design(cfg)
+    if lz:  # the fit's q and grid fail now, not after the propagation
+        _basis_grid(design)
+    constants = OpticalConstants(gamma=cfg["gamma"])
+    grid = default_grid(design, cfg["dx_um"], cfg["dz_um"], cfg["num_slices"])
+    guide = cfg["injection_guide"]
+    if guide is None:
+        guide = injection_guide(design)
+    psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"], grid)
     traj = split_step_propagate(psi0, design, constants, grid)
 
     G1 = None
@@ -363,13 +308,9 @@ def _write_intensity(prefix, traj):
 
 
 def cmd_extract(cfg, prefix, threads):
-    try:
-        design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
-                                ws=cfg["ws_um"], wx=cfg["wx_um"],
-                                Z=cfg["Z_cm"] * CM_TO_UM)
-        _basis_grid(design, cfg["mode_dx_um"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
+                            ws=cfg["ws_um"], wx=cfg["wx_um"],
+                            Z=cfg["Z_cm"] * CM_TO_UM)
     constants = OpticalConstants(gamma=cfg["gamma"])
     fit = extract_parameters(constants, design, dx=cfg["mode_dx_um"])
     report = extraction_report(constants, design, fit, cfg["mode_dx_um"])
@@ -547,7 +488,6 @@ def build_config(command, preset_overrides, config_path, overrides):
             raise ConfigError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
         cfg[key] = _parse_value(command, key.strip(), raw.strip())
-    _validate_config(command, cfg)
     return cfg
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModulationParams, open_hamiltonian
+from .model import ConfigError, ModulationParams, open_hamiltonian
 from .spectral import band_edges, tridiagonal_eigh, zone_edge_grid
 from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
@@ -87,10 +87,17 @@ class SpectralFlow:
 def spectral_flow(params: ModulationParams, num_sites: int,
                   n_ky: int = DEFAULT_N_KY, m: int = DEFAULT_EDGE_SITES,
                   threshold: float = DEFAULT_EDGE_THRESHOLD) -> SpectralFlow:
-    """Diagonalize the open chain on a uniform ky loop and label each state."""
-    if not 1 <= m <= num_sites // 2:
-        raise ValueError(f"need 1 <= m <= num_sites / 2 edge sites for "
-                         f"{num_sites} sites, got m = {m}")
+    """Diagonalize the open chain on a uniform ky loop and label each state;
+    raises ConfigError unless 1 <= m <= num_sites / 2 and 0 < threshold < 1
+    (a threshold of 1 or more would label no state as an edge state)."""
+    if m < 1:
+        raise ConfigError(f"edge_sites must be >= 1, got {m}")
+    if num_sites < 2 * m:
+        raise ConfigError(f"num_sites = {num_sites} leaves no bulk between "
+                          f"two edges of edge_sites = {m}; need >= {2 * m}")
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"edge_threshold must lie in (0, 1), "
+                          f"got {threshold}")
     kys = 2.0 * np.pi * np.arange(n_ky) / n_ky
     energies = np.empty((n_ky, num_sites))
     codes = np.empty((n_ky, num_sites), dtype=np.int8)
@@ -150,12 +157,13 @@ def winding_numbers(params: ModulationParams, num_sites: int,
     attributed to an edge by its label at whichever of the two samples lies
     farther from the fiducial (the earlier one on a tie), and a left-edge
     branch crossing the fiducial contributes -sign(dE/dky).  Raises
-    ValueError for n_ky < 3, and WindingUnderresolved if in some gap a
-    crossing branch moves more than CROSSING_STEP_MAX of the gap's width
-    between two samples or is labelled Bulk.
+    ConfigError for n_ky < 3 and spectral_flow's inputs, and
+    WindingUnderresolved if in some gap a crossing branch moves more than
+    CROSSING_STEP_MAX of the gap's width between two samples or is labelled
+    Bulk.
     """
     if n_ky < 3:
-        raise ValueError(f"n_ky = {n_ky} < 3 samples retrace their steps")
+        raise ConfigError(f"n_ky must be >= 3, got {n_ky}")
     flow = spectral_flow(params, num_sites, n_ky, m, threshold)
     fiducials, widths = gap_fiducials(params)
     E, labels = flow.energies, flow.labels

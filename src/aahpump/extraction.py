@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import _mod_angle
+from .model import ConfigError, _mod_angle
 from .propagation import IndexModulated, OpticalConstants, \
     _super_gaussian, refractive_profile
 from .spectral import tridiagonal_eigh
@@ -33,7 +33,7 @@ class NoBoundMode(ValueError):
 
 
 class FitDegenerate(ValueError):
-    """The periodic Fourier inversion of the fitted samples is singular."""
+    """The projected trial modes are linearly dependent."""
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,19 @@ def _bound_mode(V: np.ndarray, dx: float, k0: float):
 def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     """(xs, samples per ws) of the grid shared by the basis construction and
     the matrix elements, on which every guide centre is a sample.  Raises
-    FitDegenerate for q < 3, and ValueError unless BASIS_GUIDES covers q
-    central sites with a guide to spare on each side, and dx divides ws."""
+    ConfigError for q < 3 (the fit needs three sites), for q + 3 >
+    BASIS_GUIDES (a guide to spare on each side), unless dx > 0 divides ws."""
     if design.q < 3:
-        raise FitDegenerate(f"q = {design.q} leaves the amplitude/phase/"
-                            "offset inversion underdetermined")
+        raise ConfigError(f"q = {design.q} leaves the amplitude/phase/"
+                          "offset inversion underdetermined")
     if design.q + 3 > BASIS_GUIDES:
-        raise ValueError(f"q = {design.q} needs more than the "
-                         f"{BASIS_GUIDES} guides of the basis")
+        raise ConfigError(f"q = {design.q} needs more than the "
+                          f"{BASIS_GUIDES} guides of the basis")
     if dx <= 0:
-        raise ValueError(f"mode dx must be positive, got {dx}")
+        raise ConfigError(f"mode dx must be positive, got {dx}")
     samples_per_ws = int(round(design.ws / dx))
     if abs(samples_per_ws * dx - design.ws) > 1e-12:
-        raise ValueError("ws must be a multiple of dx for the shared grid")
+        raise ConfigError("ws must be a multiple of dx for the shared grid")
     half = ((BASIS_GUIDES - 1) // 2 + 2) * design.ws
     n = int(round(2.0 * half / dx)) + 1
     return -half + dx * np.arange(n), samples_per_ws

@@ -17,9 +17,17 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+class ConfigError(ValueError):
+    """An input no computation can run on; the CLI exits 2 on it."""
+
+
 def _reduce_ratio(obj) -> None:
-    """Reduce the p/q of a frozen dataclass to lowest terms, so its cell
-    length q is always minimal."""
+    """Reject q < 1 and p < 0, then reduce the p/q of a frozen dataclass to
+    lowest terms, so its cell length q is always minimal."""
+    if obj.q < 1:
+        raise ConfigError(f"q must be >= 1, got {obj.q}")
+    if obj.p < 0:
+        raise ConfigError(f"p must be >= 0, got {obj.p}")
     g = math.gcd(obj.p, obj.q)
     if g > 1:
         object.__setattr__(obj, "p", obj.p // g)
@@ -41,12 +49,7 @@ class ModulationParams:
     q: int
     delta_phi: float = 0.0
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
-        _reduce_ratio(self)
+    __post_init__ = _reduce_ratio
 
     def with_ratio(self, nu_od_over_J: float) -> "ModulationParams":
         """Copy with nu_od set to the given multiple of J."""
@@ -105,7 +108,7 @@ def open_hamiltonian(params: ModulationParams, num_sites: int, ky: float):
     near-zero eigenvalues depend on that sign in their last bits.
     """
     if num_sites < 2:
-        raise ValueError(f"need at least 2 sites, got {num_sites}")
+        raise ConfigError(f"need at least 2 sites, got {num_sites}")
     angles = _mod_angle(np.arange(1, num_sites + 1), params.p, params.q)
     diag, off = _site_energies(params, angles, ky)
     return diag + 0.0, off[:-1] + 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _mod_angle, _reduce_ratio
+from .model import ConfigError, _mod_angle, _reduce_ratio
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -69,20 +69,18 @@ class _GuideArray:
     class constants, not fields.  p/q is reduced as in ModulationParams."""
 
     def __post_init__(self):
+        _reduce_ratio(self)
         if self.wx <= 0:
-            raise ValueError("wx must be positive")
+            raise ConfigError("wx must be positive")
         if self.num_guides < 1 or self.num_guides % 2 == 0:
-            raise ValueError("num_guides must be a positive odd count")
+            raise ConfigError("num_guides must be a positive odd count")
         if self.Z <= 0:
-            raise ValueError("pump period Z must be positive")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
+            raise ConfigError("pump period Z must be positive")
+        if not self.ws > 0:  # NaN included
+            raise ConfigError("ws must be positive")
         if self.ws <= 2.0 * self.wx:
             warnings.warn(f"ws = {self.ws} <= 2*wx = {2 * self.wx}: guides "
                           "are not well separated", stacklevel=3)
-        _reduce_ratio(self)
 
     @property
     def Omega(self) -> float:
@@ -106,6 +104,17 @@ class _GuideArray:
     def center_bound(self) -> float:
         """Bound on |guide_center(j, z)| over all guides and all z."""
         return float(self.guide_indices[-1] * self.ws + abs(self.wm))
+
+    @property
+    def reach(self) -> float:
+        """|x| beyond which R(x, z) is exactly 0 (guide windows) at any z."""
+        return self.center_bound + GUIDE_WINDOW_WIDTHS * self.wx
+
+    @property
+    def domain_width(self) -> float:
+        """Recommended grid width: the guides plus BOUNDARY_PAD_GUIDES
+        empty spacings on each side."""
+        return (self.num_guides + 2 * BOUNDARY_PAD_GUIDES) * self.ws
 
 
 @dataclass(frozen=True)
@@ -182,7 +191,7 @@ def injection_guide(design) -> int:
         candidates = js
     else:
         if design.num_guides < 3:
-            raise ValueError(
+            raise ConfigError(
                 "the default input guide of a spacing design compares the "
                 "two spacings next to a guide and needs num_guides >= 3; "
                 "set injection_guide explicitly")
@@ -210,9 +219,9 @@ class SimulationGrid:
 
     def __post_init__(self):
         if self.nx < 2 or self.nx & (self.nx - 1):
-            raise ValueError(f"nx = {self.nx} is not a power of two")
+            raise ConfigError(f"nx = {self.nx} is not a power of two")
         if self.dz <= 0 or self.x_max <= self.x_min:
-            raise ValueError("need dz > 0 and x_max > x_min")
+            raise ConfigError("need dz > 0 and x_max > x_min")
         self.steps  # validates z_slices against dz
 
     @property
@@ -224,9 +233,10 @@ class SimulationGrid:
         zs = np.asarray(self.z_slices, dtype=float)
         steps = np.rint(zs / self.dz).astype(int)
         if np.abs(steps * self.dz - zs).max() > 1e-9 * max(1.0, abs(zs[-1])):
-            raise ValueError(f"z_slices must be multiples of dz = {self.dz:g}")
+            raise ConfigError(
+                f"z_slices must be multiples of dz = {self.dz:g}")
         if steps[0] != 0 or np.any(np.diff(steps) <= 0):
-            raise ValueError("z_slices must start at 0 and increase")
+            raise ConfigError("z_slices must start at 0 and increase")
         return steps
 
     @property
@@ -240,9 +250,11 @@ class SimulationGrid:
 
 def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
                  num_slices: int = DEFAULT_NUM_SLICES) -> SimulationGrid:
-    """Grid with >= (num_guides + 6)*ws width, power-of-two nx, at step dx."""
-    width = (design.num_guides + 2 * BOUNDARY_PAD_GUIDES) * design.ws
-    nx = 1 << max(1, math.ceil(math.log2(width / dx)))
+    """Grid with >= design.domain_width, power-of-two nx, at step dx."""
+    if not dx > 0 or num_slices < 1:  # NaN included
+        raise ConfigError(f"need dx > 0 and num_slices >= 1, got dx = {dx} "
+                          f"and num_slices = {num_slices}")
+    nx = 1 << max(1, math.ceil(math.log2(design.domain_width / dx)))
     half = nx * dx / 2.0
     zs = np.linspace(0.0, design.Z, num_slices + 1)
     return SimulationGrid(-half, half, nx, dz, zs)
@@ -251,7 +263,7 @@ def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
 def gaussian_input(center: float, W: float, grid: SimulationGrid):
     """Unit-L2-norm Gaussian A*exp(-(x - center)^2 / W^2)."""
     if W <= 0:
-        raise ValueError("W must be positive")
+        raise ConfigError("W must be positive")
     x = grid.xs
     psi = np.exp(-((x - center) / W) ** 2).astype(complex)
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
@@ -333,7 +345,7 @@ class _GuidePotential:
         # c + half with one sample to spare
         width = int(2.0 * self.half / dx) + 4
         self.offsets = np.arange(width)
-        reach = design.center_bound + self.half
+        reach = design.reach
         pad = width + math.ceil(max(0.0, x[0] + reach, reach - x[-1]) / dx)
         self.xp = np.concatenate((x[0] - dx * np.arange(pad, 0, -1), x,
                                   x[-1] + dx * np.arange(1, pad + 1)))
@@ -415,10 +427,9 @@ class _GuidePotential:
 
 def _phase_support(design, x: np.ndarray) -> slice:
     """Slice of the increasing grid x outside which R(x, z) is exactly 0 at
-    every z: the design's bound on the guide centres plus the window radius
-    GUIDE_WINDOW_WIDTHS*wx, beyond which the guide shape underflows.  It
-    holds at least two samples, as the potential reads dx from x."""
-    reach = design.center_bound + GUIDE_WINDOW_WIDTHS * design.wx
+    every z, within the design's reach.  It holds at least two samples,
+    as the potential reads dx from x."""
+    reach = design.reach
     lo = int(np.searchsorted(x, -reach))
     hi = int(np.searchsorted(x, reach, side="right"))
     return slice(min(lo, len(x) - 2), max(hi, 2))
@@ -452,7 +463,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
             f"dz = {dz:.4g} gives potential phase "
             f"{dz * abs(v_scale) * pot.bound():.3g} rad > {PHASE_STEP_MAX} "
             "per step")
-    width = (design.num_guides + 2 * BOUNDARY_PAD_GUIDES) * design.ws
+    width = design.domain_width
     if grid.x_max - grid.x_min < width - 1e-9:
         warnings.warn(f"domain width {grid.x_max - grid.x_min:.0f} um below "
                       f"recommended {width:.0f} um", stacklevel=2)

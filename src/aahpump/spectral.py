@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModulationParams, bloch_grid_hamiltonians
+from .model import ConfigError, ModulationParams, bloch_grid_hamiltonians
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def zone_edge_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
 
 def _grid(params, nx, ny, columns) -> BandGrid:
     if nx < 2 or ny < 2:
-        raise ValueError("mesh must be at least 2 x 2")
+        raise ConfigError(f"nx and ny must be >= 2, got {nx} x {ny}")
     kxs, kys = zone_mesh(params.q, nx, ny)
     kxs = kxs[columns]
     w = np.linalg.eigvalsh(bloch_grid_hamiltonians(params, kxs, kys))
@@ -105,7 +105,7 @@ def gap_scan(params_template: ModulationParams, nu_od_over_J,
     zone_edge_grid columns (2 ny blocks a ratio, 3 ny for odd nx).
 
     Returns one (ratio, G_1, ..., G_{q-1}) tuple per requested ratio, in
-    input order.  Raises ValueError for nx or ny below 2.
+    input order.  Raises ConfigError for nx or ny below 2.
     """
     return [(r, *direct_gaps(zone_edge_grid(params_template.with_ratio(r),
                                             nx, ny).energies).tolist())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModulationParams, bloch_grid_hamiltonians
+from .model import ConfigError, ModulationParams, bloch_grid_hamiltonians
 from .spectral import direct_gaps, zone_mesh
 
 LINK_MODULUS_MIN = 1e-8
@@ -26,7 +26,7 @@ INTEGER_ROUNDING_TOL = 0.01
 DEFAULT_GAP_TOL_FACTOR = 1e-6
 
 
-class EvenDenominator(ValueError):
+class EvenDenominator(ConfigError):
     """Chern numbers are only computed for odd q."""
 
 
@@ -102,12 +102,12 @@ def _band_min_gaps(values: np.ndarray) -> np.ndarray:
 
 
 def _require_computable(q: int, nx: int, ny: int) -> None:
-    """Reject an even q (EvenDenominator) and a mesh below 4 x 4."""
+    """Reject an even reduced q (EvenDenominator) or a mesh below 4 x 4."""
     if q % 2 == 0:
-        raise EvenDenominator(f"q = {q} is even; Chern numbers are only "
-                              "defined here for odd q")
+        raise EvenDenominator(f"reduced q = {q} is even; Chern numbers are "
+                              "only computed for odd q")
     if nx < 4 or ny < 4:
-        raise ValueError("mesh must be at least 4 x 4")
+        raise ConfigError(f"nx and ny must be >= 4, got {nx} x {ny}")
 
 
 def chern_numbers(params: ModulationParams, nx: int = 48,
@@ -116,10 +116,11 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
 
     Bands whose minimum pointwise spacing to an adjacent band falls below
     DEFAULT_GAP_TOL_FACTOR * |J| are reported as Undefined rather than
-    silently computed.  Raises EvenDenominator for even q and MeshTooCoarse
-    when the flux of a gapped band fails to round to an integer within 0.01,
-    or when every band is defined but the integers do not sum to zero (two
-    nearly touching bands whose curvature the mesh does not resolve).
+    silently computed.  Raises EvenDenominator (a ConfigError) for even q,
+    ConfigError for a mesh below 4 x 4, and MeshTooCoarse when the flux of
+    a gapped band fails to round to an integer within 0.01, or when every
+    band is defined but the integers do not sum to zero (two nearly
+    touching bands whose curvature the mesh does not resolve).
     """
     _require_computable(params.q, nx, ny)
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)

@@ -2,9 +2,15 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aahpump
+from aahpump import BoundaryLeakage, ConfigError, FiducialInGapViolation, \
+    FitDegenerate, GridUnderresolved, IndexModulated, MeshTooCoarse, \
+    ModulationParams, NoBoundMode, WindingUnderresolved, chern_numbers, \
+    default_grid, gap_scan, gaussian_input, spectral_flow, winding_numbers
+from aahpump.extraction import _basis_grid
 
 # names removed from the package; none may come back into its namespace
 REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
@@ -55,3 +61,57 @@ def test_no_public_name_only_tests_reach():
             and (module, node.name) not in ENTRY_POINTS
             and node.name not in aahpump.__all__ and node.name not in used]
     assert dead == []
+
+
+def _design(**kw):
+    base = dict(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=1.5e5)
+    base.update(kw)
+    return IndexModulated(**base)
+
+
+def _lattice(q=3):
+    return ModulationParams(1.0, 0.0, 1.0, 1, q)
+
+
+# every library check an input of the CLI can trip; the CLI exits 2 on
+# ConfigError and on nothing broader
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ModulationParams(1.0, 0.0, 1.0, 1, 0),
+                 id="ModulationParams-q=0"),
+    pytest.param(lambda: _design(wx=0.0), id="IndexModulated-wx=0"),
+    pytest.param(lambda: _design(ws=0.0), id="IndexModulated-ws=0"),
+    # dz = 4 does not divide the 750 um slices
+    pytest.param(lambda: default_grid(_design(), dz=4.0),
+                 id="default_grid-dz=4"),
+    pytest.param(lambda: default_grid(_design(), dx=0.0),
+                 id="default_grid-dx=0"),
+    pytest.param(lambda: gaussian_input(0.0, 0.0, default_grid(_design())),
+                 id="gaussian_input-W=0"),
+    pytest.param(lambda: _basis_grid(_design(q=1)), id="basis_grid-q=1"),
+    pytest.param(lambda: _basis_grid(_design(q=11)), id="basis_grid-q=11"),
+    pytest.param(lambda: gap_scan(_lattice(), [1.0], 1, 48),
+                 id="gap_scan-nx=1"),
+    pytest.param(lambda: chern_numbers(_lattice(q=4), 8, 8),
+                 id="chern_numbers-q=4"),
+    pytest.param(lambda: chern_numbers(_lattice(), 3, 48),
+                 id="chern_numbers-nx=3"),
+    pytest.param(lambda: spectral_flow(_lattice(), 30, 16, m=0),
+                 id="spectral_flow-m=0"),
+    pytest.param(lambda: spectral_flow(_lattice(), 8, 16, m=5),
+                 id="spectral_flow-num_sites=8"),
+    pytest.param(lambda: spectral_flow(_lattice(), 30, 16, threshold=1.0),
+                 id="spectral_flow-threshold=1"),
+    pytest.param(lambda: winding_numbers(_lattice(), 30, 2),
+                 id="winding_numbers-n_ky=2"),
+])
+def test_input_checks_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("cls", [
+    GridUnderresolved, NoBoundMode, FitDegenerate, FiducialInGapViolation,
+    MeshTooCoarse, WindingUnderresolved, BoundaryLeakage,
+    np.linalg.LinAlgError])
+def test_numerical_failures_are_not_config_errors(cls):
+    assert not issubclass(cls, ConfigError)

@@ -224,6 +224,14 @@ class TestCommands:
                      id="fig5b-num_guides=4"),
         pytest.param("fig5b", ["W_um=0"], "W must be positive",
                      id="fig5b-W_um=0"),
+        pytest.param("fig5b", ["ws_um=0"], "ws must be positive",
+                     id="fig5b-ws_um=0"),
+        pytest.param("fig5b", ["dx_um=0"], "need dx > 0",
+                     id="fig5b-dx_um=0"),
+        pytest.param("fig5b", ["dx_um=nan"], "need dx > 0",
+                     id="fig5b-dx_um=nan"),
+        pytest.param("fig5b", ["num_slices=-1"], "num_slices >= 1",
+                     id="fig5b-num_slices=-1"),
         # no guide has two neighbours to compare spacings with
         pytest.param("fig5b", ["design=spacing", "num_guides=1"],
                      "needs num_guides >= 3",
@@ -261,6 +269,8 @@ class TestCommands:
     @pytest.mark.parametrize("args, message", [
         (["edges", "num_sites=6"], "num_sites = 6"),
         (["bands", "nx=1"], "nx and ny must be >= 4"),
+        # a band grid takes 3 x 48; the Chern numbers, computed first, do not
+        (["bands", "nx=3"], "nx and ny must be >= 4"),
         (["phase-diagram", "nx=1"], "nx and ny must be >= 4"),
         (["bands", "scan=true", "nx=1"], "nx and ny must be >= 2"),
         (["bands", "scan=true", "scan_step=0"], "scan_step must be > 0"),
@@ -273,17 +283,18 @@ class TestCommands:
         (["edges", "p=-1"], "p must be >= 0"),
         (["extract", "wx_um=0"], "wx must be positive"),
         (["extract", "Z_cm=0"], "pump period Z must be positive"),
+        (["extract", "ws_um=0"], "ws must be positive"),
         (["extract", "q=11"], "needs more than the 13 guides"),
         (["extract", "q=1"], "inversion underdetermined"),
         (["extract", "mode_dx_um=0.3"], "ws must be a multiple of dx"),
         (["extract", "mode_dx_um=0"], "mode dx must be positive"),
-    ], ids=["edges-num_sites=6", "bands-nx=1", "phase-diagram-nx=1",
-            "bands-scan-nx=1", "bands-scan_step=0", "edges-edge_sites=0",
-            "edges-edge_threshold=2", "edges-n_ky=1", "bands-q=0",
-            "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
-            "extract-wx_um=0", "extract-Z_cm=0", "extract-q=11",
-            "extract-q=1",
-            "extract-mode_dx_um=0.3", "extract-mode_dx_um=0"])
+    ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
+            "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
+            "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
+            "bands-q=0", "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
+            "extract-wx_um=0", "extract-Z_cm=0", "extract-ws_um=0",
+            "extract-q=11", "extract-q=1", "extract-mode_dx_um=0.3",
+            "extract-mode_dx_um=0"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2

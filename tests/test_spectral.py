@@ -59,7 +59,7 @@ class TestGaps:
 
     @pytest.mark.parametrize("nx, ny", [(1, 48), (48, 1)])
     def test_gap_scan_rejects_mesh_below_2x2(self, nx, ny):
-        with pytest.raises(ValueError, match="at least 2 x 2"):
+        with pytest.raises(ValueError, match="nx and ny must be >= 2"):
             gap_scan(params(), [1.0], nx, ny)
 
 
