@@ -24,15 +24,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .edges import FiducialInGapViolation, WindingUnderresolved, \
-    bulk_edge_check, gap_fiducials, winding_numbers
-from .extraction import FitDegenerate, NoBoundMode, _basis_grid, \
-    extract_parameters, extraction_report
+from .edges import bulk_edge_check, gap_fiducials, winding_numbers
+from .extraction import extract_parameters, extraction_report
 from .ioutil import format_float, write_csv, write_json, write_pgm
-from .model import ConfigError, ModulationParams
-from .propagation import BoundaryLeakage, GridUnderresolved, IndexModulated, \
-    OpticalConstants, SpacingModulated, default_grid, gaussian_input, \
-    injection_guide, run_summary, split_step_propagate
+from .model import ConfigError, ModulationParams, NumericalFailure
+from .propagation import IndexModulated, OpticalConstants, SpacingModulated, \
+    default_grid, gaussian_input, injection_guide, run_summary, \
+    split_step_propagate
 from .spectral import band_edges, band_grid, gap_scan
 from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
@@ -128,11 +126,6 @@ SCHEMAS = {
         "mode_dx_um": (float, 0.05),
     },
 }
-
-NUMERICAL_ERRORS = (MeshTooCoarse, BoundaryLeakage, GridUnderresolved,
-                    NoBoundMode, FitDegenerate, FiducialInGapViolation,
-                    WindingUnderresolved, np.linalg.LinAlgError)
-
 
 def _same_sample(x, value):
     """x lies within a range sample's tolerance of value."""
@@ -259,24 +252,21 @@ def _build_design(cfg):
 
 
 def cmd_pump(cfg, prefix, threads):
-    lz = cfg["lz_estimate"] and cfg["design"] == "index"
     design = _build_design(cfg)
-    if lz:  # the fit's q and grid fail now, not after the propagation
-        _basis_grid(design)
     constants = OpticalConstants(gamma=cfg["gamma"])
+    G1 = None
+    if cfg["lz_estimate"] and cfg["design"] == "index":
+        # the fit runs first, so a bad q or grid fails before propagation
+        fit = extract_parameters(constants, design)
+        _, widths = gap_fiducials(ModulationParams(
+            fit.J, fit.nu_d, fit.nu_od, design.p, design.q, fit.delta_phi))
+        G1 = float(widths[0])
     grid = default_grid(design, cfg["dx_um"], cfg["dz_um"], cfg["num_slices"])
     guide = cfg["injection_guide"]
     if guide is None:
         guide = injection_guide(design)
     psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"], grid)
     traj = split_step_propagate(psi0, design, constants, grid)
-
-    G1 = None
-    if lz:
-        fit = extract_parameters(constants, design)
-        _, widths = gap_fiducials(ModulationParams(
-            fit.J, fit.nu_d, fit.nu_od, design.p, design.q, fit.delta_phi))
-        G1 = float(widths[0])
     summary = run_summary(traj, design, constants, G1)
     summary.update({
         "injection_guide": guide,
@@ -552,7 +542,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

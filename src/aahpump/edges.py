@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ModulationParams, open_hamiltonian
+from .model import ConfigError, ModulationParams, NumericalFailure, \
+    open_hamiltonian
 from .spectral import band_edges, tridiagonal_eigh, zone_edge_grid
 from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
 
@@ -36,11 +37,11 @@ RIGHT = "RightEdge"
 BULK = "Bulk"
 
 
-class FiducialInGapViolation(ValueError):
+class FiducialInGapViolation(NumericalFailure, ValueError):
     """A gap-center fiducial energy falls inside the bulk bands."""
 
 
-class WindingUnderresolved(ArithmeticError):
+class WindingUnderresolved(NumericalFailure, ArithmeticError):
     """A fiducial-crossing branch moves too far between ky samples, or lies
     in neither edge, so the windings cannot be trusted."""
 

@@ -19,20 +19,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigError, _mod_angle
-from .propagation import IndexModulated, OpticalConstants, \
-    _super_gaussian, refractive_profile
+from .model import ConfigError, NumericalFailure, _mod_angle
+from .propagation import IndexModulated, OpticalConstants, refractive_profile
 from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
 BASIS_GUIDES = 13         # guides in the Wannier construction
 
 
-class NoBoundMode(ValueError):
+class NoBoundMode(NumericalFailure, ValueError):
     """The single-guide potential supports no mode below the asymptote."""
 
 
-class FitDegenerate(ValueError):
+class FitDegenerate(NumericalFailure, ValueError):
     """The projected trial modes are linearly dependent."""
 
 
@@ -113,12 +112,13 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     half_idx = (BASIS_GUIDES - 1) // 2
     basis_design = replace(design, num_guides=BASIS_GUIDES)
 
-    g0 = _super_gaussian(xs, 0.0, design.wx)
     V_uniform = -scale * refractive_profile(replace(basis_design, alpha=0.0),
                                             xs, 0.0)
     _, band = _fd_eig(V_uniform, dx, k0, BASIS_GUIDES)
 
     # one isolated-guide trial mode, translated to every guide center
+    g0 = refractive_profile(replace(basis_design, num_guides=1, alpha=0.0),
+                            xs, 0.0)
     _, trial0 = _bound_mode(-scale * g0, dx, k0)
     trials = np.zeros((n, BASIS_GUIDES))
     for i, j in enumerate(basis_design.guide_indices):

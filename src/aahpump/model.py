@@ -21,6 +21,11 @@ class ConfigError(ValueError):
     """An input no computation can run on; the CLI exits 2 on it."""
 
 
+class NumericalFailure(Exception):
+    """A computation ran but its result cannot be trusted; the CLI exits 3
+    on it."""
+
+
 def _reduce_ratio(obj) -> None:
     """Reject q < 1 and p < 0, then reduce the p/q of a frozen dataclass to
     lowest terms, so its cell length q is always minimal."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, _mod_angle, _reduce_ratio
+from .model import ConfigError, NumericalFailure, _mod_angle, _reduce_ratio
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -42,11 +42,11 @@ GUIDE_WINDOW_WIDTHS = 3.1
 BOUND_PHASE_ARCS = 16
 
 
-class GridUnderresolved(ValueError):
+class GridUnderresolved(NumericalFailure, ValueError):
     """dx or dz too coarse for the requested potential."""
 
 
-class BoundaryLeakage(RuntimeError):
+class BoundaryLeakage(NumericalFailure, RuntimeError):
     """Light reached the monitored boundary strip; the run is unreliable."""
 
 
@@ -261,9 +261,14 @@ def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
 
 
 def gaussian_input(center: float, W: float, grid: SimulationGrid):
-    """Unit-L2-norm Gaussian A*exp(-(x - center)^2 / W^2)."""
-    if W <= 0:
-        raise ConfigError("W must be positive")
+    """Unit-L2-norm Gaussian A*exp(-(x - center)^2 / W^2).  Raises
+    ConfigError unless W is positive and finite and the centre lies on the
+    grid's span [x_min, x_max]."""
+    if not 0 < W < math.inf:  # NaN included
+        raise ConfigError(f"W must be positive and finite, got {W}")
+    if not grid.x_min <= center <= grid.x_max:
+        raise ConfigError(f"input centre {center} is outside the grid "
+                          f"[{grid.x_min}, {grid.x_max}]")
     x = grid.xs
     psi = np.exp(-((x - center) / W) ** 2).astype(complex)
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ModulationParams, bloch_grid_hamiltonians
+from .model import ConfigError, ModulationParams, NumericalFailure, \
+    bloch_grid_hamiltonians
 from .spectral import direct_gaps, zone_mesh
 
 LINK_MODULUS_MIN = 1e-8
@@ -30,7 +30,7 @@ class EvenDenominator(ConfigError):
     """Chern numbers are only computed for odd q."""
 
 
-class MeshTooCoarse(ArithmeticError):
+class MeshTooCoarse(NumericalFailure, ArithmeticError):
     """Plaquette field inadmissible or flux fails to round to an integer."""
 
 
@@ -48,30 +48,18 @@ class Undefined:
         return "undef"
 
 
-@dataclass(frozen=True)
-class ChernVector:
+class ChernVector(tuple):
     """Per-band entries: exact integers, or Undefined markers."""
-
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __len__(self):
-        return len(self.entries)
 
     @property
     def all_defined(self) -> bool:
-        return all(isinstance(c, int) for c in self.entries)
+        return all(isinstance(c, int) for c in self)
 
     def as_tuple(self):
         """Integer tuple; raises if any band is Undefined."""
         if not self.all_defined:
-            raise ValueError(f"undefined entries present: {self.entries}")
-        return tuple(self.entries)
+            raise ValueError(f"undefined entries present: {self}")
+        return tuple(self)
 
 
 def plaquette_phases(states: np.ndarray) -> np.ndarray:
@@ -146,7 +134,7 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
             raise MeshTooCoarse(
                 f"band {n + 1} flux {c:.6f} does not round to an integer")
         entries.append(int(c_int))
-    cv = ChernVector(tuple(entries))
+    cv = ChernVector(entries)
     if cv.all_defined and sum(entries) != 0:
         raise MeshTooCoarse(f"Chern numbers {entries} sum to {sum(entries)}, "
                             "not 0; refine the mesh")
@@ -181,19 +169,13 @@ def _read_cache(path, key_line: str, q: int) -> dict:
             parts = line.split()
             try:
                 if line.endswith("\n") and len(parts) == q + 1:
-                    cells[int(parts[0])] = ChernVector(tuple(
+                    cells[int(parts[0])] = ChernVector(
                         Undefined(float(t[len("undef:"):]))
                         if t.startswith("undef:") else int(t)
-                        for t in parts[1:]))
+                        for t in parts[1:])
             except ValueError:  # a whole line that is not a cell
                 continue
     return cells
-
-
-def _write_cache(path, key_line: str, cells: dict):
-    with open(path, "w") as fh:
-        fh.write(key_line + "\n")
-        fh.writelines(_cell_line(flat, cells[flat]) for flat in sorted(cells))
 
 
 def phase_diagram(params_template: ModulationParams, nu_od_over_J,
@@ -204,9 +186,10 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
     Cells where the computation fails (gap closure, inadmissible mesh) are
     recorded as all-Undefined instead of aborting the sweep.  The cache
     file makes the sweep resumable; its first line hashes what a cell
-    depends on, so a file keyed to another sweep is discarded.  The calling
-    thread appends new cells in cell order and rewrites the file sorted at
-    the end; with threads > 1 an interrupted run may recompute a few cells.
+    depends on, so a file keyed to another sweep is discarded.  The file
+    is rewritten once, top to bottom in cell order with a flushed line per
+    cell, while a pool of `threads` workers computes the missing cells, so
+    it ends with the same bytes at any thread count or resume point.
     Inputs no cell can be computed for raise before the cache is touched.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
@@ -223,22 +206,22 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
         try:
             return chern_numbers(p, nx, ny)
         except MeshTooCoarse:
-            return ChernVector(tuple(Undefined(0.0) for _ in range(p.q)))
+            return ChernVector(Undefined(0.0) for _ in range(p.q))
 
     # the key hashes Python floats: numpy 2 prints np.float64 differently
     config = (params_template.p, q, params_template.delta_phi, nx, ny,
               od.tolist(), d.tolist())
     key_line = "key " + hashlib.sha256(repr(config).encode()).hexdigest()
     done = _read_cache(cache, key_line, q)
-    todo = [flat for flat in range(len(od) * len(d)) if flat not in done]
-    _write_cache(cache, key_line, done)  # drops a cut-short line
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        results = pool.map(one, todo) if pool else map(one, todo)
-        for flat, cv in zip(todo, results):
-            done[flat] = cv
-            with open(cache, "a") as fh:
-                fh.write(_cell_line(flat, cv))
-    _write_cache(cache, key_line, done)
+    n_cells = len(od) * len(d)
+    with ThreadPoolExecutor(threads) as pool, open(cache, "w") as fh:
+        results = pool.map(one, [f for f in range(n_cells) if f not in done])
+        fh.write(key_line + "\n")
+        for flat in range(n_cells):
+            if flat not in done:
+                done[flat] = next(results)
+            fh.write(_cell_line(flat, done[flat]))
+            fh.flush()
     cells = [[done[i * len(d) + j] for j in range(len(d))]
              for i in range(len(od))]
     return PhaseDiagram(cells)

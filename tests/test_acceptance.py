@@ -73,9 +73,9 @@ class TestCriterion2TransitionLocation:
         between = chern_numbers(
             params(nu_d=0.2).with_ratio((r1 + r2) / 2.0))
         after = chern_numbers(params(nu_d=0.2).with_ratio(max(r1, r2) + 0.2))
-        assert before.entries == (-1, 2, -1)
-        assert after.entries == (2, -4, 2)
-        assert between.entries not in (before.entries, after.entries)
+        assert tuple(before) == (-1, 2, -1)
+        assert tuple(after) == (2, -4, 2)
+        assert tuple(between) not in (tuple(before), tuple(after))
 
 
 class TestCriterion3ChiralSymmetry:

@@ -8,8 +8,9 @@ import pytest
 import aahpump
 from aahpump import BoundaryLeakage, ConfigError, FiducialInGapViolation, \
     FitDegenerate, GridUnderresolved, IndexModulated, MeshTooCoarse, \
-    ModulationParams, NoBoundMode, WindingUnderresolved, chern_numbers, \
-    default_grid, gap_scan, gaussian_input, spectral_flow, winding_numbers
+    ModulationParams, NoBoundMode, NumericalFailure, WindingUnderresolved, \
+    chern_numbers, default_grid, gap_scan, gaussian_input, spectral_flow, \
+    winding_numbers
 from aahpump.extraction import _basis_grid
 
 # names removed from the package; none may come back into its namespace
@@ -20,7 +21,8 @@ REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "localized_mode", "LocalizedMode", "MODE_WINDOW_SPACINGS",
            "plaquette_field", "edge_weight", "classify_state",
            "_edge_weights", "OpenChainSpec", "onsite_potential", "hopping",
-           "bloch_hamiltonian", "format_cell", "_first_gap")
+           "bloch_hamiltonian", "format_cell", "_first_gap", "_write_cache",
+           "NUMERICAL_ERRORS")
 
 MODULES = ("model", "spectral", "topology", "edges", "propagation",
            "extraction", "ioutil", "cli")
@@ -87,6 +89,8 @@ def _lattice(q=3):
                  id="default_grid-dx=0"),
     pytest.param(lambda: gaussian_input(0.0, 0.0, default_grid(_design())),
                  id="gaussian_input-W=0"),
+    pytest.param(lambda: gaussian_input(1e4, 3.0, default_grid(_design())),
+                 id="gaussian_input-center-off-grid"),
     pytest.param(lambda: _basis_grid(_design(q=1)), id="basis_grid-q=1"),
     pytest.param(lambda: _basis_grid(_design(q=11)), id="basis_grid-q=11"),
     pytest.param(lambda: gap_scan(_lattice(), [1.0], 1, 48),
@@ -115,3 +119,5 @@ def test_input_checks_raise_config_error(call):
     np.linalg.LinAlgError])
 def test_numerical_failures_are_not_config_errors(cls):
     assert not issubclass(cls, ConfigError)
+    # main exits 3 on a NumericalFailure or on numpy's LinAlgError
+    assert issubclass(cls, NumericalFailure) or cls is np.linalg.LinAlgError

@@ -17,6 +17,10 @@ from aahpump.propagation import OpticalConstants, default_grid, \
 from aahpump.topology import Undefined
 
 
+# a fig5b run that is short: 50 steps and no lz fit
+SHORT_FIG5B = ["Z_cm=0.2", "num_slices=10", "dz_um=10", "lz_estimate=false"]
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -158,6 +162,24 @@ class TestCommands:
             assert (tmp_path / "c_cells.cache").read_bytes() == cache, cut
             assert (tmp_path / "c_phase_diagram.csv").read_bytes() == csv
 
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_phase_diagram_resumes_any_cached_subset(self, tmp_path,
+                                                     threads):
+        # a cache holding only a middle cell resumes to a fresh run's bytes
+        args = ["phase-diagram", "--outdir", tmp_path, "--out", "m",
+                "nu_od_over_J_min=1", "nu_od_over_J_max=3",
+                "nu_d_over_J_min=0", "nu_d_over_J_max=1", "nx=8", "ny=8"]
+        assert run(args) == 0
+        csv = (tmp_path / "m_phase_diagram.csv").read_bytes()
+        cache = (tmp_path / "m_cells.cache").read_bytes()
+        lines = cache.splitlines(keepends=True)
+        assert len(lines) == 7 and lines[3].startswith(b"2 ")
+        (tmp_path / "m_cells.cache").write_bytes(lines[0] + lines[3])
+        (tmp_path / "m_phase_diagram.csv").unlink()
+        assert run(args + ["--threads", threads]) == 0
+        assert (tmp_path / "m_cells.cache").read_bytes() == cache
+        assert (tmp_path / "m_phase_diagram.csv").read_bytes() == csv
+
     def test_underresolved_windings_exit_3(self, tmp_path, capsys):
         rc = run(["edges", "--outdir", tmp_path, "nu_od_over_J=10",
                   "n_ky=4"])
@@ -243,6 +265,11 @@ class TestCommands:
         # the lz estimate's fit needs q >= 3
         pytest.param("fig5b", ["q=1"], "inversion underdetermined",
                      id="fig5b-q=1"),
+        # a centre off the grid or a NaN width would propagate NaN
+        pytest.param("fig5b", ["injection_guide=1000", *SHORT_FIG5B],
+                     "outside the grid", id="fig5b-injection_guide=1000"),
+        pytest.param("fig5b", ["W_um=nan", *SHORT_FIG5B],
+                     "W must be positive and finite", id="fig5b-W_um=nan"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
