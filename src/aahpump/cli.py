@@ -135,9 +135,12 @@ def _same_sample(x, value):
 def _inclusive_range(cfg, axis):
     """The samples axis_min, axis_min + axis_step, ..., axis_max of cfg."""
     lo, hi, step = (cfg[f"{axis}_{end}"] for end in ("min", "max", "step"))
-    if step <= 0:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{axis}_min and {axis}_max must be finite, got "
+                          f"{lo} and {hi}")
+    if not step > 0:  # NaN included
         raise ConfigError(f"{axis}_step must be > 0, got {step}")
-    if hi < lo:
+    if not hi >= lo:
         raise ConfigError(f"{axis}_max = {hi} is below {axis}_min = {lo}")
     n = int(round((hi - lo) / step))
     if not _same_sample(lo + n * step, hi):
@@ -171,8 +174,10 @@ def cmd_bands(cfg, prefix, threads):
     except MeshTooCoarse:
         cherns = ["undef"] * params.q
     grid = band_grid(params, cfg["nx"], cfg["ny"])
-    kxs, kys, energies = (grid.kxs.tolist(), grid.kys.tolist(),
-                          grid.energies.tolist())
+    # each coordinate is formatted once, not once per row that repeats it
+    kxs, kys = (list(map(format_float, k.tolist()))
+                for k in (grid.kxs, grid.kys))
+    energies = grid.energies.tolist()
     rows = [(kx, ky, n + 1, e)
             for n in range(params.q)
             for kx, band_row in zip(kxs, energies[n])
@@ -216,7 +221,8 @@ def cmd_edges(cfg, prefix, threads):
     check = bulk_edge_check(params, wr)
     flow = wr.flow
     rows = [(ky, a, e, label)
-            for ky, energies, labels in zip(flow.kys.tolist(),
+            for ky, energies, labels in zip(map(format_float,
+                                                flow.kys.tolist()),
                                             flow.energies.tolist(),
                                             flow.labels.tolist())
             for a, (e, label) in enumerate(zip(energies, labels), 1)]

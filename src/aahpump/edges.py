@@ -63,11 +63,14 @@ def _edge_codes(states: np.ndarray, m: int, threshold: float) -> np.ndarray:
 
     The |v|^2 rows are made C-contiguous so that numpy sums each state
     pairwise, exactly as it sums one 1-D state; a strided row sum differs
-    in the last bits.
+    in the last bits.  Only the 2 m edge weights are divided by the row
+    total.
     """
-    p = np.ascontiguousarray(np.abs(states.T) ** 2)
-    p = p / p.sum(axis=1, keepdims=True)
-    left, right = p[:, :m].sum(axis=1), p[:, -m:].sum(axis=1)
+    p = np.abs(states.T, order="C")
+    np.square(p, out=p)
+    total = p.sum(axis=1, keepdims=True)
+    left = (p[:, :m] / total).sum(axis=1)
+    right = (p[:, -m:] / total).sum(axis=1)
     return np.where((left >= threshold) & (left >= right), _LEFT,
                     np.where(right >= threshold, _RIGHT, _BULK))
 

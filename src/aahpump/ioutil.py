@@ -2,14 +2,15 @@
 
 All floating-point output is printf FLOAT_FORMAT ("%.12g") after + 0.0,
 which turns -0 into 0, so results are byte-identical regardless of thread
-count or platform locale.  The writers format and write one row at a time.
+count or platform locale.  The writers stream: a float table one row at a
+time, any other rows one block of _BLOCK_ROWS at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -38,12 +39,13 @@ def _column(cells):
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated file with a header row, written one row at a time.
+    """Comma-separated file with a header row.
 
     rows is a 2-D float array or an iterable of equally long rows; a float
-    cell prints as format_float does, any other cell as str() does.  Rows
-    are typed and formatted by column in blocks of _BLOCK_ROWS, so memory
-    does not grow with the table.
+    cell prints as format_float does, any other cell as str() does.  A
+    float array is formatted and written one row at a time; other rows are
+    typed by column and formatted with one % per block of _BLOCK_ROWS.
+    Either way memory does not grow with the table.
     """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -56,8 +58,8 @@ def write_csv(path, header, rows) -> None:
         while block := list(islice(rows, _BLOCK_ROWS)):
             columns = [_column(cells) for cells in zip(*block, strict=True)]
             line = ",".join(fmt for fmt, _ in columns) + "\n"
-            for cells in zip(*(values for _, values in columns)):
-                fh.write(line % cells)
+            cells = chain.from_iterable(zip(*(v for _, v in columns)))
+            fh.write((line * len(block)) % tuple(cells))
 
 
 def _jsonable(v):

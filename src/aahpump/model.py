@@ -26,6 +26,15 @@ class NumericalFailure(Exception):
     on it."""
 
 
+def _require_finite(obj, *names) -> None:
+    """Reject a NaN or infinite float field of obj: no result computed from
+    one can be trusted."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 def _reduce_ratio(obj) -> None:
     """Reject q < 1 and p < 0, then reduce the p/q of a frozen dataclass to
     lowest terms, so its cell length q is always minimal."""
@@ -44,7 +53,8 @@ class ModulationParams:
     """Parameter tuple (J, nu_d, nu_od, beta=p/q, delta_phi) of the lattice.
 
     beta is stored as the exact integer pair (p, q); p/q is reduced to lowest
-    terms on construction so the cell length q is always minimal.
+    terms on construction so the cell length q is always minimal.  A NaN
+    or infinite float raises ConfigError.
     """
 
     J: float
@@ -54,7 +64,9 @@ class ModulationParams:
     q: int
     delta_phi: float = 0.0
 
-    __post_init__ = _reduce_ratio
+    def __post_init__(self):
+        _require_finite(self, "J", "nu_d", "nu_od", "delta_phi")
+        _reduce_ratio(self)
 
     def with_ratio(self, nu_od_over_J: float) -> "ModulationParams":
         """Copy with nu_od set to the given multiple of J."""

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, NumericalFailure, _mod_angle, _reduce_ratio
+from .model import ConfigError, NumericalFailure, _mod_angle, \
+    _reduce_ratio, _require_finite
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -52,11 +53,15 @@ class BoundaryLeakage(NumericalFailure, RuntimeError):
 
 @dataclass(frozen=True)
 class OpticalConstants:
-    """Background index, vacuum wavelength (um), and index-contrast depth."""
+    """Background index, vacuum wavelength (um), and index-contrast depth;
+    a NaN or infinite one raises ConfigError."""
 
     gamma: float
     n0: float = 1.45
     wavelength: float = 0.63
+
+    def __post_init__(self):
+        _require_finite(self, "gamma", "n0", "wavelength")
 
     @property
     def k0(self) -> float:

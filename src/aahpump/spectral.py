@@ -69,15 +69,25 @@ def _grid(params, nx, ny, columns) -> BandGrid:
 
 def tridiagonal_eigh(diag: np.ndarray, off: np.ndarray, lowest=None):
     """Ascending eigenvalues and column eigenvectors of the tridiagonal
-    matrix (diag, off): all of them by LAPACK's divide and conquer (stevd),
-    or the lowest `lowest` by bisection and inverse iteration (stebz).  The
-    LAPACK routines are named, so results do not follow scipy's default.
+    matrix (diag, off): all of them by LAPACK's divide and conquer (stevd,
+    called straight through scipy.linalg.lapack, for n >= 2), or the lowest
+    `lowest` by bisection and inverse iteration (stebz, through scipy's
+    eigh_tridiagonal).  The LAPACK routines are named, so results do not
+    follow scipy's default, and both keep eigh_tridiagonal's contract:
+    ValueError on a non-finite input, LinAlgError when LAPACK fails.
     scipy.linalg is imported here, at the first solve, so that runs which
     never solve an open chain or a mode basis do not load it."""
+    if lowest is None:
+        from scipy.linalg.lapack import dstevd
+
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise ValueError("array must not contain infs or NaNs")
+        vals, vecs, info = dstevd(diag, off)
+        if info:
+            raise np.linalg.LinAlgError(f"stevd failed with info = {info}")
+        return vals, vecs
     from scipy.linalg import eigh_tridiagonal
 
-    if lowest is None:
-        return eigh_tridiagonal(diag, off, lapack_driver="stevd")
     return eigh_tridiagonal(diag, off, select="i",
                             select_range=(0, lowest - 1),
                             lapack_driver="stebz")

@@ -8,9 +8,9 @@ import pytest
 import aahpump
 from aahpump import BoundaryLeakage, ConfigError, FiducialInGapViolation, \
     FitDegenerate, GridUnderresolved, IndexModulated, MeshTooCoarse, \
-    ModulationParams, NoBoundMode, NumericalFailure, WindingUnderresolved, \
-    chern_numbers, default_grid, gap_scan, gaussian_input, spectral_flow, \
-    winding_numbers
+    ModulationParams, NoBoundMode, NumericalFailure, OpticalConstants, \
+    WindingUnderresolved, chern_numbers, default_grid, gap_scan, \
+    gaussian_input, spectral_flow, winding_numbers
 from aahpump.extraction import _basis_grid
 
 # names removed from the package; none may come back into its namespace
@@ -80,6 +80,14 @@ def _lattice(q=3):
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: ModulationParams(1.0, 0.0, 1.0, 1, 0),
                  id="ModulationParams-q=0"),
+    pytest.param(lambda: ModulationParams(1.0, 0.0, np.nan, 1, 3),
+                 id="ModulationParams-nu_od=nan"),
+    pytest.param(lambda: ModulationParams(1.0, 0.0, 1.0, 1, 3, np.inf),
+                 id="ModulationParams-delta_phi=inf"),
+    pytest.param(lambda: OpticalConstants(gamma=-np.inf),
+                 id="OpticalConstants-gamma=-inf"),
+    pytest.param(lambda: OpticalConstants(9e-4, wavelength=np.nan),
+                 id="OpticalConstants-wavelength=nan"),
     pytest.param(lambda: _design(wx=0.0), id="IndexModulated-wx=0"),
     pytest.param(lambda: _design(ws=0.0), id="IndexModulated-ws=0"),
     # dz = 4 does not divide the 750 um slices

@@ -238,6 +238,13 @@ class TestCommands:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_huge_finite_input_exits_3(self, tmp_path, capsys):
+        # 1e300 is a finite input, so it runs; its windings then fail
+        rc = run(["edges", "--outdir", tmp_path, "nu_d_over_J=1e300"])
+        assert rc == 3
+        assert "WindingUnderresolved" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     @pytest.mark.parametrize("preset, overrides, message", [
         # dz does not divide the 750 um slices
         pytest.param("fig5c", ["dz_um=4"], "multiples of dz",
@@ -270,6 +277,8 @@ class TestCommands:
                      "outside the grid", id="fig5b-injection_guide=1000"),
         pytest.param("fig5b", ["W_um=nan", *SHORT_FIG5B],
                      "W must be positive and finite", id="fig5b-W_um=nan"),
+        pytest.param("fig5b", ["gamma=nan", *SHORT_FIG5B],
+                     "gamma must be finite", id="fig5b-gamma=nan"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
@@ -315,13 +324,25 @@ class TestCommands:
         (["extract", "q=1"], "inversion underdetermined"),
         (["extract", "mode_dx_um=0.3"], "ws must be a multiple of dx"),
         (["extract", "mode_dx_um=0"], "mode dx must be positive"),
+        # a non-finite float is an input error, not a numerical failure
+        (["edges", "nu_od_over_J=nan"], "nu_od must be finite"),
+        (["bands", "nu_od_over_J=nan"], "nu_od must be finite"),
+        (["bands", "nu_d_over_J=inf"], "nu_d must be finite"),
+        (["extract", "gamma=nan"], "gamma must be finite"),
+        (["phase-diagram", "nu_od_over_J_step=nan"],
+         "nu_od_over_J_step must be > 0"),
+        (["phase-diagram", "nu_d_over_J_min=nan"],
+         "nu_d_over_J_min and nu_d_over_J_max must be finite"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
             "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
             "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
             "bands-q=0", "bands-p=-1", "phase-diagram-p=-1", "edges-p=-1",
             "extract-wx_um=0", "extract-Z_cm=0", "extract-ws_um=0",
             "extract-q=11", "extract-q=1", "extract-mode_dx_um=0.3",
-            "extract-mode_dx_um=0"])
+            "extract-mode_dx_um=0", "edges-nu_od_over_J=nan",
+            "bands-nu_od_over_J=nan", "bands-nu_d_over_J=inf",
+            "extract-gamma=nan", "phase-diagram-nu_od_over_J_step=nan",
+            "phase-diagram-nu_d_over_J_min=nan"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2

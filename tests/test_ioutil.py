@@ -260,6 +260,25 @@ class TestWriters:
             tracemalloc.stop()
         assert peak < table.nbytes
 
+    def test_csv_streams_row_blocks(self, tmp_path):
+        # the spectral-flow table (400 ky x 89 sites, ky given as text):
+        # one % per block of rows must not build the file's text at once
+        kys = [format_float(2 * np.pi * t / 400) for t in range(400)]
+        energies = np.random.default_rng(2).normal(size=(400, 89)).tolist()
+        rows = ((ky, a, e, "LeftEdge")
+                for ky, row in zip(kys, energies)
+                for a, e in enumerate(row, 1))
+        path = tmp_path / "flow.csv"
+        tracemalloc.start()
+        try:
+            write_csv(path, ["ky", "index", "energy", "label"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert text.count("\n") == 1 + 400 * 89
+        assert peak < len(text)
+
     def test_ragged_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "r.csv", ["a", "b"], [(1, 2), (3,)])

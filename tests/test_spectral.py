@@ -232,3 +232,13 @@ class TestTridiagonalEigh:
         got = tridiagonal_eigh(diag, off, lowest)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("lowest", [None, 2])
+    @pytest.mark.parametrize("band", ["diag", "off"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, lowest, band, bad):
+        # eigh_tridiagonal's input contract, kept on both branches
+        bands = {"diag": np.arange(5.0), "off": np.ones(4)}
+        bands[band][1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            tridiagonal_eigh(bands["diag"], bands["off"], lowest)
