@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .edges import bulk_edge_check, gap_fiducials, winding_numbers
 from .extraction import extract_parameters, extraction_report
-from .ioutil import format_float, write_csv, write_json, write_pgm
+from .ioutil import float_rows, format_float, pgm_rows, staged, write_csv, \
+    write_json, write_pgm
 from .model import ConfigError, ModulationParams, NumericalFailure
 from .propagation import IndexModulated, OpticalConstants, SpacingModulated, \
     default_grid, gaussian_input, injection_guide, run_summary, \
@@ -36,6 +37,9 @@ from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
 
 CM_TO_UM = 1e4
+# samples a swept range may hold; a tiny step would otherwise ask for an
+# unbounded list
+MAX_RANGE_SAMPLES = 10**6
 
 
 def _bool(s):
@@ -133,7 +137,8 @@ def _same_sample(x, value):
 
 
 def _inclusive_range(cfg, axis):
-    """The samples axis_min, axis_min + axis_step, ..., axis_max of cfg."""
+    """The samples axis_min, axis_min + axis_step, ..., axis_max of cfg,
+    at most MAX_RANGE_SAMPLES of them."""
     lo, hi, step = (cfg[f"{axis}_{end}"] for end in ("min", "max", "step"))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"{axis}_min and {axis}_max must be finite, got "
@@ -142,7 +147,11 @@ def _inclusive_range(cfg, axis):
         raise ConfigError(f"{axis}_step must be > 0, got {step}")
     if not hi >= lo:
         raise ConfigError(f"{axis}_max = {hi} is below {axis}_min = {lo}")
-    n = int(round((hi - lo) / step))
+    n = (hi - lo) / step  # inf when a subnormal step underflows
+    if not n < MAX_RANGE_SAMPLES - 0.5:  # round(n) + 1 samples
+        raise ConfigError(f"range [{lo}, {hi}] in steps of {step} holds "
+                          f"more than {MAX_RANGE_SAMPLES} samples")
+    n = int(round(n))
     if not _same_sample(lo + n * step, hi):
         raise ConfigError(f"range [{lo}, {hi}] is not a whole number of "
                           f"steps of {step}")
@@ -272,35 +281,40 @@ def cmd_pump(cfg, prefix, threads):
     if guide is None:
         guide = injection_guide(design)
     psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"], grid)
-    traj = split_step_propagate(psi0, design, constants, grid)
-    summary = run_summary(traj, design, constants, G1)
-    summary.update({
-        "injection_guide": guide,
-        "input_width_um": cfg["W_um"],
-        "dx_um": grid.dx,
-        "dz_um": grid.dz,
-        "nx": grid.nx,
-        "x_min_um": grid.x_min,
-        "x_max_um": grid.x_max,
-    })
-    if G1 is not None:
-        summary["first_gap_per_um"] = G1
-    write_json(prefix + "_summary.json", summary)
-    _write_intensity(prefix, traj)
+    # the intensity rows are written as the stepper hands them on, to
+    # temporaries renamed only once the summary is written too
+    names = [prefix + "_intensity.csv", prefix + "_intensity.pgm",
+             prefix + "_summary.json"]
+    with staged(*names) as (csv_path, pgm_path, summary_path), \
+            open(csv_path, "w") as csv_fh, open(pgm_path, "w") as pgm_fh:
+        header = ["z_um"] + [format_float(x) for x in grid.xs.tolist()]
+        csv_row = float_rows(csv_fh, header)
+        pgm_row = pgm_rows(pgm_fh, grid.nx, len(grid.z_slices))
+        line = np.empty(grid.nx + 1)
+
+        def on_slice(z, row):
+            # CSV: z, then |psi|^2 at every x; PGM: 0 black and the row's
+            # own peak white
+            line[0] = z
+            line[1:] = row
+            csv_row(line)
+            pgm_row(row, 0.0, float(row.max()))
+
+        traj = split_step_propagate(psi0, design, constants, grid, on_slice)
+        summary = run_summary(traj, design, constants, G1)
+        summary.update({
+            "injection_guide": guide,
+            "input_width_um": cfg["W_um"],
+            "dx_um": grid.dx,
+            "dz_um": grid.dz,
+            "nx": grid.nx,
+            "x_min_um": grid.x_min,
+            "x_max_um": grid.x_max,
+        })
+        if G1 is not None:
+            summary["first_gap_per_um"] = G1
+        write_json(summary_path, summary)
     return summary
-
-
-def _write_intensity(prefix, traj):
-    """|psi|^2 of every recorded slice as a CSV, the trajectory's table as
-    it is (z, then one column per x sample), and as a PGM with each row
-    over its own peak: the table's intensity is normalised in place."""
-    header = ["z_um"] + [format_float(x) for x in traj.grid.xs.tolist()]
-    write_csv(prefix + "_intensity.csv", header, traj.table)
-    intensity = traj.intensity
-    peaks = intensity.max(axis=1, keepdims=True)
-    peaks[peaks == 0] = 1.0
-    intensity /= peaks
-    write_pgm(prefix + "_intensity.pgm", intensity)
 
 
 def cmd_extract(cfg, prefix, threads):

@@ -78,15 +78,16 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     """(xs, samples per ws) of the grid shared by the basis construction and
     the matrix elements, on which every guide centre is a sample.  Raises
     ConfigError for q < 3 (the fit needs three sites), for q + 3 >
-    BASIS_GUIDES (a guide to spare on each side), unless dx > 0 divides ws."""
+    BASIS_GUIDES (a guide to spare on each side), unless a finite dx > 0
+    divides ws."""
     if design.q < 3:
         raise ConfigError(f"q = {design.q} leaves the amplitude/phase/"
                           "offset inversion underdetermined")
     if design.q + 3 > BASIS_GUIDES:
         raise ConfigError(f"q = {design.q} needs more than the "
                           f"{BASIS_GUIDES} guides of the basis")
-    if dx <= 0:
-        raise ConfigError(f"mode dx must be positive, got {dx}")
+    if not 0 < dx < math.inf:  # NaN included
+        raise ConfigError(f"mode dx must be positive and finite, got {dx}")
     samples_per_ws = int(round(design.ws / dx))
     if abs(samples_per_ws * dx - design.ws) > 1e-12:
         raise ConfigError("ws must be a multiple of dx for the shared grid")

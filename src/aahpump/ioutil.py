@@ -2,14 +2,18 @@
 
 All floating-point output is printf FLOAT_FORMAT ("%.12g") after + 0.0,
 which turns -0 into 0, so results are byte-identical regardless of thread
-count or platform locale.  The writers stream: a float table one row at a
-time, any other rows one block of _BLOCK_ROWS at a time.
+count or platform locale.  The writers stream: a float table and a PGM image
+one row at a time, through the row writers float_rows and pgm_rows that a
+caller can also feed row by row as it computes them, and any other rows one
+block of _BLOCK_ROWS at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 
 import numpy as np
@@ -38,22 +42,35 @@ def _column(cells):
     return "%s", cells
 
 
+def float_rows(fh, header):
+    """Write the CSV header row to the open text file fh and return a
+    writer of the lines below it: each call writes one 1-D float array of
+    len(header) values, each printed as format_float prints it."""
+    fh.write(",".join(header) + "\n")
+    line = ",".join([FLOAT_FORMAT] * len(header)) + "\n"
+
+    def write(row):
+        fh.write(line % tuple((row + 0.0).tolist()))
+
+    return write
+
+
 def write_csv(path, header, rows) -> None:
     """Comma-separated file with a header row.
 
     rows is a 2-D float array or an iterable of equally long rows; a float
     cell prints as format_float does, any other cell as str() does.  A
-    float array is formatted and written one row at a time; other rows are
-    typed by column and formatted with one % per block of _BLOCK_ROWS.
-    Either way memory does not grow with the table.
+    float array is written one row at a time through float_rows; other
+    rows are typed by column and formatted with one % per block of
+    _BLOCK_ROWS.  Either way memory does not grow with the table.
     """
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            line = ",".join([FLOAT_FORMAT] * rows.shape[1]) + "\n"
+            write = float_rows(fh, header)
             for row in rows:
-                fh.write(line % tuple((row + 0.0).tolist()))
+                write(row)
             return
+        fh.write(",".join(header) + "\n")
         rows = iter(rows)
         while block := list(islice(rows, _BLOCK_ROWS)):
             columns = [_column(cells) for cells in zip(*block, strict=True)]
@@ -85,26 +102,67 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _require_finite_scale(lo, hi) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("PGM export requires finite values")
+
+
+def pgm_rows(fh, width, height, max_gray: int = 255):
+    """Write the header of a plain-text (P2) PGM image of width x height to
+    the open text file fh and return a writer of its rows: each call writes
+    one row of width values, with lo drawn black, hi white and the values
+    between scaled linearly to [0, max_gray]; a row with hi <= lo is all
+    black.  A non-finite lo or hi has no grey scale and raises ValueError.
+    """
+    fh.write(f"P2\n{width} {height}\n{max_gray}\n")
+    levels = [str(v) for v in range(max_gray + 1)]
+
+    def write(row, lo, hi):
+        _require_finite_scale(lo, hi)
+        if hi > lo:
+            gray = np.rint((row - lo) / (hi - lo) * max_gray).astype(int)
+        else:
+            gray = np.zeros(len(row), dtype=int)
+        fh.write(" ".join(map(levels.__getitem__, gray.tolist())) + "\n")
+
+    return write
+
+
 def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     """Plain-text (P2) PGM image of a 2-D array scaled to [0, max_gray],
-    written one row at a time.
+    its minimum black and its maximum white, written one row at a time
+    through pgm_rows.
 
     Rows of the array become image rows.  A constant array maps to zero.
-    Non-finite values have no grey level and raise ValueError.
+    Non-finite values have no grey level and raise ValueError before the
+    file is opened.
     """
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise ValueError("PGM export requires a 2-D array")
     # min and max are nan if any value is, and carry any infinity
     lo, hi = float(a.min()), float(a.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("PGM export requires finite values")
-    levels = [str(v) for v in range(max_gray + 1)]
+    _require_finite_scale(lo, hi)
     with open(path, "w") as fh:
-        fh.write(f"P2\n{a.shape[1]} {a.shape[0]}\n{max_gray}\n")
+        write = pgm_rows(fh, a.shape[1], a.shape[0], max_gray)
         for row in a:
-            if hi > lo:
-                gray = np.rint((row - lo) / (hi - lo) * max_gray).astype(int)
-            else:
-                gray = np.zeros(row.shape, dtype=int)
-            fh.write(" ".join(map(levels.__getitem__, gray.tolist())) + "\n")
+            write(row, lo, hi)
+
+
+@contextmanager
+def staged(*paths):
+    """Yield one temporary path next to each of paths, to be written in the
+    block.  When the block completes, each temporary is renamed to its path
+    in order; when anything raises, before or during the renames, every
+    temporary left is removed and the error propagates, so a failed run
+    leaves no partial file behind."""
+    temps = [f"{path}.tmp" for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with suppress(FileNotFoundError):
+                os.remove(temp)
+        raise

@@ -41,6 +41,7 @@ GUIDE_WINDOW_WIDTHS = 3.1
 # Arcs of the drive phase over which the potential's bound on R is taken:
 # one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
 BOUND_PHASE_ARCS = 16
+_BOUND_BLOCK = 256           # samples per block of the bound's evaluation
 
 
 class GridUnderresolved(NumericalFailure, ValueError):
@@ -75,13 +76,14 @@ class _GuideArray:
 
     def __post_init__(self):
         _reduce_ratio(self)
+        _require_finite(self, "alpha", "ws", "wx", "wm", "phi0", "Z")
         if self.wx <= 0:
             raise ConfigError("wx must be positive")
         if self.num_guides < 1 or self.num_guides % 2 == 0:
             raise ConfigError("num_guides must be a positive odd count")
         if self.Z <= 0:
             raise ConfigError("pump period Z must be positive")
-        if not self.ws > 0:  # NaN included
+        if self.ws <= 0:
             raise ConfigError("ws must be positive")
         if self.ws <= 2.0 * self.wx:
             warnings.warn(f"ws = {self.ws} <= 2*wx = {2 * self.wx}: guides "
@@ -225,8 +227,10 @@ class SimulationGrid:
     def __post_init__(self):
         if self.nx < 2 or self.nx & (self.nx - 1):
             raise ConfigError(f"nx = {self.nx} is not a power of two")
-        if self.dz <= 0 or self.x_max <= self.x_min:
-            raise ConfigError("need dz > 0 and x_max > x_min")
+        if not 0 < self.dz < math.inf:  # NaN included
+            raise ConfigError(f"need a finite dz > 0, got {self.dz}")
+        if not self.x_min < self.x_max:
+            raise ConfigError("need x_max > x_min")
         self.steps  # validates z_slices against dz
 
     @property
@@ -256,9 +260,9 @@ class SimulationGrid:
 def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
                  num_slices: int = DEFAULT_NUM_SLICES) -> SimulationGrid:
     """Grid with >= design.domain_width, power-of-two nx, at step dx."""
-    if not dx > 0 or num_slices < 1:  # NaN included
-        raise ConfigError(f"need dx > 0 and num_slices >= 1, got dx = {dx} "
-                          f"and num_slices = {num_slices}")
+    if not 0 < dx < math.inf or num_slices < 1:  # NaN included
+        raise ConfigError(f"need dx > 0, finite, and num_slices >= 1, got "
+                          f"dx = {dx} and num_slices = {num_slices}")
     nx = 1 << max(1, math.ceil(math.log2(design.domain_width / dx)))
     half = nx * dx / 2.0
     zs = np.linspace(0.0, design.Z, num_slices + 1)
@@ -281,21 +285,16 @@ def gaussian_input(center: float, W: float, grid: SimulationGrid):
 
 @dataclass
 class FieldTrajectory:
-    """A propagation run as it is written out: one (n_slices, nx + 1)
-    float table whose row k holds the k-th recorded z and then |psi|^2 at
-    every x sample, the norm of each recorded slice, the complex field at
-    the last recorded z, and the largest boundary power fraction seen."""
+    """A propagation run as the pump reads it: |psi|^2 at z = 0, the norm
+    of each recorded slice, the complex field at the last recorded z, and
+    the largest boundary power fraction seen.  The slices themselves went
+    to the stepper's on_slice callback and are not kept."""
 
     grid: SimulationGrid
-    table: np.ndarray
+    first: np.ndarray
     norms: np.ndarray
     final: np.ndarray
     leakage_max: float
-
-    @property
-    def intensity(self) -> np.ndarray:
-        """|psi|^2, one row per recorded z: a view of the table."""
-        return self.table[:, 1:]
 
 
 def mean_position(intensity, grid: SimulationGrid) -> float:
@@ -306,8 +305,9 @@ def mean_position(intensity, grid: SimulationGrid) -> float:
 def _shift_readout(trajectory: FieldTrajectory, q: int, ws: float) -> tuple:
     """<x> at the first and at the last recorded z, and the Chern estimate
     (<x>(Z) - <x>(0)) / (q * ws) that the two give."""
-    rows, grid = trajectory.intensity, trajectory.grid
-    x0, x1 = mean_position(rows[0], grid), mean_position(rows[-1], grid)
+    grid = trajectory.grid
+    x0 = mean_position(trajectory.first, grid)
+    x1 = mean_position(np.square(np.abs(trajectory.final)), grid)
     return x0, x1, (x1 - x0) / (q * ws)
 
 
@@ -409,28 +409,34 @@ class _GuidePotential:
         distance to the interval; the bound is the largest sum over the
         samples and the arcs.  With one arc each interval is j*ws +- |wm|.
         With wm == 0 every interval is the point j*ws on every arc, so the
-        shapes are taken once.
+        shapes are taken once per block of samples.  The samples are taken
+        _BOUND_BLOCK at a time, so memory does not grow with the grid.
         """
         d = self.design
-        x = self.x[:, None]
         arc = 2.0 * np.pi / BOUND_PHASE_ARCS
+        # arc starts, one row per arc and one column per guide
+        a = np.mod(self.angles + arc * np.arange(BOUND_PHASE_ARCS)[:, None],
+                   2.0 * np.pi)
+        # cos over [a, a + arc] spans [lo, hi]: 1 where the arc holds a
+        # crest, -1 where it holds a trough, else the end values
+        ends = np.cos(a), np.cos(a + arc)
+        hi = np.where((a == 0.0) | (a + arc >= 2.0 * np.pi), 1.0,
+                      np.maximum(*ends))
+        lo = np.where((a <= np.pi) & (a + arc >= np.pi), -1.0,
+                      np.minimum(*ends))
+        c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
+        near, far = np.minimum(c1, c2), np.maximum(c1, c2)
+        depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
         bound = 0.0
-        for k in range(BOUND_PHASE_ARCS):
-            a = np.mod(self.angles + k * arc, 2.0 * np.pi)  # arc starts
-            # cos over [a, a + arc] spans [lo, hi]: 1 where the arc holds
-            # a crest, -1 where it holds a trough, else the end values
-            ends = np.cos(a), np.cos(a + arc)
-            hi = np.where((a == 0.0) | (a + arc >= 2.0 * np.pi), 1.0,
-                          np.maximum(*ends))
-            lo = np.where((a <= np.pi) & (a + arc >= np.pi), -1.0,
-                          np.minimum(*ends))
-            if k == 0 or d.wm != 0.0:
-                c1, c2 = self.base + d.wm * lo, self.base + d.wm * hi
-                dist = np.maximum(np.maximum(np.minimum(c1, c2) - x,
-                                             x - np.maximum(c1, c2)), 0.0)
-                shape = _super_gaussian(dist, 0.0, d.wx)
-            depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
-            bound = max(bound, float((shape * depth).sum(axis=1).max()))
+        for start in range(0, len(self.x), _BOUND_BLOCK):
+            x = self.x[start:start + _BOUND_BLOCK, None]
+            for k in range(BOUND_PHASE_ARCS):
+                if k == 0 or d.wm != 0.0:
+                    dist = np.maximum(np.maximum(near[k] - x, x - far[k]),
+                                      0.0)
+                    shape = _super_gaussian(dist, 0.0, d.wx)
+                bound = max(bound,
+                            float((shape * depth[k]).sum(axis=1).max()))
         # profile() rounds in another order: allow 4 ulps per guide
         return bound * (1.0 + 4 * d.num_guides * np.finfo(float).eps)
 
@@ -446,18 +452,21 @@ def _phase_support(design, x: np.ndarray) -> slice:
 
 
 def split_step_propagate(psi0, design, constants: OpticalConstants,
-                         grid: SimulationGrid,
+                         grid: SimulationGrid, on_slice,
                          leakage_abort: float = LEAKAGE_MAX
                          ) -> FieldTrajectory:
     """Strang-split spectral propagation over the grid's recorded z range.
 
-    Records |psi|^2 into the trajectory's table at every entry of
-    grid.z_slices (multiples of dz, starting at 0; the grid checks this),
-    and keeps the complex field of the last one.  The boundary strips of
-    width 2*ws are monitored at every recorded slice, z = 0 included: if
-    any single sample there carries a power fraction above leakage_abort
-    the run raises BoundaryLeakage.  The drive phase at z is Omega*z.
-    psi0 is not modified.
+    At every entry z of grid.z_slices (multiples of dz, starting at 0; the
+    grid checks this), in order, calls on_slice(z, row) with |psi|^2 at z
+    in row, a read-only view of one nx float buffer that the next slice
+    overwrites: a caller that keeps a row copies it.  The trajectory keeps
+    the z = 0 row, the norms and the complex field of the last slice, so
+    memory does not grow with the number of slices.  The boundary strips
+    of width 2*ws are monitored at every recorded slice, z = 0 included:
+    if any single sample there carries a power fraction above
+    leakage_abort the run raises BoundaryLeakage before that slice is
+    handed on.  The drive phase at z is Omega*z.  psi0 is not modified.
     """
     x = grid.xs
     dx, dz = grid.dx, grid.dz
@@ -484,15 +493,17 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     boundary = (x < grid.x_min + 2.0 * design.ws) | \
                (x >= grid.x_max - 2.0 * design.ws)
 
-    table = np.empty((len(steps), grid.nx + 1))
-    table[:, 0] = grid.z_slices
+    zs = np.asarray(grid.z_slices, dtype=float).tolist()
+    row = np.empty(grid.nx)
+    view = row.view()
+    view.flags.writeable = False
     norms = np.empty(len(steps))
     leaks = np.empty(len(steps))
     psi = np.array(psi0, dtype=complex)
     psi_sup = psi[sup]
 
     def record(k):
-        row = np.abs(psi, out=table[k, 1:])
+        np.abs(psi, out=row)
         np.square(row, out=row)
         norms[k] = np.sum(row) * dx
         leaks[k] = row[boundary].max() * dx / norms[0]
@@ -501,8 +512,10 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
                 f"boundary power fraction {leaks[k]:.3e} > "
                 f"{leakage_abort:.1e} at z = {steps[k] * dz:.1f} um; "
                 "widen the domain or shorten the run")
+        on_slice(zs[k], view)
 
     record(0)
+    first = row.copy()
     row_of_step = {n: k for k, n in enumerate(steps.tolist())}
     kick, Omega = v_scale * dz, design.Omega
     theta = np.empty(len(psi_sup))
@@ -525,7 +538,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         if s + 1 in row_of_step:
             np.fft.ifft(psi_k, out=psi)
             record(row_of_step[s + 1])
-    return FieldTrajectory(grid, table, norms, psi, float(leaks.max()))
+    return FieldTrajectory(grid, first, norms, psi, float(leaks.max()))
 
 
 def run_summary(trajectory: FieldTrajectory, design,

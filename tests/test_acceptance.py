@@ -185,7 +185,7 @@ class TestCriterion8FreeDiffractionOracle:
         grid = default_grid(design, num_slices=2)
         psi0 = gaussian_input(0.0, W, grid)
         traj = split_step_propagate(psi0, design, free, grid,
-                                    leakage_abort=1.0)
+                                    lambda z, row: None, leakage_abort=1.0)
         s = W ** 2 + 2j * design.Z / free.k0
         ref = np.sqrt(W ** 2 / s) * np.exp(-grid.xs ** 2 / s)
         ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)

@@ -90,17 +90,25 @@ def _lattice(q=3):
                  id="OpticalConstants-wavelength=nan"),
     pytest.param(lambda: _design(wx=0.0), id="IndexModulated-wx=0"),
     pytest.param(lambda: _design(ws=0.0), id="IndexModulated-ws=0"),
+    pytest.param(lambda: _design(alpha=np.nan), id="IndexModulated-alpha=nan"),
+    pytest.param(lambda: _design(Z=np.inf), id="IndexModulated-Z=inf"),
     # dz = 4 does not divide the 750 um slices
     pytest.param(lambda: default_grid(_design(), dz=4.0),
                  id="default_grid-dz=4"),
     pytest.param(lambda: default_grid(_design(), dx=0.0),
                  id="default_grid-dx=0"),
+    pytest.param(lambda: default_grid(_design(), dx=np.inf),
+                 id="default_grid-dx=inf"),
+    pytest.param(lambda: default_grid(_design(), dz=np.nan),
+                 id="default_grid-dz=nan"),
     pytest.param(lambda: gaussian_input(0.0, 0.0, default_grid(_design())),
                  id="gaussian_input-W=0"),
     pytest.param(lambda: gaussian_input(1e4, 3.0, default_grid(_design())),
                  id="gaussian_input-center-off-grid"),
     pytest.param(lambda: _basis_grid(_design(q=1)), id="basis_grid-q=1"),
     pytest.param(lambda: _basis_grid(_design(q=11)), id="basis_grid-q=11"),
+    pytest.param(lambda: _basis_grid(_design(), np.nan),
+                 id="basis_grid-dx=nan"),
     pytest.param(lambda: gap_scan(_lattice(), [1.0], 1, 48),
                  id="gap_scan-nx=1"),
     pytest.param(lambda: chern_numbers(_lattice(q=4), 8, 8),

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 import aahpump
-from aahpump.cli import PRESETS, _build_design, build_config, \
-    cmd_phase_diagram, cmd_pump, load_config_file, main
+from aahpump.cli import PRESETS, SCHEMAS, _build_design, \
+    _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
+    load_config_file, main
 from aahpump.ioutil import format_float
+from aahpump.model import ConfigError
 from aahpump.propagation import OpticalConstants, default_grid, \
     gaussian_input, split_step_propagate
 from aahpump.topology import Undefined
@@ -279,6 +282,19 @@ class TestCommands:
                      "W must be positive and finite", id="fig5b-W_um=nan"),
         pytest.param("fig5b", ["gamma=nan", *SHORT_FIG5B],
                      "gamma must be finite", id="fig5b-gamma=nan"),
+        # a non-finite design or grid float is an input error too
+        pytest.param("fig5b", ["alpha=nan", *SHORT_FIG5B],
+                     "alpha must be finite", id="fig5b-alpha=nan"),
+        pytest.param("fig5b", ["wx_um=nan", *SHORT_FIG5B],
+                     "wx must be finite", id="fig5b-wx_um=nan"),
+        pytest.param("fig5b", ["ws_um=inf", *SHORT_FIG5B],
+                     "ws must be finite", id="fig5b-ws_um=inf"),
+        pytest.param("fig5b", ["dx_um=inf", *SHORT_FIG5B],
+                     "need dx > 0, finite", id="fig5b-dx_um=inf"),
+        pytest.param("fig5b", [*SHORT_FIG5B, "dz_um=nan"],
+                     "need a finite dz > 0", id="fig5b-dz_um=nan"),
+        pytest.param("fig5c", ["phi0_rad=inf"], "phi0 must be finite",
+                     id="fig5c-phi0_rad=inf"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
@@ -333,6 +349,18 @@ class TestCommands:
          "nu_od_over_J_step must be > 0"),
         (["phase-diagram", "nu_d_over_J_min=nan"],
          "nu_d_over_J_min and nu_d_over_J_max must be finite"),
+        (["extract", "alpha=nan"], "alpha must be finite"),
+        (["extract", "Z_cm=nan"], "Z must be finite"),
+        (["extract", "mode_dx_um=nan"], "mode dx must be positive and "
+                                        "finite"),
+        # a tiny step asks for more samples than a range may hold; the
+        # subnormal one makes the sample count infinite
+        (["phase-diagram", "nu_od_over_J_step=1e-300"],
+         "holds more than 1000000 samples"),
+        (["phase-diagram", "nu_d_over_J_step=5e-324"],
+         "holds more than 1000000 samples"),
+        (["bands", "scan=true", "scan_step=1e-300"],
+         "holds more than 1000000 samples"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
             "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
             "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
@@ -342,7 +370,11 @@ class TestCommands:
             "extract-mode_dx_um=0", "edges-nu_od_over_J=nan",
             "bands-nu_od_over_J=nan", "bands-nu_d_over_J=inf",
             "extract-gamma=nan", "phase-diagram-nu_od_over_J_step=nan",
-            "phase-diagram-nu_d_over_J_min=nan"])
+            "phase-diagram-nu_d_over_J_min=nan", "extract-alpha=nan",
+            "extract-Z_cm=nan", "extract-mode_dx_um=nan",
+            "phase-diagram-nu_od_over_J_step=1e-300",
+            "phase-diagram-nu_d_over_J_step=5e-324",
+            "bands-scan-scan_step=1e-300"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2
@@ -350,6 +382,13 @@ class TestCommands:
         assert "config error:" in err
         assert message in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+
+    def test_range_sample_cap(self, monkeypatch):
+        monkeypatch.setattr("aahpump.cli.MAX_RANGE_SAMPLES", 10)
+        cfg = {"a_min": 0.0, "a_max": 0.9, "a_step": 0.1}
+        assert len(_inclusive_range(cfg, "a")) == 10
+        with pytest.raises(ConfigError, match="more than 10 samples"):
+            _inclusive_range(dict(cfg, a_max=1.0), "a")
 
     def test_even_q_gap_scan_runs(self, tmp_path):
         # the gap scan needs no Chern numbers, so even q is fine there
@@ -405,8 +444,9 @@ SHORT_FIG5C = ["Z_cm=0.3", "dz_um=7.5"]
 
 
 def short_fig5c(num_slices):
-    """The trajectory that split_step_propagate gives on the inputs of
-    the CLI's short fig5c run."""
+    """The rows, each with its z in front, that split_step_propagate hands
+    its callback on the inputs of the CLI's short fig5c run, and the
+    trajectory it returns."""
     cfg = build_config("pump", PRESETS["fig5c"][1], None,
                        [*SHORT_FIG5C, f"num_slices={num_slices}"])
     with pytest.warns(UserWarning, match="can overlap"):
@@ -414,37 +454,67 @@ def short_fig5c(num_slices):
     grid = default_grid(design, cfg["dx_um"], cfg["dz_um"], num_slices)
     psi0 = gaussian_input(design.guide_center(cfg["injection_guide"]),
                           cfg["W_um"], grid)
-    return split_step_propagate(psi0, design,
-                                OpticalConstants(gamma=cfg["gamma"]), grid)
+    rows = []
+    traj = split_step_propagate(psi0, design,
+                                OpticalConstants(gamma=cfg["gamma"]), grid,
+                                lambda z, row: rows.append([z, *row]))
+    return rows, traj
+
+
+def pump_peak_bytes(tmp_path, num_slices):
+    """tracemalloc peak of the short fig5c pump op, and its summary."""
+    cfg = build_config("pump", PRESETS["fig5c"][1], None,
+                       [*SHORT_FIG5C, f"num_slices={num_slices}"])
+    tracemalloc.start()
+    try:
+        with pytest.warns(UserWarning, match="can overlap"):
+            summary = cmd_pump(cfg, str(tmp_path / str(num_slices)), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, summary
 
 
 class TestPumpOutput:
     def test_intensity_rows_are_the_trajectory(self, tmp_path):
-        traj = short_fig5c(4)
+        rows, traj = short_fig5c(4)
         with pytest.warns(UserWarning, match="can overlap"):
             assert run(["pump", "--preset", "fig5c", "--outdir", tmp_path,
                         *SHORT_FIG5C, "num_slices=4"]) == 0
         lines = (tmp_path / "fig5c_intensity.csv").read_text().splitlines()
         assert lines[0] == ",".join(
             ["z_um", *map(format_float, traj.grid.xs.tolist())])
-        assert np.array_equal(traj.intensity[-1], np.abs(traj.final) ** 2)
-        assert lines[1:] == [",".join(map(format_float, r))
-                             for r in traj.table.tolist()]
+        assert np.array_equal(rows[-1][1:], np.abs(traj.final) ** 2)
+        assert lines[1:] == [",".join(map(format_float, r)) for r in rows]
 
-    def test_output_stage_holds_one_table(self, tmp_path):
-        # the whole pump op, stepper and output stage, holds one
-        # (n_slices, nx + 1) float table and nothing else of its size
-        cfg = build_config("pump", PRESETS["fig5c"][1], None,
-                           [*SHORT_FIG5C, "num_slices=200"])
-        tracemalloc.start()
-        try:
-            with pytest.warns(UserWarning, match="can overlap"):
-                summary = cmd_pump(cfg, str(tmp_path / "r"), 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        table_bytes = 201 * (summary["nx"] + 1) * 8
-        assert table_bytes <= peak < 1.25 * table_bytes
+    def test_pump_memory_does_not_grow_with_slices(self, tmp_path):
+        # the slices stream to the CSV and PGM: the whole op's peak is the
+        # same for 50 and 400 slices, and far below a 400-slice table.  A
+        # first untraced run makes the one-time allocations of a process.
+        with pytest.warns(UserWarning, match="can overlap"):
+            cmd_pump(build_config("pump", PRESETS["fig5c"][1], None,
+                                  [*SHORT_FIG5C, "num_slices=4"]),
+                     str(tmp_path / "warm"), 1)
+        peak_50, _ = pump_peak_bytes(tmp_path, 50)
+        peak_400, summary = pump_peak_bytes(tmp_path, 400)
+        table_bytes = 401 * (summary["nx"] + 1) * 8
+        assert abs(peak_400 - peak_50) <= 0.1 * peak_50
+        assert peak_400 < table_bytes / 4
+        lines = (tmp_path / "400_intensity.csv").read_text().count("\n")
+        assert lines == 1 + 401
+
+    def test_leakage_mid_run_leaves_no_file(self, tmp_path, capsys):
+        # free diffraction over 1 cm: the first slices are written, then
+        # the light reaches the boundary strips
+        rc = run(["pump", "--preset", "fig5b", "--outdir", tmp_path,
+                  "gamma=0", "Z_cm=1", "num_slices=10", "dz_um=10",
+                  "lz_estimate=false"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "BoundaryLeakage" in err
+        z = float(err.split(" at z = ")[1].split(" um")[0])
+        assert z > 0.0
+        assert list(tmp_path.iterdir()) == []  # temporaries included
 
 
 # imports aahpump.cli, runs each command line given as a JSON argument in
@@ -481,3 +551,77 @@ class TestImportGraph:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [False, loaded]
+
+
+# one short run per command that reaches each of its float keys: the pump
+# keys on both designs (wm_um and phi0_rad move only spacing guides), the
+# scan keys on a gap scan
+NON_FINITE_BASES = {
+    "bands": [["nx=8", "ny=8"],
+              ["scan=true", "scan_max=0.5", "nx=4", "ny=4"]],
+    "phase-diagram": [["nu_od_over_J_max=1", "nu_d_over_J_min=0",
+                       "nu_d_over_J_max=1", "nx=8", "ny=8"]],
+    "edges": [["num_sites=30", "n_ky=40"]],
+    "pump": [["--preset", "fig5b", *SHORT_FIG5B],
+             ["--preset", "fig5c", "Z_cm=0.2", "num_slices=10",
+              "dz_um=5"]],
+    "extract": [[]],
+}
+
+
+def _non_finite_cases():
+    for command, bases in NON_FINITE_BASES.items():
+        keys = [k for k, (caster, _) in SCHEMAS[command].items()
+                if caster is float]
+        for b, base in enumerate(bases):
+            for key in keys:
+                for value in ("nan", "inf", "-inf"):
+                    yield pytest.param(command, [*base, f"{key}={value}"],
+                                       id=f"{command}{b}-{key}={value}")
+    # the lz fit's outputs of an index pump, with an unused float non-finite
+    yield pytest.param("pump", ["--preset", "fig5b", "Z_cm=0.2",
+                                "num_slices=10", "dz_um=10", "wm_um=nan"],
+                       id="pump-lz_estimate-wm_um=nan")
+
+
+def _numbers(text):
+    """Every cell of a CSV text or every number of a JSON text, as floats
+    (nan and inf included); other cells are skipped."""
+    if text.startswith(("{", "[")):
+        values, todo = [], [json.loads(text)]
+        while todo:
+            v = todo.pop()
+            if isinstance(v, dict):
+                todo.extend(v.values())
+            elif isinstance(v, list):
+                todo.extend(v)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                values.append(float(v))
+        return values
+    values = []
+    for line in text.splitlines():
+        for cell in line.split(","):
+            try:
+                values.append(float(cell))
+            except ValueError:
+                pass
+    return values
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("command, args", list(_non_finite_cases()))
+    def test_exit_code_and_outputs(self, tmp_path, command, args):
+        # nan, inf and -inf in every float key: a documented exit code,
+        # no file on failure, and only finite numbers on success
+        rc = run([command, "--outdir", tmp_path, *args])
+        assert rc in (0, 2, 3, 4)
+        files = sorted(tmp_path.iterdir())
+        if rc:
+            assert files == []
+            return
+        assert files
+        for path in files:
+            if path.suffix in (".csv", ".json"):
+                values = _numbers(path.read_text())
+                assert all(math.isfinite(v) for v in values), path.name

@@ -1,11 +1,13 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aahpump.ioutil import format_float, write_csv, write_json, write_pgm
+from aahpump.ioutil import format_float, pgm_rows, staged, write_csv, \
+    write_json, write_pgm
 
 
 def reference_format_float(x) -> str:
@@ -246,6 +248,49 @@ class TestWriters:
         write_pgm(path / "got.pgm", a, max_gray)
         assert (path / "got.pgm").read_bytes() == \
             (path / "want.pgm").read_bytes()
+
+    @given(rows=st.integers(1, 5), cols=st.integers(1, 7),
+           values=st.lists(st.floats(0.0, 1e6), min_size=35, max_size=35),
+           zero_row=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_row_peak_scale_matches_global_stretch(self, tmp_path_factory,
+                                                   rows, cols, values,
+                                                   zero_row):
+        # the intensity image draws 0 black and each row's peak white; the
+        # pump wrote it before as its rows over their peaks, stretched from
+        # the table's minimum to its maximum, which is the same image
+        # whenever the table holds a 0
+        a = np.array(values[:rows * cols]).reshape(rows, cols)
+        a[-1, 0] = 0.0
+        if zero_row:
+            a[0] = 0.0
+        path = tmp_path_factory.mktemp("pgm")
+        peaks = a.max(axis=1, keepdims=True)
+        peaks[peaks == 0] = 1.0
+        reference_write_pgm(path / "want.pgm", a / peaks)
+        with open(path / "got.pgm", "w") as fh:
+            write = pgm_rows(fh, cols, rows)
+            for row in a:
+                write(row, 0.0, float(row.max()))
+        assert (path / "got.pgm").read_bytes() == \
+            (path / "want.pgm").read_bytes()
+
+    def test_staged_renames_on_success_only(self, tmp_path):
+        paths = [tmp_path / "a.csv", tmp_path / "b.json"]
+        with pytest.raises(RuntimeError):
+            with staged(*paths) as temps:
+                for temp in temps:
+                    with open(temp, "w") as fh:
+                        fh.write("partial")
+                raise RuntimeError("the run failed")
+        assert list(tmp_path.iterdir()) == []
+        with staged(*paths) as temps:
+            for temp, text in zip(temps, ("a", "b")):
+                with open(temp, "w") as fh:
+                    fh.write(text)
+            assert sorted(tmp_path.iterdir()) == sorted(map(Path, temps))
+        assert [p.read_text() for p in paths] == ["a", "b"]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
     def test_csv_streams_rows(self, tmp_path):
         # the fig5c intensity table: writing it must not build the file's

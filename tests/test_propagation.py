@@ -17,6 +17,24 @@ from aahpump.propagation import GUIDE_WINDOW_WIDTHS, BoundaryLeakage, \
 CONST = OpticalConstants(gamma=9e-4)
 
 
+def ignore(z, row):
+    """An on_slice callback that keeps nothing."""
+
+
+class Slices:
+    """An on_slice callback that keeps every z and a copy of every row it
+    is handed, and the rows themselves to tell whether one buffer serves
+    them all."""
+
+    def __init__(self):
+        self.zs, self.rows, self.handed = [], [], []
+
+    def __call__(self, z, row):
+        self.zs.append(z)
+        self.rows.append(row.copy())
+        self.handed.append(row)
+
+
 def index_design(**kw):
     base = dict(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5, num_guides=21)
     base.update(kw)
@@ -321,12 +339,14 @@ def reference_propagate(psi0, design, constants, grid):
     return fields, np.array(norms)
 
 
-def assert_matches_reference(traj, fields, norms):
-    """The trajectory holds |psi|^2 of the reference fields, their norms
-    and the last of them, bit for bit."""
-    assert len(traj.intensity) == len(fields)
-    for got, want in zip(traj.intensity, fields):
+def assert_matches_reference(slices, traj, fields, norms):
+    """The callback saw |psi|^2 of the reference fields, and the trajectory
+    holds the first of them, their norms and the last field, bit for
+    bit."""
+    assert len(slices.rows) == len(fields)
+    for got, want in zip(slices.rows, fields):
         assert np.array_equal(got, np.abs(want) ** 2)
+    assert np.array_equal(traj.first, slices.rows[0])
     assert np.array_equal(traj.norms, norms)
     assert np.array_equal(traj.final, fields[-1])
 
@@ -354,10 +374,11 @@ class TestSplitStep:
                               dz * np.arange(0, 301, 50))
         psi0 = gaussian_input(d.guide_center(guide, 0.0), 4.3, grid)
         psi0_before = psi0.copy()
-        traj = split_step_propagate(psi0, d, const, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, const, grid, slices)
         fields, norms = reference_propagate(psi0_before, d, const, grid)
         assert np.array_equal(psi0, psi0_before)
-        assert_matches_reference(traj, fields, norms)
+        assert_matches_reference(slices, traj, fields, norms)
         assert len(fields) == 7
 
     def test_free_diffraction_oracle(self):
@@ -365,8 +386,10 @@ class TestSplitStep:
         free = OpticalConstants(gamma=0.0)
         grid = default_grid(d, num_slices=4)
         psi0 = gaussian_input(0.0, 30.0, grid)
-        traj = split_step_propagate(psi0, d, free, grid, leakage_abort=1.0)
-        for z, intensity in zip(traj.table[:, 0], traj.intensity):
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, free, grid, slices,
+                                    leakage_abort=1.0)
+        for z, intensity in zip(slices.zs, slices.rows):
             ref = free_gaussian(grid.xs, 30.0, z, free.k0)
             ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
             # an L2 error e of the field bounds the L1 error of |psi|^2
@@ -392,8 +415,9 @@ class TestSplitStep:
             psi *= gain
             psi = np.fft.ifft(np.fft.fft(psi) * decay)
             psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
-        traj = split_step_propagate(psi, d, CONST, grid)
-        drift = np.abs(traj.intensity[-1]
+        slices = Slices()
+        split_step_propagate(psi, d, CONST, grid, slices)
+        drift = np.abs(slices.rows[-1]
                        - np.abs(psi) ** 2).max() / (np.abs(psi) ** 2).max()
         # imaginary-distance relaxation and the real-distance stepper agree
         # on the eigenvector only up to their (different) O(dz^2) splitting
@@ -404,22 +428,28 @@ class TestSplitStep:
         d = index_design(Z=4000.0)
         grid = default_grid(d, num_slices=8)
         traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid)
+                                    CONST, grid, ignore)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() < 1e-12
 
-    def test_trajectory_is_one_array(self):
-        # the stepper records into one preallocated (n_slices, nx + 1)
-        # float table: z in column 0, |psi|^2 in the rest
+    def test_slices_stream_through_the_callback(self):
+        # every recorded z in order, each row in one read-only nx buffer
+        # and equal to the reference stepper's; the trajectory keeps the
+        # z = 0 row and the last field, and no table
         d = spacing_design(Z=3000.0)
+        const = OpticalConstants(gamma=5e-4)
         grid = default_grid(d, dz=7.5, num_slices=4)
-        traj = split_step_propagate(gaussian_input(d.guide_center(-4), 4.3,
-                                                   grid), d,
-                                    OpticalConstants(gamma=5e-4), grid)
-        assert isinstance(traj.table, np.ndarray)
-        assert traj.table.shape == (5, grid.nx + 1)
-        assert traj.table.dtype == float
-        assert np.array_equal(traj.table[:, 0], grid.z_slices)
-        assert traj.intensity.base is traj.table
+        psi0 = gaussian_input(d.guide_center(-4), 4.3, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, const, grid, slices)
+        assert slices.zs == grid.z_slices.tolist()
+        assert all(type(z) is float for z in slices.zs)
+        buffer = slices.handed[0]
+        assert buffer.shape == (grid.nx,) and buffer.dtype == float
+        assert not buffer.flags.writeable
+        assert all(np.shares_memory(row, buffer) for row in slices.handed)
+        assert_matches_reference(slices, traj,
+                                 *reference_propagate(psi0, d, const, grid))
+        assert not hasattr(traj, "table") and not hasattr(traj, "intensity")
         assert traj.final.shape == (grid.nx,)
         assert traj.final.dtype == complex
 
@@ -430,10 +460,11 @@ class TestSplitStep:
         grid = SimulationGrid(x_min, x_min + 200.0, 2048, 1.0,
                               np.array([0.0, 10.0]))
         psi0 = gaussian_input(x_min + 100.0, 4.0, grid)
+        slices = Slices()
         with pytest.warns(UserWarning, match="domain width"):
-            traj = split_step_propagate(psi0, d, CONST, grid)
-        assert_matches_reference(traj, *reference_propagate(psi0, d, CONST,
-                                                            grid))
+            traj = split_step_propagate(psi0, d, CONST, grid, slices)
+        assert_matches_reference(slices, traj,
+                                 *reference_propagate(psi0, d, CONST, grid))
 
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
            p=st.integers(1, 6),
@@ -449,7 +480,7 @@ class TestSplitStep:
         grid = default_grid(d, dz=4.0, num_slices=4)
         traj = split_step_propagate(
             gaussian_input(0.0, 4.0, grid), d, OpticalConstants(gamma=gamma),
-            grid, leakage_abort=1.0)
+            grid, ignore, leakage_abort=1.0)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
 
     def test_second_order_convergence(self):
@@ -458,7 +489,7 @@ class TestSplitStep:
         def final_field(dz):
             grid = default_grid(d, dz=dz, num_slices=2)
             return split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                        CONST, grid).final
+                                        CONST, grid, ignore).final
 
         ref = final_field(0.5)
         e_coarse = np.linalg.norm(final_field(4.0) - ref)
@@ -470,36 +501,41 @@ class TestSplitStep:
         with pytest.raises(GridUnderresolved):
             grid = default_grid(d, dz=50.0)
             split_step_propagate(gaussian_input(0.0, 3.77, grid), d, CONST,
-                                 grid)
+                                 grid, ignore)
         with pytest.raises(GridUnderresolved):
             grid = default_grid(d, dx=1.25)
             split_step_propagate(gaussian_input(0.0, 3.77, grid), d, CONST,
-                                 grid)
+                                 grid, ignore)
 
     def test_boundary_leakage_aborts(self):
         d = index_design(num_guides=1, Z=1e4)
         free = OpticalConstants(gamma=0.0)
         grid = default_grid(d, num_slices=20)
         psi0 = gaussian_input(0.0, 20.0, grid)
+        slices = Slices()
         with pytest.raises(BoundaryLeakage):
-            split_step_propagate(psi0, d, free, grid)
+            split_step_propagate(psi0, d, free, grid, slices)
+        # the light fills the strips at z = 0 already; a slice that leaks
+        # is not handed on
+        assert slices.zs == []
 
 
 class TestReadout:
     def test_pump_chern_from_shift(self):
         d = index_design(Z=1000.0)
         grid = default_grid(d, num_slices=2)
+        slices = Slices()
         traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid)
-        expected = (mean_position(np.abs(traj.final) ** 2, grid)
-                    - mean_position(traj.intensity[0], grid)) / (3 * d.ws)
+                                    CONST, grid, slices)
+        expected = (mean_position(slices.rows[-1], grid)
+                    - mean_position(slices.rows[0], grid)) / (3 * d.ws)
         assert pump_chern(traj, 3, d.ws) == pytest.approx(expected)
 
     def test_run_summary_keys(self):
         d = index_design(Z=1000.0)
         grid = default_grid(d, num_slices=2)
         traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid)
+                                    CONST, grid, ignore)
         s = run_summary(traj, d, CONST, G1=1e-3)
         for key in ("chern_estimate", "norm_drift", "leakage_max",
                     "lz_ratio", "mean_x_start_um", "mean_x_end_um"):
