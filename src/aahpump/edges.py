@@ -25,8 +25,9 @@ import numpy as np
 
 from .model import ConfigError, ModulationParams, NumericalFailure, \
     open_hamiltonian
-from .spectral import band_edges, tridiagonal_eigh, zone_edge_grid
-from .topology import DEFAULT_GAP_TOL_FACTOR, chern_numbers
+from .spectral import tridiagonal_eigh
+from .topology import DEFAULT_GAP_TOL_FACTOR, _certified_fiducials, \
+    chern_numbers
 
 DEFAULT_EDGE_SITES = 5
 DEFAULT_EDGE_THRESHOLD = 0.5
@@ -117,19 +118,24 @@ def gap_fiducials(params: ModulationParams):
 
     Returns (fiducials, widths) from the band edges of zone_edge_grid(params,
     48, 48) (Chambers' relation: the full mesh's, to 5e-15), where widths are
-    the indirect gaps (bottom of the band above minus top of the band below).
-    Raises FiducialInGapViolation if any bulk gap is closed (narrower than
-    DEFAULT_GAP_TOL_FACTOR * |J|), which would put the fiducial in a band.
+    the indirect gaps (bottom of the band above minus top of the band below),
+    each fiducial certified to lie in its gap at every ky, as in the phase
+    diagram: a midpoint that lies in a band between the mesh rows is placed
+    again from a ky mesh 4x, then 16x finer.  Raises FiducialInGapViolation
+    if any bulk gap is closed (narrower than DEFAULT_GAP_TOL_FACTOR * |J|)
+    or no mesh certifies its fiducial.
     """
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
-    tops, bottoms = band_edges(zone_edge_grid(params, 48, 48))
-    widths = bottoms[1:] - tops[:-1]
-    closed = np.flatnonzero(widths < gap_tol)
-    if closed.size:
-        n = closed[0]
-        raise FiducialInGapViolation(f"bulk gap {n + 1} is closed: width "
-                                     f"{widths[n]:.6g} < {gap_tol:.3g}")
-    return 0.5 * (tops[:-1] + bottoms[1:]), widths
+    fiducials, widths, certified = _certified_fiducials(params, 48, 48)
+    if not certified.all():
+        n = np.flatnonzero(~certified)[0]
+        if widths[n] < gap_tol:
+            raise FiducialInGapViolation(f"bulk gap {n + 1} is closed: width "
+                                         f"{widths[n]:.6g} < {gap_tol:.3g}")
+        raise FiducialInGapViolation(
+            f"bulk gap {n + 1}: the mid-gap energy {fiducials[n]:.6g} lies "
+            "in a band at some ky, even when placed from the finest ky mesh")
+    return fiducials, widths
 
 
 @dataclass(frozen=True)

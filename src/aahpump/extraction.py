@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConfigError, NumericalFailure, _mod_angle
-from .propagation import IndexModulated, OpticalConstants, refractive_profile
+from .propagation import MAX_GRID_SAMPLES, IndexModulated, OpticalConstants, \
+    refractive_profile
 from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
@@ -78,7 +79,8 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     """(xs, samples per ws) of the grid shared by the basis construction and
     the matrix elements, on which every guide centre is a sample.  Raises
     ConfigError for q < 3 (the fit needs three sites), for q + 3 >
-    BASIS_GUIDES (a guide to spare on each side), unless a finite dx > 0
+    BASIS_GUIDES (a guide to spare on each side), for a grid of more than
+    MAX_GRID_SAMPLES samples, before it is made, and unless a finite dx > 0
     divides ws."""
     if design.q < 3:
         raise ConfigError(f"q = {design.q} leaves the amplitude/phase/"
@@ -88,12 +90,16 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
                           f"{BASIS_GUIDES} guides of the basis")
     if not 0 < dx < math.inf:  # NaN included
         raise ConfigError(f"mode dx must be positive and finite, got {dx}")
+    half = ((BASIS_GUIDES - 1) // 2 + 2) * design.ws
+    n = 2.0 * half / dx  # inf when it overflows
+    if not n < MAX_GRID_SAMPLES - 0.5:  # round(n) + 1 samples
+        raise ConfigError(f"a mode grid {2.0 * half:g} um wide at dx = "
+                          f"{dx:g} um holds more than {MAX_GRID_SAMPLES} "
+                          "samples")
     samples_per_ws = int(round(design.ws / dx))
     if abs(samples_per_ws * dx - design.ws) > 1e-12:
         raise ConfigError("ws must be a multiple of dx for the shared grid")
-    half = ((BASIS_GUIDES - 1) // 2 + 2) * design.ws
-    n = int(round(2.0 * half / dx)) + 1
-    return -half + dx * np.arange(n), samples_per_ws
+    return -half + dx * np.arange(int(round(n)) + 1), samples_per_ws
 
 
 def extract_parameters(constants: OpticalConstants, design: IndexModulated,

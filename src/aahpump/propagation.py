@@ -31,6 +31,10 @@ DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
 DEFAULT_NUM_GUIDES = 21
 DEFAULT_NUM_SLICES = 200
+# samples an x grid may hold: a power of two, as a pump grid's nx is, and
+# 256 times fig5c's 4096; a huge width or a tiny step would otherwise ask
+# for an unbounded array
+MAX_GRID_SAMPLES = 2**20
 PHASE_STEP_MAX = 0.1         # rad; max potential phase per step
 LEAKAGE_MAX = 1e-4           # per-sample power fraction near the boundary
 BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
@@ -259,11 +263,17 @@ class SimulationGrid:
 
 def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
                  num_slices: int = DEFAULT_NUM_SLICES) -> SimulationGrid:
-    """Grid with >= design.domain_width, power-of-two nx, at step dx."""
+    """Grid with >= design.domain_width, power-of-two nx, at step dx; at
+    most MAX_GRID_SAMPLES samples, checked before any array is made."""
     if not 0 < dx < math.inf or num_slices < 1:  # NaN included
         raise ConfigError(f"need dx > 0, finite, and num_slices >= 1, got "
                           f"dx = {dx} and num_slices = {num_slices}")
-    nx = 1 << max(1, math.ceil(math.log2(design.domain_width / dx)))
+    n = design.domain_width / dx  # inf when it overflows
+    if not n <= MAX_GRID_SAMPLES:  # a power of two, so nx is capped too
+        raise ConfigError(f"a grid {design.domain_width:g} um wide at dx = "
+                          f"{dx:g} um holds more than {MAX_GRID_SAMPLES} "
+                          "samples")
+    nx = 1 << max(1, math.ceil(math.log2(n)))
     half = nx * dx / 2.0
     zs = np.linspace(0.0, design.Z, num_slices + 1)
     return SimulationGrid(-half, half, nx, dz, zs)

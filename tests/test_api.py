@@ -101,6 +101,10 @@ def _lattice(q=3):
                  id="default_grid-dx=inf"),
     pytest.param(lambda: default_grid(_design(), dz=np.nan),
                  id="default_grid-dz=nan"),
+    pytest.param(lambda: default_grid(_design(), dx=1e-5),
+                 id="default_grid-dx=1e-5"),
+    pytest.param(lambda: default_grid(_design(ws=1e300)),
+                 id="default_grid-ws=1e300"),
     pytest.param(lambda: gaussian_input(0.0, 0.0, default_grid(_design())),
                  id="gaussian_input-W=0"),
     pytest.param(lambda: gaussian_input(1e4, 3.0, default_grid(_design())),
@@ -109,6 +113,10 @@ def _lattice(q=3):
     pytest.param(lambda: _basis_grid(_design(q=11)), id="basis_grid-q=11"),
     pytest.param(lambda: _basis_grid(_design(), np.nan),
                  id="basis_grid-dx=nan"),
+    pytest.param(lambda: _basis_grid(_design(), 1e-300),
+                 id="basis_grid-dx=1e-300"),
+    pytest.param(lambda: _basis_grid(_design(ws=1e300)),
+                 id="basis_grid-ws=1e300"),
     pytest.param(lambda: gap_scan(_lattice(), [1.0], 1, 48),
                  id="gap_scan-nx=1"),
     pytest.param(lambda: chern_numbers(_lattice(q=4), 8, 8),
@@ -137,3 +145,19 @@ def test_numerical_failures_are_not_config_errors(cls):
     assert not issubclass(cls, ConfigError)
     # main exits 3 on a NumericalFailure or on numpy's LinAlgError
     assert issubclass(cls, NumericalFailure) or cls is np.linalg.LinAlgError
+
+
+def test_grid_sample_cap(monkeypatch):
+    # the pump grid of _design() spans 270 um at dx 0.15625 um (1728
+    # samples, so nx = 2048) and the mode grid 160 um at 0.05 um (3201
+    # samples); the cap is a power of two, as nx is
+    monkeypatch.setattr("aahpump.propagation.MAX_GRID_SAMPLES", 2048)
+    assert default_grid(_design()).nx == 2048
+    monkeypatch.setattr("aahpump.propagation.MAX_GRID_SAMPLES", 1024)
+    with pytest.raises(ConfigError, match="more than 1024 samples"):
+        default_grid(_design())
+    monkeypatch.setattr("aahpump.extraction.MAX_GRID_SAMPLES", 3201)
+    assert len(_basis_grid(_design())[0]) == 3201
+    monkeypatch.setattr("aahpump.extraction.MAX_GRID_SAMPLES", 3200)
+    with pytest.raises(ConfigError, match="more than 3200 samples"):
+        _basis_grid(_design())

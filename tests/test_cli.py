@@ -295,6 +295,21 @@ class TestCommands:
                      "need a finite dz > 0", id="fig5b-dz_um=nan"),
         pytest.param("fig5c", ["phi0_rad=inf"], "phi0 must be finite",
                      id="fig5c-phi0_rad=inf"),
+        # a huge width or a tiny step asks for more samples than a grid may
+        # hold: rejected before the grid is made (the lz fit's mode grid
+        # first, then the pump's)
+        pytest.param("fig5b", ["ws_um=1e300"],
+                     "mode grid 1.6e+301 um wide at dx = 0.05 um holds more "
+                     "than 1048576 samples", id="fig5b-ws_um=1e300"),
+        pytest.param("fig5b", ["ws_um=1e300", *SHORT_FIG5B],
+                     "grid 2.7e+301 um wide at dx = 0.15625 um holds more "
+                     "than 1048576 samples",
+                     id="fig5b-ws_um=1e300-no-lz"),
+        pytest.param("fig5b", ["dx_um=1e-300", *SHORT_FIG5B],
+                     "holds more than 1048576 samples",
+                     id="fig5b-dx_um=1e-300"),
+        pytest.param("fig5b", ["dx_um=1e-5", *SHORT_FIG5B],
+                     "holds more than 1048576 samples", id="fig5b-dx_um=1e-5"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
@@ -361,6 +376,11 @@ class TestCommands:
          "holds more than 1000000 samples"),
         (["bands", "scan=true", "scan_step=1e-300"],
          "holds more than 1000000 samples"),
+        # and a mode grid more samples than a grid may hold
+        (["extract", "mode_dx_um=1e-300"],
+         "mode grid 160 um wide at dx = 1e-300 um holds more than 1048576 "
+         "samples"),
+        (["extract", "ws_um=1e300"], "holds more than 1048576 samples"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
             "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
             "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
@@ -374,7 +394,8 @@ class TestCommands:
             "extract-Z_cm=nan", "extract-mode_dx_um=nan",
             "phase-diagram-nu_od_over_J_step=1e-300",
             "phase-diagram-nu_d_over_J_step=5e-324",
-            "bands-scan-scan_step=1e-300"])
+            "bands-scan-scan_step=1e-300", "extract-mode_dx_um=1e-300",
+            "extract-ws_um=1e300"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2

@@ -11,8 +11,10 @@ from aahpump.edges import BULK, LEFT, RIGHT, FiducialInGapViolation, \
     gap_fiducials, spectral_flow, winding_numbers
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians, \
     open_hamiltonian
-from aahpump.spectral import band_edges, band_grid, zone_mesh
-from aahpump.topology import MeshTooCoarse, chern_numbers, plaquette_phases
+from aahpump.cli import main as cli_main
+from aahpump.spectral import band_edges, band_grid, zone_edge_grid, zone_mesh
+from aahpump.topology import MeshTooCoarse, _in_gap, chern_numbers, \
+    plaquette_phases
 from openchain import open_matrix
 
 
@@ -304,6 +306,32 @@ class TestFiducials:
     def test_closed_gap_rejected(self):
         with pytest.raises(FiducialInGapViolation):
             gap_fiducials(params(nu_od=4.0))
+
+    def test_midpoint_in_a_band_is_placed_again(self, monkeypatch, tmp_path):
+        # the 48^2 band edges leave gap 2 of this lattice 0.716 J wide, but
+        # it is 0.156 J wide and the 48^2 midpoint lies in a band at a ky
+        # between the mesh rows; the 192^2 edges place a fiducial that
+        # certifies, and with no finer mesh the fiducial is rejected (exit
+        # 3) instead of being counted
+        p = ModulationParams(1.0, 1.8628587799794198, -7.2076802900044665,
+                             1, 3, 1.0930120189928425)
+        tops, bottoms = band_edges(zone_edge_grid(p, 48, 48))
+        midpoints = 0.5 * (tops[:-1] + bottoms[1:])
+        assert _in_gap(p, midpoints).tolist() == [True, False]
+        fiducials, widths = gap_fiducials(p)
+        assert fiducials[0] == midpoints[0]
+        tops, bottoms = band_edges(zone_edge_grid(p, 48, 192))
+        assert fiducials[1] == 0.5 * (tops[1] + bottoms[2])
+        assert widths[1] == pytest.approx(0.1556224, abs=1e-7)
+        assert _in_gap(p, fiducials).all()
+        monkeypatch.setattr("aahpump.topology.FIDUCIAL_REFINEMENTS", (1,))
+        with pytest.raises(FiducialInGapViolation, match="lies in a band"):
+            gap_fiducials(p)
+        assert cli_main(["edges", "--outdir", str(tmp_path), "p=1", "q=3",
+                         f"nu_d_over_J={p.nu_d!r}",
+                         f"nu_od_over_J={p.nu_od!r}",
+                         f"delta_phi_rad={p.delta_phi!r}"]) == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWindings:
