@@ -10,8 +10,8 @@ reference expectations (exit 4 on mismatch).  Exit codes: 0 success,
 
 Configuration is a flat `key = value` file and/or `key=value` command-line
 overrides (overrides win); unknown keys are rejected.  All outputs go
-through deterministic 12-significant-digit formatting, so results are
-byte-identical regardless of --threads.
+through deterministic 12-significant-digit formatting, so a rerun leaves
+the same bytes.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _cell_str(cv: ChernVector) -> list:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_bands(cfg, prefix, threads):
+def cmd_bands(cfg, prefix):
     params = _tb_params(cfg)
     if cfg["scan"]:
         ratios = _inclusive_range(cfg, "scan")
@@ -200,18 +200,17 @@ def cmd_bands(cfg, prefix, threads):
     return {"gaps": gaps, "cherns": cherns}
 
 
-def cmd_phase_diagram(cfg, prefix, threads):
+def cmd_phase_diagram(cfg, prefix):
     od = _inclusive_range(cfg, "nu_od_over_J")
     d = _inclusive_range(cfg, "nu_d_over_J")
     template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
                                 cfg["delta_phi_rad"])
     q = template.q
     diagram = phase_diagram(template, od, d, prefix + "_cells.cache",
-                            cfg["nx"], cfg["ny"], threads=threads)
+                            cfg["nx"], cfg["ny"])
     rows = [[r_od, r_d] + _cell_str(diagram.cells[i][j])
             for i, r_od in enumerate(od) for j, r_d in enumerate(d)]
-    header = ["nu_od_over_J", "nu_d_over_J"] + \
-        [f"C{n}" for n in range(1, q + 1)]
+    header = ["nu_od_over_J", "nu_d_over_J"] + [f"C{n + 1}" for n in range(q)]
     write_csv(prefix + "_phase_diagram.csv", header, rows)
     for n in range(q):
         # an undefined cell is drawn one level below the lowest Chern number
@@ -223,7 +222,7 @@ def cmd_phase_diagram(cfg, prefix, threads):
     return {"diagram": diagram, "od": od, "d": d}
 
 
-def cmd_edges(cfg, prefix, threads):
+def cmd_edges(cfg, prefix):
     params = _tb_params(cfg)
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
@@ -266,7 +265,7 @@ def _build_design(cfg):
                       f"got {cfg['design']!r}")
 
 
-def cmd_pump(cfg, prefix, threads):
+def cmd_pump(cfg, prefix):
     design = _build_design(cfg)
     constants = OpticalConstants(gamma=cfg["gamma"])
     G1 = None
@@ -317,7 +316,7 @@ def cmd_pump(cfg, prefix, threads):
     return summary
 
 
-def cmd_extract(cfg, prefix, threads):
+def cmd_extract(cfg, prefix):
     design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
                             ws=cfg["ws_um"], wx=cfg["wx_um"],
                             Z=cfg["Z_cm"] * CM_TO_UM)
@@ -528,9 +527,8 @@ def main(argv=None) -> int:
         p.add_argument("--outdir", default=".", help="output directory")
         p.add_argument("--out", help="output file prefix (default: preset "
                                      "name or command)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for the phase-diagram cells "
-                            "(results are identical for any value)")
+        # still accepted, and ignored, so scripts that pass it keep working
+        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides (win over --config)")
 
@@ -551,14 +549,12 @@ def main(argv=None) -> int:
                                   f"command {command!r}")
         if args.check and check_fn is None:
             raise ConfigError("--check requires --preset")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = build_config(args.command, preset_overrides, args.config,
                            args.overrides)
         os.makedirs(args.outdir, exist_ok=True)
         prefix = os.path.join(args.outdir,
                               args.out or args.preset or args.command)
-        results = COMMANDS[args.command](cfg, prefix, args.threads)
+        results = COMMANDS[args.command](cfg, prefix)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, ModulationParams, NumericalFailure, \
-    open_hamiltonian
+    _require_elements, open_hamiltonian
 from .spectral import tridiagonal_eigh
 from .topology import DEFAULT_GAP_TOL_FACTOR, _certified_fiducials, \
     chern_numbers
@@ -94,7 +94,8 @@ def spectral_flow(params: ModulationParams, num_sites: int,
                   threshold: float = DEFAULT_EDGE_THRESHOLD) -> SpectralFlow:
     """Diagonalize the open chain on a uniform ky loop and label each state;
     raises ConfigError unless 1 <= m <= num_sites / 2 and 0 < threshold < 1
-    (a threshold of 1 or more would label no state as an edge state)."""
+    (a threshold of 1 or more would label no state as an edge state), or
+    when the flow or one solve's eigenvectors exceed MAX_ARRAY_ELEMENTS."""
     if m < 1:
         raise ConfigError(f"edge_sites must be >= 1, got {m}")
     if num_sites < 2 * m:
@@ -103,6 +104,8 @@ def spectral_flow(params: ModulationParams, num_sites: int,
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"edge_threshold must lie in (0, 1), "
                           f"got {threshold}")
+    _require_elements(max(n_ky, num_sites) * num_sites,
+                      f"an open chain of {num_sites} sites at {n_ky} ky")
     kys = 2.0 * np.pi * np.arange(n_ky) / n_ky
     energies = np.empty((n_ky, num_sites))
     codes = np.empty((n_ky, num_sites), dtype=np.int8)

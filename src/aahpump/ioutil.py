@@ -1,11 +1,11 @@
 """Deterministic text output helpers shared by the library and the CLI.
 
 All floating-point output is printf FLOAT_FORMAT ("%.12g") after + 0.0,
-which turns -0 into 0, so results are byte-identical regardless of thread
-count or platform locale.  The writers stream: a float table and a PGM image
-one row at a time, through the row writers float_rows and pgm_rows that a
-caller can also feed row by row as it computes them, and any other rows one
-block of _BLOCK_ROWS at a time.
+which turns -0 into 0, so results are byte-identical on a rerun and
+under any platform locale.  The writers stream: a float table and a PGM
+image one row at a time, through the row writers float_rows and pgm_rows
+that a caller can also feed row by row as it computes them, and any other
+rows one block of _BLOCK_ROWS at a time.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# elements an array sized by integer inputs may hold: 13 times a 4000-ky
+# flow of 301 sites, over 400 times the largest a preset makes
+MAX_ARRAY_ELEMENTS = 2**24
 
 
 class ConfigError(ValueError):
@@ -33,6 +36,13 @@ def _require_finite(obj, *names) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def _require_elements(n: int, what: str) -> None:
+    """Reject an array of n elements above MAX_ARRAY_ELEMENTS."""
+    if n > MAX_ARRAY_ELEMENTS:
+        raise ConfigError(f"{what} would hold {n} elements, more than "
+                          f"{MAX_ARRAY_ELEMENTS}")
 
 
 def _reduce_ratio(obj) -> None:
@@ -100,6 +110,7 @@ def bloch_grid_hamiltonians(params: ModulationParams,
     kxs = np.asarray(kxs, dtype=float)
     kys = np.asarray(kys, dtype=float)
     nx, ny = len(kxs), len(kys)
+    _require_elements(nx * ny * q * q, f"{nx} x {ny} blocks of {q} x {q}")
     H = np.zeros((nx, ny, q, q), dtype=complex)
     phase = np.exp(1j * kxs)[:, None]
     for j in range(1, q + 1):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, NumericalFailure, _mod_angle, \
-    _reduce_ratio, _require_finite
+    _reduce_ratio, _require_elements, _require_finite
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -264,7 +264,7 @@ class SimulationGrid:
 def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
                  num_slices: int = DEFAULT_NUM_SLICES) -> SimulationGrid:
     """Grid with >= design.domain_width, power-of-two nx, at step dx; at
-    most MAX_GRID_SAMPLES samples, checked before any array is made."""
+    most MAX_GRID_SAMPLES x and MAX_ARRAY_ELEMENTS z, checked first."""
     if not 0 < dx < math.inf or num_slices < 1:  # NaN included
         raise ConfigError(f"need dx > 0, finite, and num_slices >= 1, got "
                           f"dx = {dx} and num_slices = {num_slices}")
@@ -273,6 +273,7 @@ def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
         raise ConfigError(f"a grid {design.domain_width:g} um wide at dx = "
                           f"{dx:g} um holds more than {MAX_GRID_SAMPLES} "
                           "samples")
+    _require_elements(num_slices + 1, f"{num_slices} slices")
     nx = 1 << max(1, math.ceil(math.log2(n)))
     half = nx * dx / 2.0
     zs = np.linspace(0.0, design.Z, num_slices + 1)

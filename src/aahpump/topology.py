@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,11 +108,9 @@ def plaquette_phases(states: np.ndarray) -> np.ndarray:
     return F
 
 
-def _band_min_gaps(values: np.ndarray) -> np.ndarray:
-    """Minimum pointwise distance of each band to its nearest neighbour;
-    values has the band axis last."""
-    d = direct_gaps(np.moveaxis(values, -1, 0))
-    return np.minimum(np.r_[np.inf, d], np.r_[d, np.inf])
+def _neighbour_gaps(gaps: np.ndarray) -> np.ndarray:
+    """Each band's direct gap to its nearer neighbour, from the q - 1 gaps."""
+    return np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
 
 
 def _require_computable(q: int, nx: int, ny: int) -> None:
@@ -144,7 +141,7 @@ def chern_numbers(params: ModulationParams, nx: int = 48,
     # states up to a phase, which the plaquette product cancels exactly
     kxs, kys = zone_mesh(params.q, nx, ny, extra=1)
     values, vectors = np.linalg.eigh(bloch_grid_hamiltonians(params, kxs, kys))
-    min_gaps = _band_min_gaps(values)
+    min_gaps = _neighbour_gaps(direct_gaps(np.moveaxis(values, -1, 0)))
     entries = []
     for n in range(params.q):
         if min_gaps[n] < gap_tol:
@@ -342,8 +339,7 @@ def _cell_chern_numbers(params: ModulationParams, nx: int,
     if q == 1:
         return ChernVector((0,))
     grid = zone_edge_grid(params, nx, ny)
-    d = direct_gaps(grid.energies)
-    min_gaps = np.minimum(np.r_[np.inf, d], np.r_[d, np.inf])
+    min_gaps = _neighbour_gaps(direct_gaps(grid.energies))
     # a certified gap is open: its direct gap is no narrower than its
     # indirect one, which is at least the closure tolerance
     fiducials, _, known = _certified_fiducials(params, nx, ny, grid)
@@ -398,9 +394,8 @@ def _read_cache(path, key_line: str, q: int) -> dict:
     return cells
 
 
-def phase_diagram(params_template: ModulationParams, nu_od_over_J,
-                  nu_d_over_J, cache, nx: int = 48, ny: int = 48,
-                  threads: int = 1) -> PhaseDiagram:
+def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
+                  cache, nx: int = 48, ny: int = 48) -> PhaseDiagram:
     """Chern numbers over a grid of modulation amplitudes.
 
     Each cell is read from the exact edge windings of the Dirichlet block
@@ -410,10 +405,9 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
     instead of aborting the sweep.  The cache file makes the sweep
     resumable; its first line hashes what a cell depends on, the readout
     included, so a file keyed to another sweep or written by another
-    readout is discarded.  The file
-    is rewritten once, top to bottom in cell order with a flushed line per
-    cell, while a pool of `threads` workers computes the missing cells, so
-    it ends with the same bytes at any thread count or resume point.
+    readout is discarded.  The file is rewritten once, top to bottom in
+    cell order, each missing cell computed in turn and each line flushed as
+    it is written, so it ends with the same bytes at any resume point.
     Inputs no cell can be computed for raise before the cache is touched.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
@@ -423,24 +417,18 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J,
     J, q = params_template.J, params_template.q
     _require_computable(q, nx, ny)
 
-    def one(flat):
-        i, j = divmod(flat, len(d))
-        p = ModulationParams(J, d[j] * J, od[i] * J,
-                             params_template.p, q, params_template.delta_phi)
-        return _cell_chern_numbers(p, nx, ny)
-
     # the key hashes Python floats: numpy 2 prints np.float64 differently
     config = (CELL_READOUT, params_template.p, q, params_template.delta_phi,
               nx, ny, od.tolist(), d.tolist())
     key_line = "key " + hashlib.sha256(repr(config).encode()).hexdigest()
     done = _read_cache(cache, key_line, q)
-    n_cells = len(od) * len(d)
-    with ThreadPoolExecutor(threads) as pool, open(cache, "w") as fh:
-        results = pool.map(one, [f for f in range(n_cells) if f not in done])
+    with open(cache, "w") as fh:
         fh.write(key_line + "\n")
-        for flat in range(n_cells):
+        for flat in range(len(od) * len(d)):
             if flat not in done:
-                done[flat] = next(results)
+                i, j = divmod(flat, len(d))
+                done[flat] = _cell_chern_numbers(replace(
+                    params_template, nu_d=d[j] * J, nu_od=od[i] * J), nx, ny)
             fh.write(_cell_line(flat, done[flat]))
             fh.flush()
     cells = [[done[i * len(d) + j] for j in range(len(d))]

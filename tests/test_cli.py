@@ -14,7 +14,7 @@ from aahpump.cli import PRESETS, SCHEMAS, _build_design, \
     _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
     load_config_file, main
 from aahpump.ioutil import format_float
-from aahpump.model import ConfigError
+from aahpump.model import MAX_ARRAY_ELEMENTS, ConfigError
 from aahpump.propagation import OpticalConstants, default_grid, \
     gaussian_input, split_step_propagate
 from aahpump.topology import Undefined
@@ -26,6 +26,15 @@ SHORT_FIG5B = ["Z_cm=0.2", "num_slices=10", "dz_um=10", "lz_estimate=false"]
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_peak_bytes(args):
+    """Exit code of a CLI run and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        return run(args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -139,9 +148,9 @@ class TestCommands:
             "nu_od_over_J_min=4", "nu_od_over_J_max=4",
             "nu_d_over_J_min=0", "nu_d_over_J_max=0"])
         prefix = str(tmp_path / "g")
-        first = cmd_phase_diagram(cfg, prefix, 1)["diagram"].cells
+        first = cmd_phase_diagram(cfg, prefix)["diagram"].cells
         cached = (tmp_path / "g_cells.cache").read_bytes()
-        resumed = cmd_phase_diagram(cfg, prefix, 1)["diagram"].cells
+        resumed = cmd_phase_diagram(cfg, prefix)["diagram"].cells
         assert all(isinstance(c, Undefined) and c.min_gap > 0
                    for c in first[0][0])
         assert resumed == first
@@ -165,9 +174,7 @@ class TestCommands:
             assert (tmp_path / "c_cells.cache").read_bytes() == cache, cut
             assert (tmp_path / "c_phase_diagram.csv").read_bytes() == csv
 
-    @pytest.mark.parametrize("threads", [1, 8])
-    def test_phase_diagram_resumes_any_cached_subset(self, tmp_path,
-                                                     threads):
+    def test_phase_diagram_resumes_any_cached_subset(self, tmp_path):
         # a cache holding only a middle cell resumes to a fresh run's bytes
         args = ["phase-diagram", "--outdir", tmp_path, "--out", "m",
                 "nu_od_over_J_min=1", "nu_od_over_J_max=3",
@@ -179,7 +186,7 @@ class TestCommands:
         assert len(lines) == 7 and lines[3].startswith(b"2 ")
         (tmp_path / "m_cells.cache").write_bytes(lines[0] + lines[3])
         (tmp_path / "m_phase_diagram.csv").unlink()
-        assert run(args + ["--threads", threads]) == 0
+        assert run(args) == 0
         assert (tmp_path / "m_cells.cache").read_bytes() == cache
         assert (tmp_path / "m_phase_diagram.csv").read_bytes() == csv
 
@@ -310,16 +317,22 @@ class TestCommands:
                      id="fig5b-dx_um=1e-300"),
         pytest.param("fig5b", ["dx_um=1e-5", *SHORT_FIG5B],
                      "holds more than 1048576 samples", id="fig5b-dx_um=1e-5"),
+        # and a huge slice count asks for more z than an array may hold
+        pytest.param("fig5b", [*SHORT_FIG5B, "num_slices=1000000000000"],
+                     "1000000000000 slices would hold 1000000000001 "
+                     "elements, more than 16777216",
+                     id="fig5b-num_slices=1e12"),
     ])
     def test_bad_pump_config_exits_2(self, tmp_path, capsys, preset,
                                      overrides, message):
-        rc = run(["pump", "--preset", preset, "--outdir", tmp_path,
-                  *overrides])
+        rc, peak = run_peak_bytes(["pump", "--preset", preset, "--outdir",
+                                   tmp_path, *overrides])
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         assert message in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+        assert peak < 8 * MAX_ARRAY_ELEMENTS  # no array at the cap made
 
     @pytest.mark.parametrize("args", [
         ["bands", "q=4", "nx=8", "ny=8"],
@@ -381,6 +394,14 @@ class TestCommands:
          "mode grid 160 um wide at dx = 1e-300 um holds more than 1048576 "
          "samples"),
         (["extract", "ws_um=1e300"], "holds more than 1048576 samples"),
+        # and a huge mesh or chain asks for more elements than an array
+        # may hold
+        (["bands", "nx=100000", "ny=100000"],
+         "100001 x 100001 blocks of 3 x 3 would hold 90001800009 "
+         "elements, more than 16777216"),
+        (["edges", "num_sites=100000000", "n_ky=3"],
+         "an open chain of 100000000 sites at 3 ky would hold "
+         "10000000000000000 elements"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
             "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
             "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
@@ -395,14 +416,17 @@ class TestCommands:
             "phase-diagram-nu_od_over_J_step=1e-300",
             "phase-diagram-nu_d_over_J_step=5e-324",
             "bands-scan-scan_step=1e-300", "extract-mode_dx_um=1e-300",
-            "extract-ws_um=1e300"])
+            "extract-ws_um=1e300", "bands-nx=ny=100000",
+            "edges-num_sites=1e8"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
-        assert run([args[0], "--outdir", tmp_path, *args[1:]]) == 2
+        rc, peak = run_peak_bytes([args[0], "--outdir", tmp_path, *args[1:]])
+        assert rc == 2
         err = capsys.readouterr().err
         assert "config error:" in err
         assert message in err
         assert list(tmp_path.iterdir()) == []  # nothing written
+        assert peak < 8 * MAX_ARRAY_ELEMENTS  # no array at the cap made
 
     def test_range_sample_cap(self, monkeypatch):
         monkeypatch.setattr("aahpump.cli.MAX_RANGE_SAMPLES", 10)
@@ -445,19 +469,16 @@ class TestCommands:
             "p=2", "q=6", "nu_od_over_J_max=1", "nu_d_over_J_min=0",
             "nu_d_over_J_max=0", "nx=8", "ny=8"])
         prefix = str(tmp_path / "r")
-        cmd_phase_diagram(cfg, prefix, 1)
+        cmd_phase_diagram(cfg, prefix)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("aahpump.topology.chern_numbers",
+            mp.setattr("aahpump.topology._cell_chern_numbers",
                        lambda *a, **k: calls.append(a))
-            cmd_phase_diagram(cfg, prefix, 1)
+            cmd_phase_diagram(cfg, prefix)
         assert calls == []  # every cell served from the cache
 
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
-
-    def test_bad_threads(self, tmp_path):
-        assert run(["bands", "--threads", "0", "--outdir", tmp_path]) == 2
 
 
 # a fig5c-like run that is short: 400 steps on the preset's 4096 samples
@@ -489,7 +510,7 @@ def pump_peak_bytes(tmp_path, num_slices):
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="can overlap"):
-            summary = cmd_pump(cfg, str(tmp_path / str(num_slices)), 1)
+            summary = cmd_pump(cfg, str(tmp_path / str(num_slices)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -515,7 +536,7 @@ class TestPumpOutput:
         with pytest.warns(UserWarning, match="can overlap"):
             cmd_pump(build_config("pump", PRESETS["fig5c"][1], None,
                                   [*SHORT_FIG5C, "num_slices=4"]),
-                     str(tmp_path / "warm"), 1)
+                     str(tmp_path / "warm"))
         peak_50, _ = pump_peak_bytes(tmp_path, 50)
         peak_400, summary = pump_peak_bytes(tmp_path, 400)
         table_bytes = 401 * (summary["nx"] + 1) * 8

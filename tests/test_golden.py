@@ -58,7 +58,7 @@ def preset_values(name, outdir):
     command's in-process result (full precision, not the printed files)."""
     command, overrides, _, _ = PRESETS[name]
     cfg = build_config(command, overrides, None, [])
-    result = COMMANDS[command](cfg, os.path.join(outdir, name), 1)
+    result = COMMANDS[command](cfg, os.path.join(outdir, name))
     if name == "fig2":
         return {"cells": [[_cell_str(cv) for cv in row]
                           for row in result["diagram"].cells]}

@@ -549,7 +549,7 @@ class TestConfinement:
         # two adjacent guides, so the single-guide criterion (half a spacing)
         # must hold for the large majority of slices while a window of 1.5
         # spacings captures the light at every slice.
-        outdir = run_preset("fig5a", threads=1)
+        outdir = run_preset("fig5a")
         single_guide_ok = 0
         total = 0
         with open(outdir / "fig5a_intensity.csv") as fh:

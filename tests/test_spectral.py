@@ -10,7 +10,7 @@ from aahpump.edges import gap_fiducials
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
 from aahpump.spectral import band_edges, band_grid, direct_gaps, gap_scan, \
     tridiagonal_eigh, zone_edge_grid, zone_mesh
-from aahpump.topology import _band_min_gaps
+from aahpump.topology import _neighbour_gaps
 
 
 def params(nu_d=0.0, nu_od=1.0, q=3, delta_phi=0.0):
@@ -83,7 +83,7 @@ class TestSpectralSymmetries:
             assert abs(g[0] - g[1]) < 1e-10
 
 
-# the per-band gap formulas that direct_gaps, band_edges and _band_min_gaps
+# the per-band gap formulas that direct_gaps, band_edges and _neighbour_gaps
 # replaced, kept as references
 def reference_direct_gaps(energies):
     return np.array([float((energies[n] - energies[n - 1]).min())
@@ -138,7 +138,8 @@ class TestGapFunctions:
     def test_band_min_gaps_unchanged(self, p):
         kxs, kys = zone_mesh(p.q, 8, 8, extra=1)
         values = np.linalg.eigvalsh(bloch_grid_hamiltonians(p, kxs, kys))
-        assert np.array_equal(_band_min_gaps(values),
+        gaps = direct_gaps(np.moveaxis(values, -1, 0))
+        assert np.array_equal(_neighbour_gaps(gaps),
                               reference_band_min_gaps(values))
 
 
