@@ -27,7 +27,7 @@ from .model import ConfigError, ModulationParams, NumericalFailure, \
     _require_elements, open_hamiltonian
 from .spectral import tridiagonal_eigh
 from .topology import DEFAULT_GAP_TOL_FACTOR, _certified_fiducials, \
-    chern_numbers
+    _gap_certificate, chern_numbers
 
 DEFAULT_EDGE_SITES = 5
 DEFAULT_EDGE_THRESHOLD = 0.5
@@ -126,7 +126,8 @@ def gap_fiducials(params: ModulationParams):
     diagram: a midpoint that lies in a band between the mesh rows is placed
     again from a ky mesh 4x, then 16x finer.  Raises FiducialInGapViolation
     if any bulk gap is closed (narrower than DEFAULT_GAP_TOL_FACTOR * |J|)
-    or no mesh certifies its fiducial.
+    or no mesh certifies its fiducial (its certificate overflowing
+    float64 included).
     """
     gap_tol = DEFAULT_GAP_TOL_FACTOR * abs(params.J)
     fiducials, widths, certified = _certified_fiducials(params, 48, 48)
@@ -135,6 +136,10 @@ def gap_fiducials(params: ModulationParams):
         if widths[n] < gap_tol:
             raise FiducialInGapViolation(f"bulk gap {n + 1} is closed: width "
                                          f"{widths[n]:.6g} < {gap_tol:.3g}")
+        if not np.isfinite(_gap_certificate(params, fiducials[n:n + 1])).all():
+            raise FiducialInGapViolation(
+                f"bulk gap {n + 1}: the certificate of the mid-gap energy "
+                f"{fiducials[n]:.6g} overflows float64")
         raise FiducialInGapViolation(
             f"bulk gap {n + 1}: the mid-gap energy {fiducials[n]:.6g} lies "
             "in a band at some ky, even when placed from the finest ky mesh")

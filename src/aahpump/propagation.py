@@ -3,11 +3,15 @@
 The paraxial field obeys i d_z psi = -(1/2 k0) d_x^2 psi - (k0 gamma / n0)
 R(x, z) psi, integrated by symmetric Strang splitting: exact half kinetic
 steps in the spatial-frequency domain bracket a pointwise potential phase
-evaluated at the step midpoint.  R is exactly zero beyond the outer guides'
-reach, so the potential is evaluated and its phase applied only on the slice
-of the grid inside that reach.  Stepping is unitary, boundaries are
-periodic, and the domain is padded with empty space whose occupancy is
-monitored so runs abort loudly instead of wrapping light around.
+evaluated at the step midpoint.  The trailing half step of one step and
+the leading half step of the next are one multiply, which also carries the
+inverse FFT's 1/nx (a recorded slice takes the trailing half step alone);
+the phase factor exp(i*theta) is built from one tangent, tan(theta/2).  R
+is exactly zero beyond the outer guides' reach, so the potential is
+evaluated and its phase applied only on the slice of the grid inside that
+reach.  Stepping is unitary, boundaries are periodic, and the domain is
+padded with empty space whose occupancy is monitored so runs abort loudly
+instead of wrapping light around.
 
 Two array designs are supported: guides with longitudinally modulated index
 depth (on-site pumping) and guides with longitudinally modulated positions
@@ -171,13 +175,13 @@ class SpacingModulated(_GuideArray):
                           "can overlap or cross", stacklevel=3)
 
 
-def _super_gaussian(x, center, wx, out=None):
+def _super_gaussian(x, center, wx, out=None, scratch=None):
     """Guide shape exp(-((x - center)/wx)^6), written to out if given, with
     the sixth power taken as -u2*u2*u2 from u2 = ((x - center)/wx)^2 (a
-    libm pow per sample costs more than the exp)."""
+    libm pow per sample costs more than the exp), in scratch if given."""
     u2 = np.asarray(np.subtract(x, center, out=out))
     np.square(np.divide(u2, wx, out=u2), out=u2)
-    arg = np.negative(u2)
+    arg = np.negative(u2, out=scratch)
     arg *= u2
     arg *= u2
     return np.exp(arg, out=u2)
@@ -372,7 +376,7 @@ class _GuidePotential:
                                   x[-1] + dx * np.arange(1, pad + 1)))
         self.inner = slice(pad, pad + len(x))
         self.idx = np.empty((design.num_guides, width), dtype=np.intp)
-        self.g = np.empty(self.idx.shape)
+        self.g, self.scratch = np.empty((2,) + self.idx.shape)
         # fixed windows: G0, Gc, Gs as compact copies, which step faster,
         # and a buffer for profile()'s sine term
         self.fixed = None
@@ -387,21 +391,19 @@ class _GuidePotential:
         lo = ((centres - self.half - self.xp[0]) / self.dx).astype(np.intp)
         np.add(lo[:, None], self.offsets, out=self.idx)
         g = np.take(self.xp, self.idx, out=self.g)
-        _super_gaussian(g, centres[:, None], self.design.wx, out=g)
+        _super_gaussian(g, centres[:, None], self.design.wx, out=g,
+                        scratch=self.scratch)
         if weights is not None:
             g *= weights[:, None]
         return np.bincount(self.idx.ravel(), g.ravel(),
                            minlength=len(self.xp))[self.inner]
 
     def profile(self, phase: float, out=None):
-        """R at the drive phase, written to out if given."""
+        """R at the drive phase: in out, if given, for fixed windows, and in
+        the sum's own new array for moving ones."""
         d = self.design
         if self.fixed is None:
-            r = self._sum(self.base + d.wm * np.cos(self.angles + phase))
-            if out is None:
-                return r
-            out[:] = r
-            return out
+            return self._sum(self.base + d.wm * np.cos(self.angles + phase))
         # G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs), in that order
         G0, Gc, Gs = self.fixed
         out = np.multiply(math.cos(phase), Gc, out=out)
@@ -501,6 +503,11 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     steps = grid.steps
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
+    # the inverse FFTs of the steps run unscaled: the first spectrum
+    # carries their 1/nx (nx is a power of two, so moving it is exact), and
+    # so does merged, the trailing half step of step s and the leading one
+    # of step s + 1 as one multiply
+    merged = half_kin * half_kin / grid.nx
     boundary = (x < grid.x_min + 2.0 * design.ws) | \
                (x >= grid.x_max - 2.0 * design.ws)
 
@@ -528,26 +535,34 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     record(0)
     first = row.copy()
     row_of_step = {n: k for k, n in enumerate(steps.tolist())}
-    kick, Omega = v_scale * dz, design.Omega
-    theta = np.empty(len(psi_sup))
-    factor = np.empty(theta.shape, dtype=complex)
-    # exp(i*theta) as cos/sin written into one buffer, without the
-    # temporaries of np.exp(1j*theta); the two agree to an ulp, and bit for
-    # bit where numpy evaluates real cos/sin and complex exp alike
-    psi_k = np.fft.fft(psi)
+    half_kick, Omega = v_scale * dz / 2.0, design.Omega
+    t = np.empty(len(psi_sup))
+    u = np.empty(len(psi_sup))
+    factor = np.empty(len(psi_sup), dtype=complex)
+    # exp(i*theta) = (1 + i*t)/(1 - i*t) = (u - 1) + i*t*u with t =
+    # tan(theta/2) and u = 2/(1 + t^2): one vectorised tangent where cos and
+    # sin are two scalar libm calls per sample, written into one buffer
+    # without temporaries.  |theta| <= PHASE_STEP_MAX keeps t small, and
+    # the factor within 3 ulps of exp(i*theta) and 2 eps of unit modulus.
+    psi_k = np.fft.fft(psi, norm="forward")
+    kin = half_kin
     for s in range(steps[-1]):
         z_mid = (s + 0.5) * dz
-        psi_k *= half_kin
-        np.fft.ifft(psi_k, out=psi)
-        pot.profile(Omega * z_mid, out=theta)
-        theta *= kick
-        np.cos(theta, out=factor.real)
-        np.sin(theta, out=factor.imag)
+        psi_k *= kin
+        kin = merged
+        np.fft.ifft(psi_k, out=psi, norm="forward")
+        np.multiply(pot.profile(Omega * z_mid, out=t), half_kick, out=t)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=u)
+        np.add(u, 1.0, out=u)
+        np.divide(2.0, u, out=u)
+        np.subtract(u, 1.0, out=factor.real)
+        np.multiply(t, u, out=factor.imag)
         psi_sup *= factor
         np.fft.fft(psi, out=psi_k)
-        psi_k *= half_kin
         if s + 1 in row_of_step:
-            np.fft.ifft(psi_k, out=psi)
+            # the trailing half step alone, leaving psi_k for the next step
+            np.fft.ifft(np.multiply(psi_k, half_kin, out=psi), out=psi)
             record(row_of_step[s + 1])
     return FieldTrajectory(grid, first, norms, psi, float(leaks.max()))
 

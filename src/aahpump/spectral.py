@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, ModulationParams, bloch_grid_hamiltonians
+from .model import ConfigError, ModulationParams, _require_elements, \
+    bloch_grid_hamiltonians
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,11 @@ def zone_mesh(q: int, nx: int, ny: int, extra: int = 0):
 
     extra > 0 appends wrap-around points past the upper zone edge (used by
     the lattice-gauge Chern computation to close plaquettes on the torus).
+    Raises ConfigError, before it allocates, when the two axes would hold
+    more than MAX_ARRAY_ELEMENTS.
     """
+    _require_elements(nx + ny + 2 * extra,
+                      f"the axes of a {nx} x {ny} zone mesh")
     dkx = (2.0 * np.pi / q) / nx
     dky = 2.0 * np.pi / ny
     kxs = -np.pi / q + dkx * np.arange(1, nx + 1 + extra)
@@ -55,7 +60,12 @@ def zone_edge_grid(params: ModulationParams, nx: int, ny: int) -> BandGrid:
     (the pair at +-pi/nx).  Where a bond vanishes at a mesh ky, bands are
     flat in kx and may differ from band_grid's by rounding (<= 5e-15),
     never to a smaller gap, a higher top or a lower bottom."""
-    return _grid(params, nx, ny, sorted({nx - 1, (nx - 1) // 2, nx // 2 - 1}))
+    return _grid(params, nx, ny, _edge_columns(nx))
+
+
+def _edge_columns(nx: int) -> list:
+    """The kx columns of zone_edge_grid on a mesh of nx columns."""
+    return sorted({nx - 1, (nx - 1) // 2, nx // 2 - 1})
 
 
 def _grid(params, nx, ny, columns) -> BandGrid:

@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import TWO_PI, ConfigError, ModulationParams, NumericalFailure, \
-    _mod_angle, _site_energies, bloch_grid_hamiltonians
-from .spectral import band_edges, direct_gaps, zone_edge_grid, zone_mesh
+    _mod_angle, _require_elements, _site_energies, bloch_grid_hamiltonians
+from .spectral import _edge_columns, band_edges, direct_gaps, \
+    zone_edge_grid, zone_mesh
 
 LINK_MODULUS_MIN = 1e-8
 INTEGER_ROUNDING_TOL = 0.01
@@ -233,22 +234,34 @@ def _loop_samples(params: ModulationParams):
     return _bond_energies(params, kys)
 
 
+def _gap_certificate(params: ModulationParams, E) -> np.ndarray:
+    """Coefficients of the two trigonometric polynomials of _in_gap per
+    energy: the rows of det(E - H)|_{q kx = 0} for every E, then those of
+    det(E - H)|_{q kx = pi}.  They overflow to inf or NaN on a lattice too
+    large for float64 (q = 3 at |nu_d| = 1e120 does); _in_gap reads a
+    non-finite row as no certificate, so numpy's warnings are silenced."""
+    V, t = _loop_samples(params)
+    t2 = t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        full, _ = _chain_dets(E[:, None], V, t2)
+        inner, _ = _chain_dets(E[:, None], V[1:-1], t2[1:])
+        D = full - t2[-1] * inner
+        P2 = 2.0 * np.prod(t, axis=0)
+        return _trig_coefficients(np.concatenate([D - P2, D + P2]), params.q)
+
+
 def _in_gap(params: ModulationParams, E) -> np.ndarray:
     """Per energy, whether it lies in a gap at every ky.  Chambers'
     relation gives det(E - H(kx, ky)) = D(E, ky) - 2 prod_j t_j cos(q kx)
     up to the sign of the product, so E lies in a band at ky exactly where
     D^2 - 4 (prod_j t_j)^2 = det(E - H)|_{q kx = 0} * det(E - H)|_{q kx =
     pi} <= 0.  Each factor is a trigonometric polynomial of degree q in ky,
-    and E is certified when neither has a real root."""
-    V, t = _loop_samples(params)
-    t2 = t * t
-    full, _ = _chain_dets(E[:, None], V, t2)
-    inner, _ = _chain_dets(E[:, None], V[1:-1], t2[1:])
-    D = full - t2[-1] * inner
-    P2 = 2.0 * np.prod(t, axis=0)
-    roots = _real_roots(_trig_coefficients(np.concatenate([D - P2, D + P2]),
-                                           params.q))
-    return ~np.isfinite(roots).any(axis=-1).reshape(2, -1).any(axis=0)
+    and E is certified when both have finite coefficients and neither has
+    a real root."""
+    coefs = _gap_certificate(params, E)
+    rootless = np.isfinite(coefs).all(axis=-1) \
+        & ~np.isfinite(_real_roots(coefs)).any(axis=-1)
+    return rootless.reshape(2, -1).all(axis=0)
 
 
 def _certified_fiducials(params: ModulationParams, nx: int, ny: int,
@@ -408,7 +421,8 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
     readout is discarded.  The file is rewritten once, top to bottom in
     cell order, each missing cell computed in turn and each line flushed as
     it is written, so it ends with the same bytes at any resume point.
-    Inputs no cell can be computed for raise before the cache is touched.
+    Inputs no cell can be computed for raise before the cache is touched,
+    a cell mesh above MAX_ARRAY_ELEMENTS (ConfigError) included.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
     d = np.asarray(list(nu_d_over_J), dtype=float)
@@ -416,6 +430,12 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
         raise ValueError("sample lists must be nonempty")
     J, q = params_template.J, params_template.q
     _require_computable(q, nx, ny)
+    if q > 1:
+        # the largest mesh a cell builds: zone_edge_grid at the finest
+        # refinement of its fiducials
+        cols, rows = len(_edge_columns(nx)), FIDUCIAL_REFINEMENTS[-1] * ny
+        _require_elements(cols * rows * q * q,
+                          f"{cols} x {rows} blocks of {q} x {q}")
 
     # the key hashes Python floats: numpy 2 prints np.float64 differently
     config = (CELL_READOUT, params_template.p, q, params_template.delta_phi,

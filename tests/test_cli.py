@@ -249,10 +249,13 @@ class TestCommands:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_huge_finite_input_exits_3(self, tmp_path, capsys):
-        # 1e300 is a finite input, so it runs; its windings then fail
+        # 1e300 is a finite input, so it runs; its gap certificate then
+        # overflows and certifies no fiducial
         rc = run(["edges", "--outdir", tmp_path, "nu_d_over_J=1e300"])
         assert rc == 3
-        assert "WindingUnderresolved" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "FiducialInGapViolation" in err
+        assert "overflows float64" in err
         assert list(tmp_path.iterdir()) == []  # nothing written
 
     @pytest.mark.parametrize("preset, overrides, message", [
@@ -402,6 +405,19 @@ class TestCommands:
         (["edges", "num_sites=100000000", "n_ky=3"],
          "an open chain of 100000000 sites at 3 ky would hold "
          "10000000000000000 elements"),
+        # a sweep checks its largest cell mesh (the 16x finer ky mesh of a
+        # fiducial placed again) before it opens its cache
+        (["phase-diagram", "ny=5000000", "nu_od_over_J_max=0",
+          "nu_d_over_J_max=-4"],
+         "2 x 80000000 blocks of 3 x 3 would hold 1440000000 elements"),
+        (["phase-diagram", "ny=100000000"],
+         "2 x 1600000000 blocks of 3 x 3 would hold"),
+        # and a zone mesh its axes before it allocates them
+        (["bands", "ny=100000000"], "the axes of a 48 x 100000000 zone "
+                                    "mesh would hold 100000050 elements"),
+        (["bands", "scan=true", "ny=100000000"],
+         "the axes of a 48 x 100000000 zone mesh would hold 100000048 "
+         "elements"),
     ], ids=["edges-num_sites=6", "bands-nx=1", "bands-nx=3",
             "phase-diagram-nx=1", "bands-scan-nx=1", "bands-scan_step=0",
             "edges-edge_sites=0", "edges-edge_threshold=2", "edges-n_ky=1",
@@ -417,7 +433,8 @@ class TestCommands:
             "phase-diagram-nu_d_over_J_step=5e-324",
             "bands-scan-scan_step=1e-300", "extract-mode_dx_um=1e-300",
             "extract-ws_um=1e300", "bands-nx=ny=100000",
-            "edges-num_sites=1e8"])
+            "edges-num_sites=1e8", "phase-diagram-ny=5e6",
+            "phase-diagram-ny=1e8", "bands-ny=1e8", "bands-scan-ny=1e8"])
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         rc, peak = run_peak_bytes([args[0], "--outdir", tmp_path, *args[1:]])

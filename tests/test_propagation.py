@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from aahpump.cli import PRESETS, _build_design, build_config
 from aahpump.model import _mod_angle
-from aahpump.propagation import GUIDE_WINDOW_WIDTHS, BoundaryLeakage, \
-    GridUnderresolved, IndexModulated, OpticalConstants, SimulationGrid, \
-    SpacingModulated, _GuidePotential, _phase_support, _super_gaussian, \
-    default_grid, gaussian_input, injection_guide, lz_ratio, \
-    mean_position, pump_chern, refractive_profile, run_summary, \
+from aahpump.propagation import GUIDE_WINDOW_WIDTHS, PHASE_STEP_MAX, \
+    BoundaryLeakage, GridUnderresolved, IndexModulated, OpticalConstants, \
+    SimulationGrid, SpacingModulated, _GuidePotential, _phase_support, \
+    _super_gaussian, default_grid, gaussian_input, injection_guide, \
+    lz_ratio, mean_position, pump_chern, refractive_profile, run_summary, \
     split_step_propagate
 
 CONST = OpticalConstants(gamma=9e-4)
@@ -302,38 +302,45 @@ def free_gaussian(x, W, z, k0):
 
 
 def phase_factor(theta):
-    """exp(i*theta) with cos/sin written into the real and imaginary parts,
-    as the stepper builds it."""
+    """exp(i*theta) as (u - 1) + i*t*u with t = tan(theta/2) and u = 2/(1 +
+    t^2), as the stepper builds it."""
+    t = np.tan(theta / 2.0)
+    u = 2.0 / (1.0 + t * t)
     factor = np.empty(theta.shape, dtype=complex)
-    factor.real = np.cos(theta)
-    factor.imag = np.sin(theta)
+    factor.real = u - 1.0
+    factor.imag = t * u
     return factor
 
 
 def reference_propagate(psi0, design, constants, grid):
     """Strang stepper with fresh arrays per step and the potential phase
     applied on the whole grid: the reference the in-place, support-trimmed
-    stepper must reproduce bit for bit.  The phase factor is phase_factor,
-    not np.exp(1j*theta): the two agree bit for bit only where numpy
-    evaluates real cos/sin and complex exp with the same kernels
-    (test_phase_factor_matches_complex_exp bounds their difference)."""
+    stepper must reproduce bit for bit.  The inverse FFT's 1/nx is moved
+    (exactly: nx is a power of two) into the first spectrum and into the
+    one multiply that merges the trailing half step of one step with the
+    leading one of the next; a recorded field is the plain inverse FFT of
+    the trailing half step alone.  The phase factor is phase_factor, not
+    np.exp(1j*theta) (test_phase_factor_matches_complex_exp bounds their
+    difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
     pot = _GuidePotential(design, x)
     v_scale = constants.k0 * constants.gamma / constants.n0
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
+    merged = half_kin * half_kin / grid.nx
     psi = np.asarray(psi0, dtype=complex)
     fields = [psi.copy()]
     norms = [np.sum(np.abs(psi) ** 2) * dx]
     record = set(grid.steps.tolist())
-    psi_k = np.fft.fft(psi)
+    psi_k = np.fft.fft(psi, norm="forward")
     for s in range(grid.steps[-1]):
         z_mid = (s + 0.5) * dz
-        psi = np.fft.ifft(psi_k * half_kin)
+        kin = half_kin if s == 0 else merged
+        psi = np.fft.ifft(psi_k * kin, norm="forward")
         psi *= phase_factor(v_scale * dz * pot.profile(design.Omega * z_mid))
-        psi_k = np.fft.fft(psi) * half_kin
+        psi_k = np.fft.fft(psi)
         if s + 1 in record:
-            out = np.fft.ifft(psi_k)
+            out = np.fft.ifft(psi_k * half_kin)
             fields.append(out)
             norms.append(np.sum(np.abs(out) ** 2) * dx)
     return fields, np.array(norms)
@@ -353,13 +360,19 @@ def assert_matches_reference(slices, traj, fields, norms):
 
 class TestSplitStep:
     def test_phase_factor_matches_complex_exp(self):
-        # |theta| <= PHASE_STEP_MAX in the stepper; a wider range as well
-        rng = np.random.default_rng(7)
-        for theta in (np.linspace(-0.1, 0.1, 20001),
-                      rng.uniform(-np.pi, np.pi, 20001)):
-            got, want = phase_factor(theta), np.exp(1j * theta)
-            np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
-            np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+        # |theta| <= PHASE_STEP_MAX in the stepper: within 3 ulps (real
+        # part) and 2 ulps (imaginary part) of exp(i*theta)
+        eps = np.finfo(float).eps
+        theta = np.linspace(-PHASE_STEP_MAX, PHASE_STEP_MAX, 200001)
+        got, want = phase_factor(theta), np.exp(1j * theta)
+        np.testing.assert_array_max_ulp(got.real, want.real, maxulp=3)
+        np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=2)
+        assert np.abs(np.abs(got) - 1.0).max() <= 2 * eps
+        # and a wider range, in absolute terms
+        theta = np.random.default_rng(7).uniform(-np.pi, np.pi, 20001)
+        got, want = phase_factor(theta), np.exp(1j * theta)
+        assert np.abs(got - want).max() <= 2 * eps
+        assert np.abs(np.abs(got) - 1.0).max() <= 2 * eps
 
     @pytest.mark.parametrize("design, dz, guide", [
         ("index", 4.0, 0),

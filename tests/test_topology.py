@@ -158,6 +158,14 @@ class TestExactCells:
         assert [n for n, c in enumerate(cv) if isinstance(c, Undefined)] \
             == [r, r + 1]
 
+    @pytest.mark.parametrize("nu_d", [1e120, 1e300])
+    def test_overflowed_certificate_certifies_nothing(self, nu_d):
+        # q = 3 at nu_d/J = 1e120 or 1e300: the determinants overflow to
+        # inf and NaN and leave no finite root, yet +-nu_d/2 and nu_d lie
+        # in a band at some ky (the site energies sweep [-nu_d, nu_d])
+        p = params(nu_d=nu_d)
+        assert not _in_gap(p, np.array([-nu_d / 2, nu_d / 2, nu_d])).any()
+
     def test_crossing_on_a_vanishing_bond(self):
         # at nu_od/J = 10 the Dirichlet level of gap 1 reaches E = -7.1168
         # at a ky where t_q = t_3 vanishes (|t_{q-1} psi_{q-1} / t_q| is
