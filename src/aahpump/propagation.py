@@ -6,10 +6,12 @@ steps in the spatial-frequency domain bracket a pointwise potential phase
 evaluated at the step midpoint.  The trailing half step of one step and
 the leading half step of the next are one multiply, which also carries the
 inverse FFT's 1/nx (a recorded slice takes the trailing half step alone);
-the phase factor exp(i*theta) is built from one tangent, tan(theta/2).  R
-is exactly zero beyond the outer guides' reach, so the potential is
-evaluated and its phase applied only on the slice of the grid inside that
-reach.  Stepping is unitary, boundaries are periodic, and the domain is
+the phase factor exp(i*theta) is built from one tangent, tan(theta/2).  One
+complex buffer carries the field through a step: both FFTs transform it in
+place, and a second buffer serves only the recorded slices and the final
+field.  R is exactly zero beyond the outer guides' reach, so the potential
+is evaluated and its phase applied only on the slice of the grid inside
+that reach.  Stepping is unitary, boundaries are periodic, and the domain is
 padded with empty space whose occupancy is monitored so runs abort loudly
 instead of wrapping light around.
 
@@ -41,6 +43,7 @@ DEFAULT_NUM_SLICES = 200
 MAX_GRID_SAMPLES = 2**20
 PHASE_STEP_MAX = 0.1         # rad; max potential phase per step
 LEAKAGE_MAX = 1e-4           # per-sample power fraction near the boundary
+NORM_DRIFT_MAX = 1e-10       # relative norm drift a pump --check allows
 BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
 # Super-Gaussian support radius, in units of wx.  exp(-u^6) underflows to
 # exactly 0.0 in float64 beyond |u| = 3.011 (u^6 > 745.1), so samples outside
@@ -169,10 +172,23 @@ class SpacingModulated(_GuideArray):
 
     def __post_init__(self):
         super().__post_init__()
-        if abs(self.wm) >= self.ws / 2.0 - self.wx:
-            warnings.warn(f"|wm| = {abs(self.wm)} >= ws/2 - wx = "
-                          f"{self.ws / 2 - self.wx}: neighbouring guides "
-                          "can overlap or cross", stacklevel=3)
+        sep = self.min_separation
+        if self.num_guides > 1 and sep < 2.0 * self.wx:
+            warnings.warn(f"the smallest neighbour separation over a cycle "
+                          f"is {sep:.2f} um < 2*wx = {2 * self.wx:g} um: "
+                          "neighbouring guides can overlap"
+                          + (" and cross" if sep < 0 else ""), stacklevel=3)
+
+    @property
+    def min_separation(self) -> float:
+        """Smallest distance between neighbouring guides over a cycle.
+
+        Guides j and j + 1 sit ws - 2*wm*sin(pi*p/q)*sin(a_j + pi*p/q)
+        apart, so the smallest is ws - 2*|wm|*|sin(pi*p/q)|; below zero the
+        two cross.
+        """
+        return self.ws - 2.0 * abs(self.wm) * abs(
+            math.sin(math.pi * self.p / self.q))
 
 
 def _super_gaussian(x, center, wx, out=None, scratch=None):
@@ -518,7 +534,6 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     norms = np.empty(len(steps))
     leaks = np.empty(len(steps))
     psi = np.array(psi0, dtype=complex)
-    psi_sup = psi[sup]
 
     def record(k):
         np.abs(psi, out=row)
@@ -536,21 +551,26 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     first = row.copy()
     row_of_step = {n: k for k, n in enumerate(steps.tolist())}
     half_kick, Omega = v_scale * dz / 2.0, design.Omega
-    t = np.empty(len(psi_sup))
-    u = np.empty(len(psi_sup))
-    factor = np.empty(len(psi_sup), dtype=complex)
+    # psi_k holds the spectrum between steps and the field inside one: the
+    # FFTs transform it in place, where pocketfft runs the same algorithm
+    # as out of place without first copying its input into out.  psi only
+    # takes the recorded slices.
+    psi_k = np.fft.fft(psi, norm="forward")
+    field_sup = psi_k[sup]
+    t = np.empty(len(field_sup))
+    u = np.empty(len(field_sup))
+    factor = np.empty(len(field_sup), dtype=complex)
     # exp(i*theta) = (1 + i*t)/(1 - i*t) = (u - 1) + i*t*u with t =
     # tan(theta/2) and u = 2/(1 + t^2): one vectorised tangent where cos and
     # sin are two scalar libm calls per sample, written into one buffer
     # without temporaries.  |theta| <= PHASE_STEP_MAX keeps t small, and
     # the factor within 3 ulps of exp(i*theta) and 2 eps of unit modulus.
-    psi_k = np.fft.fft(psi, norm="forward")
     kin = half_kin
     for s in range(steps[-1]):
         z_mid = (s + 0.5) * dz
         psi_k *= kin
         kin = merged
-        np.fft.ifft(psi_k, out=psi, norm="forward")
+        np.fft.ifft(psi_k, out=psi_k, norm="forward")
         np.multiply(pot.profile(Omega * z_mid, out=t), half_kick, out=t)
         np.tan(t, out=t)
         np.multiply(t, t, out=u)
@@ -558,8 +578,8 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
         np.divide(2.0, u, out=u)
         np.subtract(u, 1.0, out=factor.real)
         np.multiply(t, u, out=factor.imag)
-        psi_sup *= factor
-        np.fft.fft(psi, out=psi_k)
+        field_sup *= factor
+        np.fft.fft(psi_k, out=psi_k)
         if s + 1 in row_of_step:
             # the trailing half step alone, leaving psi_k for the next step
             np.fft.ifft(np.multiply(psi_k, half_kin, out=psi), out=psi)

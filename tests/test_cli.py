@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import aahpump
-from aahpump.cli import PRESETS, SCHEMAS, _build_design, \
+from aahpump.cli import PRESETS, SCHEMAS, _build_design, _check_pump, \
     _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
     load_config_file, main
 from aahpump.ioutil import format_float
@@ -241,6 +241,39 @@ class TestCommands:
         # with 0.1 + 33 * 0.3 for 10 both cells are found and checked
         assert run(args + ["nu_od_over_J_max=10"]) == 0
         assert "check passed [fig2]" in capsys.readouterr().out
+
+    def test_check_pump_reports_each_margin(self):
+        # every gated value next to its bound and the margin, on a pass
+        # and on a fail; the bounds are propagation's named constants
+        errors, margins = [], []
+        _check_pump(-0.99)({"chern_estimate": -0.96, "norm_drift": 2e-11,
+                            "leakage_max": 3e-5}, errors, margins)
+        assert errors == []
+        assert margins == ["|C_est - (-0.99)| = 0.03 <= 0.05, margin 0.02",
+                           "norm drift = 2e-11 < 1e-10, margin 8e-11",
+                           "leakage = 3e-05 < 0.0001, margin 7e-05"]
+        errors, margins = [], []
+        _check_pump(-0.99)({"chern_estimate": -0.93, "norm_drift": 1e-10,
+                            "leakage_max": 2e-4}, errors, margins)
+        assert margins == []
+        assert errors == ["|C_est - (-0.99)| = 0.06 > 0.05, margin -0.01",
+                          "norm drift = 1e-10 >= 1e-10, margin 0",
+                          "leakage = 0.0002 >= 0.0001, margin -0.0001"]
+
+    def test_check_prints_margins(self, tmp_path, capsys):
+        # a pass keeps the 'check passed [preset]' prefix on every line
+        assert run(["bands", "--preset", "fig3c", "--check",
+                    "--outdir", tmp_path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        assert out[0].startswith("check passed [fig3c]: largest gap = ")
+        assert out[0].endswith(" < 0.001, margin 0.001")
+        # a pump whose C_est misses its target exits 4 and names the margin
+        assert run(["pump", "--preset", "fig5b", "--check", "--outdir",
+                    tmp_path, *SHORT_FIG5B]) == 4
+        err = capsys.readouterr().err
+        assert "check failed [fig5b]: |C_est - (-0.99)| = " in err
+        assert "> 0.05, margin -" in err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         rc = run(["pump", "--preset", "fig5a", "--outdir", tmp_path,

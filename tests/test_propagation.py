@@ -249,6 +249,40 @@ class TestProfiles:
             SpacingModulated(p=-1, q=3, ws=20.0, wx=3.0, wm=4.0, phi0=0.0,
                              Z=1.5e5)
 
+    @pytest.mark.parametrize("p, q, wm, separation", [
+        (1, 7, 8.0, 13.0579), (1, 3, 18.0, -11.1769), (2, 5, -6.0, 8.5873),
+        (1, 1, 18.0, 20.0)])
+    def test_min_separation_over_a_cycle(self, p, q, wm, separation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=wm,
+                                 phi0=math.pi / 5, Z=1.5e5, num_guides=9)
+        assert d.min_separation == pytest.approx(separation, abs=1e-4)
+        # the smallest sampled gap between neighbours over a cycle
+        gaps = [d.guide_center(j + 1, z) - d.guide_center(j, z)
+                for j in d.guide_indices[:-1]
+                for z in np.linspace(0.0, d.Z, 2001)]
+        assert min(gaps) == pytest.approx(d.min_separation, abs=1e-3)
+
+    def test_overlap_warning_from_the_smallest_separation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # 1/7 at wm = 8: 13.06 um >= 2*wx, though |wm| >= ws/2 - wx
+            SpacingModulated(p=1, q=7, ws=20.0, wx=3.0, wm=8.0, phi0=0.0,
+                             Z=1.5e5)
+            # a single guide has no neighbour
+            SpacingModulated(p=1, q=3, ws=20.0, wx=3.0, wm=18.0, phi0=0.0,
+                             Z=1.5e5, num_guides=1)
+        # fig5c's geometry: neighbouring guides cross during the cycle
+        crossing = r"is -11\.18 um < 2\*wx = 6 um: .* can overlap and cross"
+        with pytest.warns(UserWarning, match=crossing):
+            SpacingModulated(p=1, q=3, ws=20.0, wx=3.0, wm=18.0,
+                             phi0=math.pi / 5, Z=1.5e5)
+        touching = r"is 5\.00 um < 2\*wx = 6 um: .* can overlap$"
+        with pytest.warns(UserWarning, match=touching):
+            SpacingModulated(p=1, q=2, ws=20.0, wx=3.0, wm=7.5, phi0=0.0,
+                             Z=1.5e5)
+
 
 class TestInjection:
     def test_index_center_guide(self):
@@ -484,17 +518,21 @@ class TestSplitStep:
            gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]))
     @settings(max_examples=25, deadline=None)
     def test_unitary_for_any_drive(self, spacing, q, p, gamma):
-        # one pump cycle in 100 steps
+        # one pump cycle in 100 steps, equal to the reference bit for bit
         if spacing:
             d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=4.0,
                                  phi0=math.pi / 5, Z=400.0, num_guides=7)
         else:
             d = index_design(p=p, q=q, Z=400.0, num_guides=7)
+        const = OpticalConstants(gamma=gamma)
         grid = default_grid(d, dz=4.0, num_slices=4)
-        traj = split_step_propagate(
-            gaussian_input(0.0, 4.0, grid), d, OpticalConstants(gamma=gamma),
-            grid, ignore, leakage_abort=1.0)
+        psi0 = gaussian_input(0.0, 4.0, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, const, grid, slices,
+                                    leakage_abort=1.0)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
+        assert_matches_reference(slices, traj,
+                                 *reference_propagate(psi0, d, const, grid))
 
     def test_second_order_convergence(self):
         d = index_design(Z=4000.0)
