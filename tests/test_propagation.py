@@ -235,6 +235,60 @@ class TestProfiles:
             ref = np.exp(-((x - c) / wx) ** 6)
             assert np.abs(_super_gaussian(x, c, wx) - ref).max() <= 1e-15
 
+    @given(spacing=st.booleans(), p=st.integers(1, 6),
+           q=st.sampled_from([1, 3, 5, 7]), ws=st.floats(6.0, 25.0),
+           wx=st.floats(1.0, 4.0), frac=st.floats(-1.0, 1.0),
+           phi0=st.floats(0.0, 2 * np.pi),
+           num_guides=st.sampled_from([1, 3, 9, 21]),
+           x0=st.floats(-320.0, -250.0), dx=st.floats(0.05, 0.25),
+           phase=st.floats(-10.0, 10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_guide_shape_is_never_subnormal(self, spacing, p, q, ws, wx,
+                                            frac, phi0, num_guides, x0, dx,
+                                            phase):
+        # the shape is exactly 0 where its exponent -u^6 (taken as
+        # -u2*u2*u2) is below ln(tiny), and exp of that exponent, bit for
+        # bit, elsewhere; no shape, profile or bound is ever subnormal
+        tiny = np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            d = (SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=frac * ws,
+                                  phi0=phi0, Z=1.5e5, num_guides=num_guides)
+                 if spacing else
+                 IndexModulated(alpha=frac, p=p, q=q, ws=ws, wx=wx, Z=1.5e5,
+                                num_guides=num_guides))
+        x = x0 + dx * np.arange(int(600.0 / dx))
+        pot = _GuidePotential(d, x)
+        centres = d.guide_indices * ws + d.wm * np.cos(pot.angles + phase)
+        # each guide on the grid, and densely across the cutoff |u| = 2.9857
+        band = wx * np.linspace(2.95, 3.05, 2001)
+        band = np.concatenate((-band, band))
+        for c in centres:
+            for xs in (x, c + band):
+                shape = _super_gaussian(xs, c, wx)
+                u2 = np.square(np.divide(np.subtract(xs, c), wx))
+                arg = -u2 * u2 * u2
+                below = arg < math.log(tiny)
+                assert not shape[below].any()
+                assert np.array_equal(shape[~below], np.exp(arg[~below]))
+                assert not np.any((shape != 0.0) & (shape < tiny))
+        R = pot.profile(phase)
+        assert not np.any((R != 0.0) & (np.abs(R) < tiny))
+        assert pot.bound() >= tiny
+
+    def test_shape_vanishes_at_the_window_radius(self):
+        # a window of radius GUIDE_WINDOW_WIDTHS*wx drops no nonzero
+        # sample, and ends within 0.01*wx of the last one
+        u = np.linspace(2.9, 3.2, 300001)
+        for c, wx in ((0.0, 3.0), (0.37, 3.0), (-5.1, 1.7), (123.4, 2.2)):
+            for side in (-1.0, 1.0):
+                x = c + side * wx * u
+                shape = _super_gaussian(x, c, wx)
+                dist = np.abs(x - c) / wx
+                assert not shape[dist >= GUIDE_WINDOW_WIDTHS].any()
+                last = dist[shape > 0.0].max()
+                assert GUIDE_WINDOW_WIDTHS - 0.01 < last < GUIDE_WINDOW_WIDTHS
+
     def test_design_validation(self):
         with pytest.raises(ValueError):
             index_design(wx=-1.0)
