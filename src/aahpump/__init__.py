@@ -17,7 +17,7 @@ from .edges import FiducialInGapViolation, WindingUnderresolved, \
 from .propagation import BoundaryLeakage, FieldTrajectory, GridUnderresolved, \
     IndexModulated, OpticalConstants, SimulationGrid, SpacingModulated, \
     default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
-    pump_chern, refractive_profile, split_step_propagate
+    refractive_profile, split_step_propagate
 from .extraction import ExtractedParams, FitDegenerate, NoBoundMode, \
     extract_parameters
 
@@ -34,7 +34,7 @@ __all__ = [
     "BoundaryLeakage", "FieldTrajectory", "GridUnderresolved",
     "IndexModulated", "OpticalConstants", "SimulationGrid",
     "SpacingModulated", "default_grid", "gaussian_input", "injection_guide",
-    "lz_ratio", "mean_position", "pump_chern", "refractive_profile",
+    "lz_ratio", "mean_position", "refractive_profile",
     "split_step_propagate",
     "ExtractedParams", "FitDegenerate", "NoBoundMode", "extract_parameters",
 ]

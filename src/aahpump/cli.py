@@ -11,7 +11,9 @@ reference expectations (exit 4 on mismatch).  Exit codes: 0 success,
 Configuration is a flat `key = value` file and/or `key=value` command-line
 overrides (overrides win); unknown keys are rejected.  All outputs go
 through deterministic 12-significant-digit formatting, so a rerun leaves
-the same bytes.
+the same bytes.  A command writes each artifact to out(path), a temporary
+renamed to path only when the command returns; the phase-diagram cache,
+which resuming needs, is the one file written in place.
 """
 
 from __future__ import annotations
@@ -171,15 +173,14 @@ def _cell_str(cv: ChernVector) -> list:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_bands(cfg, prefix):
+def cmd_bands(cfg, prefix, out):
     params = _tb_params(cfg)
     if cfg["scan"]:
         ratios = _inclusive_range(cfg, "scan")
         rows = gap_scan(params, ratios, cfg["nx"], cfg["ny"])
         header = ["nu_od_over_J"] + [f"G{n}" for n in range(1, params.q)]
-        write_csv(prefix + "_gaps.csv", header, rows)
+        write_csv(out(prefix + "_gaps.csv"), header, rows)
         return {"scan": rows}
-    # Chern numbers first, so an even q or a coarse mesh fails before output
     try:
         cherns = _cell_str(chern_numbers(params, cfg["nx"], cfg["ny"]))
     except MeshTooCoarse:
@@ -193,16 +194,17 @@ def cmd_bands(cfg, prefix):
             for n in range(params.q)
             for kx, band_row in zip(kxs, energies[n])
             for ky, e in zip(kys, band_row)]
-    write_csv(prefix + "_bands.csv", ["kx", "ky", "band", "energy"], rows)
+    write_csv(out(prefix + "_bands.csv"), ["kx", "ky", "band", "energy"],
+              rows)
     if cfg["pgm"]:
         for n in range(params.q):
-            write_pgm(f"{prefix}_band{n + 1}.pgm", grid.energies[n])
+            write_pgm(out(f"{prefix}_band{n + 1}.pgm"), grid.energies[n])
     tops, bottoms = band_edges(grid)
     gaps = tuple((bottoms[1:] - tops[:-1]).tolist())
     return {"gaps": gaps, "cherns": cherns}
 
 
-def cmd_phase_diagram(cfg, prefix):
+def cmd_phase_diagram(cfg, prefix, out):
     od = _inclusive_range(cfg, "nu_od_over_J")
     d = _inclusive_range(cfg, "nu_d_over_J")
     template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
@@ -213,18 +215,18 @@ def cmd_phase_diagram(cfg, prefix):
     rows = [[r_od, r_d] + _cell_str(diagram.cells[i][j])
             for i, r_od in enumerate(od) for j, r_d in enumerate(d)]
     header = ["nu_od_over_J", "nu_d_over_J"] + [f"C{n + 1}" for n in range(q)]
-    write_csv(prefix + "_phase_diagram.csv", header, rows)
+    write_csv(out(prefix + "_phase_diagram.csv"), header, rows)
     for n in range(q):
         # an undefined cell is drawn one level below the lowest Chern number
         img = np.array([[cv[n] if isinstance(cv[n], int) else np.nan
                          for cv in row] for row in diagram.cells]).T
         undef = np.isnan(img)
         img[undef] = img[~undef].min() - 1 if not undef.all() else -1
-        write_pgm(f"{prefix}_C{n + 1}.pgm", img)
+        write_pgm(out(f"{prefix}_C{n + 1}.pgm"), img)
     return {"diagram": diagram, "od": od, "d": d}
 
 
-def cmd_edges(cfg, prefix):
+def cmd_edges(cfg, prefix, out):
     params = _tb_params(cfg)
     wr = winding_numbers(params, cfg["num_sites"], cfg["n_ky"],
                          cfg["edge_sites"], cfg["edge_threshold"])
@@ -236,7 +238,7 @@ def cmd_edges(cfg, prefix):
                                             flow.energies.tolist(),
                                             flow.labels.tolist())
             for a, (e, label) in enumerate(zip(energies, labels), 1)]
-    write_csv(prefix + "_spectral_flow.csv",
+    write_csv(out(prefix + "_spectral_flow.csv"),
               ["ky", "index", "energy", "label"], rows)
     report = {
         "num_sites": cfg["num_sites"],
@@ -248,7 +250,7 @@ def cmd_edges(cfg, prefix):
         "chern_from_windings": list(check["chern_from_windings"]),
         "bulk_edge_consistent": check["consistent"],
     }
-    write_json(prefix + "_windings.json", report)
+    write_json(out(prefix + "_windings.json"), report)
     return report
 
 
@@ -267,7 +269,7 @@ def _build_design(cfg):
                       f"got {cfg['design']!r}")
 
 
-def cmd_pump(cfg, prefix):
+def cmd_pump(cfg, prefix, out):
     design = _build_design(cfg)
     constants = OpticalConstants(gamma=cfg["gamma"])
     G1 = None
@@ -282,12 +284,8 @@ def cmd_pump(cfg, prefix):
     if guide is None:
         guide = injection_guide(design)
     psi0 = gaussian_input(design.guide_center(guide, 0.0), cfg["W_um"], grid)
-    # the intensity rows are written as the stepper hands them on, to
-    # temporaries renamed only once the summary is written too
-    names = [prefix + "_intensity.csv", prefix + "_intensity.pgm",
-             prefix + "_summary.json"]
-    with staged(*names) as (csv_path, pgm_path, summary_path), \
-            open(csv_path, "w") as csv_fh, open(pgm_path, "w") as pgm_fh:
+    with open(out(prefix + "_intensity.csv"), "w") as csv_fh, \
+            open(out(prefix + "_intensity.pgm"), "w") as pgm_fh:
         header = ["z_um"] + [format_float(x) for x in grid.xs.tolist()]
         csv_row = float_rows(csv_fh, header)
         pgm_row = pgm_rows(pgm_fh, grid.nx, len(grid.z_slices))
@@ -302,30 +300,30 @@ def cmd_pump(cfg, prefix):
             pgm_row(row, 0.0, float(row.max()))
 
         traj = split_step_propagate(psi0, design, constants, grid, on_slice)
-        summary = run_summary(traj, design, constants, G1)
-        summary.update({
-            "injection_guide": guide,
-            "input_width_um": cfg["W_um"],
-            "dx_um": grid.dx,
-            "dz_um": grid.dz,
-            "nx": grid.nx,
-            "x_min_um": grid.x_min,
-            "x_max_um": grid.x_max,
-        })
-        if G1 is not None:
-            summary["first_gap_per_um"] = G1
-        write_json(summary_path, summary)
+    summary = run_summary(traj, design, constants, G1)
+    summary.update({
+        "injection_guide": guide,
+        "input_width_um": cfg["W_um"],
+        "dx_um": grid.dx,
+        "dz_um": grid.dz,
+        "nx": grid.nx,
+        "x_min_um": grid.x_min,
+        "x_max_um": grid.x_max,
+    })
+    if G1 is not None:
+        summary["first_gap_per_um"] = G1
+    write_json(out(prefix + "_summary.json"), summary)
     return summary
 
 
-def cmd_extract(cfg, prefix):
+def cmd_extract(cfg, prefix, out):
     design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
                             ws=cfg["ws_um"], wx=cfg["wx_um"],
                             Z=cfg["Z_cm"] * CM_TO_UM)
     constants = OpticalConstants(gamma=cfg["gamma"])
     fit = extract_parameters(constants, design, dx=cfg["mode_dx_um"])
     report = extraction_report(constants, design, fit, cfg["mode_dx_um"])
-    write_json(prefix + "_extraction.json", report)
+    write_json(out(prefix + "_extraction.json"), report)
     return report
 
 
@@ -566,7 +564,8 @@ def main(argv=None) -> int:
         os.makedirs(args.outdir, exist_ok=True)
         prefix = os.path.join(args.outdir,
                               args.out or args.preset or args.command)
-        results = COMMANDS[args.command](cfg, prefix)
+        with staged() as out:
+            results = COMMANDS[args.command](cfg, prefix, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

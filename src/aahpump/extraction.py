@@ -81,7 +81,7 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     ConfigError for q < 3 (the fit needs three sites), for q + 3 >
     BASIS_GUIDES (a guide to spare on each side), for a grid of more than
     MAX_GRID_SAMPLES samples, before it is made, and unless a finite dx > 0
-    divides ws."""
+    divides ws at least once."""
     if design.q < 3:
         raise ConfigError(f"q = {design.q} leaves the amplitude/phase/"
                           "offset inversion underdetermined")
@@ -96,8 +96,11 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
         raise ConfigError(f"a mode grid {2.0 * half:g} um wide at dx = "
                           f"{dx:g} um holds more than {MAX_GRID_SAMPLES} "
                           "samples")
+    if not design.ws >= dx:
+        raise ConfigError(f"ws = {design.ws:g} um is below the mode dx = "
+                          f"{dx:g} um")
     samples_per_ws = int(round(design.ws / dx))
-    if abs(samples_per_ws * dx - design.ws) > 1e-12:
+    if abs(samples_per_ws * dx - design.ws) > 1e-12 * design.ws:
         raise ConfigError("ws must be a multiple of dx for the shared grid")
     return -half + dx * np.arange(int(round(n)) + 1), samples_per_ws
 

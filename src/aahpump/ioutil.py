@@ -5,7 +5,9 @@ which turns -0 into 0, so results are byte-identical on a rerun and
 under any platform locale.  The writers stream: a float table and a PGM
 image one row at a time, through the row writers float_rows and pgm_rows
 that a caller can also feed row by row as it computes them, and any other
-rows one block of _BLOCK_ROWS at a time.
+rows one block of _BLOCK_ROWS at a time.  The writers write where they
+are told; staged gives a run temporaries that become its artifacts only
+when the whole run completes.
 """
 
 from __future__ import annotations
@@ -58,18 +60,13 @@ def float_rows(fh, header):
 def write_csv(path, header, rows) -> None:
     """Comma-separated file with a header row.
 
-    rows is a 2-D float array or an iterable of equally long rows; a float
-    cell prints as format_float does, any other cell as str() does.  A
-    float array is written one row at a time through float_rows; other
-    rows are typed by column and formatted with one % per block of
-    _BLOCK_ROWS.  Either way memory does not grow with the table.
+    rows is an iterable of equally long rows; a float cell prints as
+    format_float does, any other cell as str() does.  Rows are typed by
+    column and formatted with one % per block of _BLOCK_ROWS, so memory
+    does not grow with the table.  A float table computed row by row
+    streams through float_rows instead.
     """
     with open(path, "w") as fh:
-        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            write = float_rows(fh, header)
-            for row in rows:
-                write(row)
-            return
         fh.write(",".join(header) + "\n")
         rows = iter(rows)
         while block := list(islice(rows, _BLOCK_ROWS)):
@@ -102,11 +99,6 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _require_finite_scale(lo, hi) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("PGM export requires finite values")
-
-
 def pgm_rows(fh, width, height, max_gray: int = 255):
     """Write the header of a plain-text (P2) PGM image of width x height to
     the open text file fh and return a writer of its rows: each call writes
@@ -118,7 +110,8 @@ def pgm_rows(fh, width, height, max_gray: int = 255):
     levels = [str(v) for v in range(max_gray + 1)]
 
     def write(row, lo, hi):
-        _require_finite_scale(lo, hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("PGM export requires finite values")
         if hi > lo:
             gray = np.rint((row - lo) / (hi - lo) * max_gray).astype(int)
         else:
@@ -134,15 +127,15 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     through pgm_rows.
 
     Rows of the array become image rows.  A constant array maps to zero.
-    Non-finite values have no grey level and raise ValueError before the
-    file is opened.
+    Non-finite values have no grey level: pgm_rows raises ValueError at
+    the first row, after the header is written, so a caller that must
+    leave no partial file writes to a staged temporary.
     """
     a = np.asarray(values, dtype=float)
     if a.ndim != 2:
         raise ValueError("PGM export requires a 2-D array")
     # min and max are nan if any value is, and carry any infinity
     lo, hi = float(a.min()), float(a.max())
-    _require_finite_scale(lo, hi)
     with open(path, "w") as fh:
         write = pgm_rows(fh, a.shape[1], a.shape[0], max_gray)
         for row in a:
@@ -150,19 +143,24 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
 
 
 @contextmanager
-def staged(*paths):
-    """Yield one temporary path next to each of paths, to be written in the
-    block.  When the block completes, each temporary is renamed to its path
-    in order; when anything raises, before or during the renames, every
-    temporary left is removed and the error propagates, so a failed run
-    leaves no partial file behind."""
-    temps = [f"{path}.tmp" for path in paths]
+def staged():
+    """Yield out(path), which names the temporary path + ".tmp" for the
+    block to write and remembers path.  When the block completes, each
+    temporary is renamed to its path, in the order out named them; when
+    anything raises, before or during the renames, every temporary left is
+    removed and the error propagates, so a failed run leaves no partial
+    file behind."""
+    temps = {}
+
+    def out(path):
+        return temps.setdefault(path, f"{path}.tmp")
+
     try:
-        yield temps
-        for temp, path in zip(temps, paths):
+        yield out
+        for path, temp in temps.items():
             os.replace(temp, path)
     except BaseException:
-        for temp in temps:
+        for temp in temps.values():
             with suppress(FileNotFoundError):
                 os.remove(temp)
         raise

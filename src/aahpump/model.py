@@ -38,8 +38,9 @@ def _require_finite(obj, *names) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def _require_elements(n: int, what: str) -> None:
-    """Reject an array of n elements above MAX_ARRAY_ELEMENTS."""
+def _require_elements(n: float, what: str) -> None:
+    """Reject an array of n elements above MAX_ARRAY_ELEMENTS; n may be a
+    float estimate, inf included."""
     if n > MAX_ARRAY_ELEMENTS:
         raise ConfigError(f"{what} would hold {n} elements, more than "
                           f"{MAX_ARRAY_ELEMENTS}")
@@ -47,7 +48,9 @@ def _require_elements(n: int, what: str) -> None:
 
 def _reduce_ratio(obj) -> None:
     """Reject q < 1 and p < 0, then reduce the p/q of a frozen dataclass to
-    lowest terms, so its cell length q is always minimal."""
+    lowest terms, so its cell length q is always minimal, and reject a
+    reduced p or q above MAX_ARRAY_ELEMENTS, whose residues p*j mod q
+    overflow an integer array."""
     if obj.q < 1:
         raise ConfigError(f"q must be >= 1, got {obj.q}")
     if obj.p < 0:
@@ -56,6 +59,9 @@ def _reduce_ratio(obj) -> None:
     if g > 1:
         object.__setattr__(obj, "p", obj.p // g)
         object.__setattr__(obj, "q", obj.q // g)
+    if max(obj.p, obj.q) > MAX_ARRAY_ELEMENTS:
+        raise ConfigError(f"reduced p/q = {obj.p}/{obj.q} exceeds "
+                          f"{MAX_ARRAY_ELEMENTS}")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
 # cutoff is |u| = (-ln tiny)^(1/6) = 2.9857; GUIDE_WINDOW_WIDTHS, the window
 # radius in units of wx, clears it by a margin, so samples outside a window
 # would add only exact zeros.
-_LN_TINY = math.log(np.finfo(float).tiny)
+_TINY = float(np.finfo(float).tiny)
+_LN_TINY = math.log(_TINY)
 GUIDE_WINDOW_WIDTHS = 2.99
 # Arcs of the drive phase over which the potential's bound on R is taken:
 # one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
@@ -312,16 +313,22 @@ def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
 
 def gaussian_input(center: float, W: float, grid: SimulationGrid):
     """Unit-L2-norm Gaussian A*exp(-(x - center)^2 / W^2).  Raises
-    ConfigError unless W is positive and finite and the centre lies on the
-    grid's span [x_min, x_max]."""
+    ConfigError unless W is positive and finite, the centre lies on the
+    grid's span [x_min, x_max] and the samples of the Gaussian are not all
+    zero, as they are when W is far below dx."""
     if not 0 < W < math.inf:  # NaN included
         raise ConfigError(f"W must be positive and finite, got {W}")
     if not grid.x_min <= center <= grid.x_max:
         raise ConfigError(f"input centre {center} is outside the grid "
                           f"[{grid.x_min}, {grid.x_max}]")
     x = grid.xs
-    psi = np.exp(-((x - center) / W) ** 2).astype(complex)
-    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)
+    with np.errstate(over="ignore"):  # exp(-inf) is the 0 it stands for
+        psi = np.exp(-((x - center) / W) ** 2).astype(complex)
+    norm = np.sum(np.abs(psi) ** 2) * grid.dx
+    if not norm > 0:
+        raise ConfigError(f"an input of width W = {W:g} um samples to zero "
+                          f"on a grid of dx = {grid.dx:g} um")
+    return psi / np.sqrt(norm)
 
 
 @dataclass
@@ -343,20 +350,6 @@ def mean_position(intensity, grid: SimulationGrid) -> float:
     return float(np.sum(grid.xs * intensity) / np.sum(intensity))
 
 
-def _shift_readout(trajectory: FieldTrajectory, q: int, ws: float) -> tuple:
-    """<x> at the first and at the last recorded z, and the Chern estimate
-    (<x>(Z) - <x>(0)) / (q * ws) that the two give."""
-    grid = trajectory.grid
-    x0 = mean_position(trajectory.first, grid)
-    x1 = mean_position(np.square(np.abs(trajectory.final)), grid)
-    return x0, x1, (x1 - x0) / (q * ws)
-
-
-def pump_chern(trajectory: FieldTrajectory, q: int, ws: float) -> float:
-    """Chern estimate (<x>(Z) - <x>(0)) / (q * ws) over one pump cycle."""
-    return _shift_readout(trajectory, q, ws)[2]
-
-
 def lz_ratio(G1: float, Z: float) -> float:
     """Landau-Zener leakage estimate exp(-G1^2 * Z)."""
     if G1 < 0 or Z <= 0:
@@ -376,7 +369,9 @@ class _GuidePotential:
     guide order sums the rows over the padded grid, then sliced back to x.
     With wm == 0 the windows never move, so the sums with weights 1,
     cos(theta_j) and sin(theta_j) are taken once and each phase costs O(nx):
-    R = G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs).
+    R = G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs).  That sum can cancel to a
+    subnormal residue where the shapes are near their cutoff (or alpha near
+    -1), so R is set to 0.0 wherever |R| < tiny.
     """
 
     def __init__(self, design, x):
@@ -395,7 +390,11 @@ class _GuidePotential:
                                  design.q) + design.phi0
         # a window from at most one sample below c - half reaches past
         # c + half with one sample to spare
-        width = int(2.0 * half / dx) + 4
+        span = 2.0 * half / dx  # inf when it overflows
+        _require_elements(design.num_guides * (span + 4),
+                          f"{design.num_guides} guide windows {2.0 * half:g} "
+                          f"um wide at dx = {dx:g} um")
+        width = int(span) + 4
         self.offsets = np.arange(width)
         reach = design.reach
         pad = width + math.ceil(max(0.0, x[0] + reach, reach - x[-1]) / dx)
@@ -417,6 +416,7 @@ class _GuidePotential:
             self.fixed = [self._sum(self.base, w).copy() for w in
                           (None, np.cos(self.angles), np.sin(self.angles))]
             self.sine_term = np.empty(len(x))
+            self.subnormal = np.empty(len(x), dtype=bool)
 
     def _sum(self, centres, weights=None):
         # the padding keeps every window start positive, so the truncating
@@ -443,6 +443,9 @@ class _GuidePotential:
         out -= np.multiply(math.sin(phase), Gs, out=self.sine_term)
         out *= d.alpha
         out += G0
+        np.abs(out, out=self.sine_term)
+        np.less(self.sine_term, _TINY, out=self.subnormal)
+        np.copyto(out, 0.0, where=self.subnormal)
         return out
 
     def bound(self) -> float:
@@ -606,9 +609,12 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
 
 def run_summary(trajectory: FieldTrajectory, design,
                 constants: OpticalConstants, G1: float | None = None) -> dict:
-    """Summary dict for JSON export: shift readout plus health metrics."""
-    norms = trajectory.norms
-    x0, x1, chern = _shift_readout(trajectory, design.q, design.ws)
+    """Summary dict for JSON export: health metrics and the shift readout,
+    <x> at the first and at the last recorded z and the Chern estimate
+    (<x>(Z) - <x>(0)) / (q * ws) that the two give."""
+    norms, grid = trajectory.norms, trajectory.grid
+    x0 = mean_position(trajectory.first, grid)
+    x1 = mean_position(np.square(np.abs(trajectory.final)), grid)
     out = {
         "design": type(design).__name__,
         "gamma": constants.gamma,
@@ -617,7 +623,7 @@ def run_summary(trajectory: FieldTrajectory, design,
         "ws_um": design.ws,
         "mean_x_start_um": x0,
         "mean_x_end_um": x1,
-        "chern_estimate": chern,
+        "chern_estimate": (x1 - x0) / (design.q * design.ws),
         "norm_drift": float(np.abs(norms / norms[0] - 1.0).max()),
         "leakage_max": trajectory.leakage_max,
     }

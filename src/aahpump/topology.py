@@ -432,10 +432,12 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
     _require_computable(q, nx, ny)
     if q > 1:
         # the largest mesh a cell builds: zone_edge_grid at the finest
-        # refinement of its fiducials
+        # refinement of its fiducials: its blocks and its axes
         cols, rows = len(_edge_columns(nx)), FIDUCIAL_REFINEMENTS[-1] * ny
         _require_elements(cols * rows * q * q,
                           f"{cols} x {rows} blocks of {q} x {q}")
+        _require_elements(nx + rows, f"the axes of a {nx} x {rows} zone "
+                                     "mesh")
 
     # the key hashes Python floats: numpy 2 prints np.float64 differently
     config = (CELL_READOUT, params_template.p, q, params_template.delta_phi,

@@ -22,7 +22,8 @@ REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "plaquette_field", "edge_weight", "classify_state",
            "_edge_weights", "OpenChainSpec", "onsite_potential", "hopping",
            "bloch_hamiltonian", "format_cell", "_first_gap", "_write_cache",
-           "NUMERICAL_ERRORS", "ThreadPoolExecutor")
+           "NUMERICAL_ERRORS", "ThreadPoolExecutor", "pump_chern",
+           "_shift_readout", "_require_finite_scale")
 
 MODULES = ("model", "spectral", "topology", "edges", "propagation",
            "extraction", "ioutil", "cli")

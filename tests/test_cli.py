@@ -11,9 +11,9 @@ import pytest
 
 import aahpump
 from aahpump.cli import PRESETS, SCHEMAS, _build_design, _check_pump, \
-    _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
+    _guide, _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
     load_config_file, main
-from aahpump.ioutil import format_float
+from aahpump.ioutil import format_float, staged
 from aahpump.model import MAX_ARRAY_ELEMENTS, ConfigError
 from aahpump.propagation import OpticalConstants, default_grid, \
     gaussian_input, split_step_propagate
@@ -26,6 +26,13 @@ SHORT_FIG5B = ["Z_cm=0.2", "num_slices=10", "dz_um=10", "lz_estimate=false"]
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_command(command, cfg, prefix):
+    """A command called as main calls it: its artifacts staged, and renamed
+    to their paths once it returns."""
+    with staged() as out:
+        return command(cfg, prefix, out)
 
 
 def run_peak_bytes(args):
@@ -148,9 +155,9 @@ class TestCommands:
             "nu_od_over_J_min=4", "nu_od_over_J_max=4",
             "nu_d_over_J_min=0", "nu_d_over_J_max=0"])
         prefix = str(tmp_path / "g")
-        first = cmd_phase_diagram(cfg, prefix)["diagram"].cells
+        first = run_command(cmd_phase_diagram, cfg, prefix)["diagram"].cells
         cached = (tmp_path / "g_cells.cache").read_bytes()
-        resumed = cmd_phase_diagram(cfg, prefix)["diagram"].cells
+        resumed = run_command(cmd_phase_diagram, cfg, prefix)["diagram"].cells
         assert all(isinstance(c, Undefined) and c.min_gap > 0
                    for c in first[0][0])
         assert resumed == first
@@ -445,6 +452,23 @@ class TestCommands:
          "2 x 80000000 blocks of 3 x 3 would hold 1440000000 elements"),
         (["phase-diagram", "ny=100000000"],
          "2 x 1600000000 blocks of 3 x 3 would hold"),
+        # its axes included
+        (["phase-diagram", "nx=1000000000"],
+         "the axes of a 1000000000 x 384 zone mesh would hold 1000000384 "
+         "elements"),
+        # a p or q past the cap overflows the residues p*j mod q
+        (["phase-diagram", f"p={10**30}"],
+         f"reduced p/q = {10**30}/3 exceeds 16777216"),
+        # a block of guide windows is checked before it is made
+        (["extract", "wx_um=1e300"], "13 guide windows 5.98e+300 um wide "
+                                     "at dx = 0.05 um would hold"),
+        (["pump", "wx_um=1e300", "lz_estimate=false"],
+         "21 guide windows 5.98e+300 um wide at dx = 0.15625 um would hold"),
+        # a mode grid needs a sample per spacing, an input a nonzero sample
+        (["extract", "ws_um=1e-300"], "ws = 1e-300 um is below the mode "
+                                      "dx = 0.05 um"),
+        (["pump", "--preset", "fig5c", "W_um=1e-300"],
+         "an input of width W = 1e-300 um samples to zero"),
         # and a zone mesh its axes before it allocates them
         (["bands", "ny=100000000"], "the axes of a 48 x 100000000 zone "
                                     "mesh would hold 100000050 elements"),
@@ -467,7 +491,12 @@ class TestCommands:
             "bands-scan-scan_step=1e-300", "extract-mode_dx_um=1e-300",
             "extract-ws_um=1e300", "bands-nx=ny=100000",
             "edges-num_sites=1e8", "phase-diagram-ny=5e6",
-            "phase-diagram-ny=1e8", "bands-ny=1e8", "bands-scan-ny=1e8"])
+            "phase-diagram-ny=1e8", "phase-diagram-nx=1e9",
+            "phase-diagram-p=1e30", "extract-wx_um=1e300",
+            "pump-wx_um=1e300", "extract-ws_um=1e-300", "pump-W_um=1e-300",
+            "bands-ny=1e8", "bands-scan-ny=1e8"])
+    # the designs of the pump and extract cases warn of overlapping guides
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_bad_lattice_config_exits_2(self, tmp_path, capsys, args,
                                         message):
         rc, peak = run_peak_bytes([args[0], "--outdir", tmp_path, *args[1:]])
@@ -519,12 +548,12 @@ class TestCommands:
             "p=2", "q=6", "nu_od_over_J_max=1", "nu_d_over_J_min=0",
             "nu_d_over_J_max=0", "nx=8", "ny=8"])
         prefix = str(tmp_path / "r")
-        cmd_phase_diagram(cfg, prefix)
+        run_command(cmd_phase_diagram, cfg, prefix)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("aahpump.topology._cell_chern_numbers",
                        lambda *a, **k: calls.append(a))
-            cmd_phase_diagram(cfg, prefix)
+            run_command(cmd_phase_diagram, cfg, prefix)
         assert calls == []  # every cell served from the cache
 
     def test_no_command_prints_help(self, capsys):
@@ -560,7 +589,8 @@ def pump_peak_bytes(tmp_path, num_slices):
     tracemalloc.start()
     try:
         with pytest.warns(UserWarning, match="can overlap"):
-            summary = cmd_pump(cfg, str(tmp_path / str(num_slices)))
+            summary = run_command(cmd_pump, cfg,
+                                  str(tmp_path / str(num_slices)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -584,9 +614,10 @@ class TestPumpOutput:
         # same for 50 and 400 slices, and far below a 400-slice table.  A
         # first untraced run makes the one-time allocations of a process.
         with pytest.warns(UserWarning, match="can overlap"):
-            cmd_pump(build_config("pump", PRESETS["fig5c"][1], None,
-                                  [*SHORT_FIG5C, "num_slices=4"]),
-                     str(tmp_path / "warm"))
+            run_command(cmd_pump,
+                        build_config("pump", PRESETS["fig5c"][1], None,
+                                     [*SHORT_FIG5C, "num_slices=4"]),
+                        str(tmp_path / "warm"))
         peak_50, _ = pump_peak_bytes(tmp_path, 50)
         peak_400, summary = pump_peak_bytes(tmp_path, 400)
         table_bytes = 401 * (summary["nx"] + 1) * 8
@@ -645,29 +676,34 @@ class TestImportGraph:
         assert json.loads(proc.stdout) == [False, loaded]
 
 
-# one short run per command that reaches each of its float keys: the pump
-# keys on both designs (wm_um and phi0_rad move only spacing guides), the
-# scan keys on a gap scan
+# one short run per command that reaches each of its keys: the pump keys
+# on both designs (wm_um and phi0_rad move only spacing guides), through
+# the stepper, and the scan keys on a gap scan
 NON_FINITE_BASES = {
     "bands": [["nx=8", "ny=8"],
               ["scan=true", "scan_max=0.5", "nx=4", "ny=4"]],
     "phase-diagram": [["nu_od_over_J_max=1", "nu_d_over_J_min=0",
                        "nu_d_over_J_max=1", "nx=8", "ny=8"]],
     "edges": [["num_sites=30", "n_ky=40"]],
-    "pump": [["--preset", "fig5b", *SHORT_FIG5B],
+    "pump": [["--preset", "fig5b", "Z_cm=0.2", "num_slices=10", "dz_um=5",
+              "lz_estimate=false"],
              ["--preset", "fig5c", "Z_cm=0.2", "num_slices=10",
               "dz_um=5"]],
     "extract": [[]],
 }
+# the values each float key and each integer key is probed with: the
+# non-finite ones, and zero, a negative value and the extremes
+PROBES = {float: ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300"),
+          int: ("0", "-1", str(10**30))}
 
 
 def _non_finite_cases():
     for command, bases in NON_FINITE_BASES.items():
-        keys = [k for k, (caster, _) in SCHEMAS[command].items()
-                if caster is float]
         for b, base in enumerate(bases):
-            for key in keys:
-                for value in ("nan", "inf", "-inf"):
+            for key, (caster, _) in SCHEMAS[command].items():
+                # injection_guide is an integer key too
+                kind = int if caster is _guide else caster
+                for value in PROBES.get(kind, ()):
                     yield pytest.param(command, [*base, f"{key}={value}"],
                                        id=f"{command}{b}-{key}={value}")
     # the lz fit's outputs of an index pump, with an unused float non-finite
@@ -701,11 +737,14 @@ def _numbers(text):
 
 
 class TestNonFiniteInputs:
+    # a probe may warn of overlapping guides, or numpy of an overflow
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command, args", list(_non_finite_cases()))
     def test_exit_code_and_outputs(self, tmp_path, command, args):
-        # nan, inf and -inf in every float key: a documented exit code,
-        # no file on failure, and only finite numbers on success
+        # every probe of every float and integer key: a documented exit
+        # code, no file on failure (not even the phase-diagram cache), and
+        # only finite numbers on success
         rc = run([command, "--outdir", tmp_path, *args])
         assert rc in (0, 2, 3, 4)
         files = sorted(tmp_path.iterdir())

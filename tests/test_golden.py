@@ -24,6 +24,7 @@ import pytest
 
 from aahpump.cli import COMMANDS, PRESETS, _cell_str, build_config, \
     main as cli_main
+from aahpump.ioutil import staged
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
 GOLDEN_RTOL = 1e-9
@@ -58,7 +59,8 @@ def preset_values(name, outdir):
     command's in-process result (full precision, not the printed files)."""
     command, overrides, _, _ = PRESETS[name]
     cfg = build_config(command, overrides, None, [])
-    result = COMMANDS[command](cfg, os.path.join(outdir, name))
+    with staged() as out:
+        result = COMMANDS[command](cfg, os.path.join(outdir, name), out)
     if name == "fig2":
         return {"cells": [[_cell_str(cv) for cv in row]
                           for row in result["diagram"].cells]}

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aahpump.ioutil import format_float, pgm_rows, staged, write_csv, \
-    write_json, write_pgm
+from aahpump.ioutil import float_rows, format_float, pgm_rows, staged, \
+    write_csv, write_json, write_pgm
 
 
 def reference_format_float(x) -> str:
@@ -46,6 +47,14 @@ def reference_write_csv(path, header, rows):
         lines.append(",".join(map(reference_format_cell, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_float_rows(path, header, table):
+    """A float table written row by row through float_rows."""
+    with open(path, "w") as fh:
+        write = float_rows(fh, header)
+        for row in table:
+            write(row)
 
 
 def csv_cell(path, v) -> str:
@@ -205,7 +214,7 @@ class TestWriters:
         path = tmp_path_factory.mktemp("csv")
         header = [f"c{i}" for i in range(table.shape[1])]
         reference_write_csv(path / "want.csv", header, table.tolist())
-        write_csv(path / "array.csv", header, table)
+        write_float_rows(path / "array.csv", header, table)
         write_csv(path / "rows.csv", header, table.tolist())
         want = (path / "want.csv").read_bytes()
         assert (path / "array.csv").read_bytes() == want
@@ -277,20 +286,47 @@ class TestWriters:
 
     def test_staged_renames_on_success_only(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.json"]
-        with pytest.raises(RuntimeError):
-            with staged(*paths) as temps:
-                for temp in temps:
-                    with open(temp, "w") as fh:
+        with pytest.raises(KeyboardInterrupt):
+            with staged() as out:
+                for path in paths:
+                    with open(out(path), "w") as fh:
                         fh.write("partial")
-                raise RuntimeError("the run failed")
+                # an interrupt is not an Exception, and still cleans up
+                raise KeyboardInterrupt
         assert list(tmp_path.iterdir()) == []
-        with staged(*paths) as temps:
-            for temp, text in zip(temps, ("a", "b")):
-                with open(temp, "w") as fh:
-                    fh.write(text)
-            assert sorted(tmp_path.iterdir()) == sorted(map(Path, temps))
+        renamed, replace = [], os.replace
+
+        def record(temp, path):
+            renamed.append(path)
+            replace(temp, path)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("os.replace", record)
+            with staged() as out:
+                temps = [out(path) for path in reversed(paths)]
+                assert temps == [f"{path}.tmp" for path in reversed(paths)]
+                # a path named twice names the same temporary
+                assert out(paths[0]) == temps[1]
+                for temp, text in zip(temps, ("b", "a")):
+                    with open(temp, "w") as fh:
+                        fh.write(text)
+                assert sorted(tmp_path.iterdir()) == sorted(map(Path, temps))
+        assert renamed == paths[::-1]  # in the order out named them
         assert [p.read_text() for p in paths] == ["a", "b"]
         assert sorted(tmp_path.iterdir()) == sorted(paths)
+
+    def test_staged_removes_temporaries_when_a_rename_fails(self, tmp_path):
+        # the second rename fails: the first file is committed, no
+        # temporary is left, and the error propagates
+        with pytest.raises(IsADirectoryError):
+            with staged() as out:
+                (tmp_path / "b.csv").mkdir()
+                for name in ("a.csv", "b.csv", "c.csv"):
+                    with open(out(tmp_path / name), "w") as fh:
+                        fh.write(name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv",
+                                                               "b.csv"]
+        assert (tmp_path / "a.csv").read_text() == "a.csv"
 
     def test_csv_streams_rows(self, tmp_path):
         # the fig5c intensity table: writing it must not build the file's
@@ -299,7 +335,7 @@ class TestWriters:
         header = [f"x{i}" for i in range(table.shape[1])]
         tracemalloc.start()
         try:
-            write_csv(tmp_path / "big.csv", header, table)
+            write_float_rows(tmp_path / "big.csv", header, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -334,8 +370,9 @@ class TestWriters:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_pgm_rejects_non_finite(self, tmp_path, bad):
-        # a non-finite value has no grey level; nothing is written
+        # a non-finite value has no grey level; staged, nothing is left
         a = np.array([[0.0, 1.0], [2.0, bad]])
-        with pytest.raises(ValueError):
-            write_pgm(tmp_path / "x.pgm", a)
-        assert not (tmp_path / "x.pgm").exists()
+        with pytest.raises(ValueError, match="requires finite values"):
+            with staged() as out:
+                write_pgm(out(tmp_path / "x.pgm"), a)
+        assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ from aahpump.propagation import GUIDE_WINDOW_WIDTHS, PHASE_STEP_MAX, \
     BoundaryLeakage, GridUnderresolved, IndexModulated, OpticalConstants, \
     SimulationGrid, SpacingModulated, _GuidePotential, _phase_support, \
     _super_gaussian, default_grid, gaussian_input, injection_guide, \
-    lz_ratio, mean_position, pump_chern, refractive_profile, run_summary, \
+    lz_ratio, mean_position, refractive_profile, run_summary, \
     split_step_propagate
 
 CONST = OpticalConstants(gamma=9e-4)
@@ -634,7 +634,8 @@ class TestReadout:
                                     CONST, grid, slices)
         expected = (mean_position(slices.rows[-1], grid)
                     - mean_position(slices.rows[0], grid)) / (3 * d.ws)
-        assert pump_chern(traj, 3, d.ws) == pytest.approx(expected)
+        assert run_summary(traj, d, CONST)["chern_estimate"] == \
+            pytest.approx(expected)
 
     def test_run_summary_keys(self):
         d = index_design(Z=1000.0)
