@@ -15,8 +15,8 @@ from .topology import ChernVector, EvenDenominator, MeshTooCoarse, \
 from .edges import FiducialInGapViolation, WindingUnderresolved, \
     bulk_edge_check, gap_fiducials, spectral_flow, winding_numbers
 from .propagation import BoundaryLeakage, FieldTrajectory, GridUnderresolved, \
-    IndexModulated, OpticalConstants, SimulationGrid, SpacingModulated, \
-    default_grid, gaussian_input, injection_guide, lz_ratio, mean_position, \
+    IndexModulated, SimulationGrid, SpacingModulated, default_grid, \
+    gaussian_input, injection_guide, lz_ratio, mean_position, \
     refractive_profile, split_step_propagate
 from .extraction import ExtractedParams, FitDegenerate, NoBoundMode, \
     extract_parameters
@@ -32,9 +32,8 @@ __all__ = [
     "FiducialInGapViolation", "WindingUnderresolved", "bulk_edge_check",
     "gap_fiducials", "spectral_flow", "winding_numbers",
     "BoundaryLeakage", "FieldTrajectory", "GridUnderresolved",
-    "IndexModulated", "OpticalConstants", "SimulationGrid",
-    "SpacingModulated", "default_grid", "gaussian_input", "injection_guide",
-    "lz_ratio", "mean_position", "refractive_profile",
-    "split_step_propagate",
+    "IndexModulated", "SimulationGrid", "SpacingModulated", "default_grid",
+    "gaussian_input", "injection_guide", "lz_ratio", "mean_position",
+    "refractive_profile", "split_step_propagate",
     "ExtractedParams", "FitDegenerate", "NoBoundMode", "extract_parameters",
 ]

@@ -32,8 +32,8 @@ from .ioutil import float_rows, format_float, pgm_rows, staged, write_csv, \
     write_json, write_pgm
 from .model import ConfigError, ModulationParams, NumericalFailure
 from .propagation import LEAKAGE_MAX, NORM_DRIFT_MAX, IndexModulated, \
-    OpticalConstants, SpacingModulated, default_grid, gaussian_input, \
-    injection_guide, run_summary, split_step_propagate
+    SpacingModulated, default_grid, gaussian_input, injection_guide, \
+    run_summary, split_step_propagate
 from .spectral import band_edges, band_grid, gap_scan
 from .topology import ChernVector, MeshTooCoarse, Undefined, chern_numbers, \
     phase_diagram
@@ -257,13 +257,14 @@ def cmd_edges(cfg, prefix, out):
 def _build_design(cfg):
     Z = cfg["Z_cm"] * CM_TO_UM
     if cfg["design"] == "index":
-        return IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
-                              ws=cfg["ws_um"], wx=cfg["wx_um"], Z=Z,
+        return IndexModulated(gamma=cfg["gamma"], alpha=cfg["alpha"],
+                              p=cfg["p"], q=cfg["q"], ws=cfg["ws_um"],
+                              wx=cfg["wx_um"], Z=Z,
                               num_guides=cfg["num_guides"])
     if cfg["design"] == "spacing":
-        return SpacingModulated(p=cfg["p"], q=cfg["q"], ws=cfg["ws_um"],
-                                wx=cfg["wx_um"], wm=cfg["wm_um"],
-                                phi0=cfg["phi0_rad"], Z=Z,
+        return SpacingModulated(gamma=cfg["gamma"], p=cfg["p"], q=cfg["q"],
+                                ws=cfg["ws_um"], wx=cfg["wx_um"],
+                                wm=cfg["wm_um"], phi0=cfg["phi0_rad"], Z=Z,
                                 num_guides=cfg["num_guides"])
     raise ConfigError(f"design must be 'index' or 'spacing', "
                       f"got {cfg['design']!r}")
@@ -271,11 +272,10 @@ def _build_design(cfg):
 
 def cmd_pump(cfg, prefix, out):
     design = _build_design(cfg)
-    constants = OpticalConstants(gamma=cfg["gamma"])
     G1 = None
     if cfg["lz_estimate"] and cfg["design"] == "index":
         # the fit runs first, so a bad q or grid fails before propagation
-        fit = extract_parameters(constants, design)
+        fit = extract_parameters(design)
         _, widths = gap_fiducials(ModulationParams(
             fit.J, fit.nu_d, fit.nu_od, design.p, design.q, fit.delta_phi))
         G1 = float(widths[0])
@@ -299,17 +299,9 @@ def cmd_pump(cfg, prefix, out):
             csv_row(line)
             pgm_row(row, 0.0, float(row.max()))
 
-        traj = split_step_propagate(psi0, design, constants, grid, on_slice)
-    summary = run_summary(traj, design, constants, G1)
-    summary.update({
-        "injection_guide": guide,
-        "input_width_um": cfg["W_um"],
-        "dx_um": grid.dx,
-        "dz_um": grid.dz,
-        "nx": grid.nx,
-        "x_min_um": grid.x_min,
-        "x_max_um": grid.x_max,
-    })
+        traj = split_step_propagate(psi0, design, grid, on_slice)
+    summary = run_summary(traj, design, G1)
+    summary.update(injection_guide=guide, input_width_um=cfg["W_um"])
     if G1 is not None:
         summary["first_gap_per_um"] = G1
     write_json(out(prefix + "_summary.json"), summary)
@@ -317,12 +309,11 @@ def cmd_pump(cfg, prefix, out):
 
 
 def cmd_extract(cfg, prefix, out):
-    design = IndexModulated(alpha=cfg["alpha"], p=cfg["p"], q=cfg["q"],
-                            ws=cfg["ws_um"], wx=cfg["wx_um"],
-                            Z=cfg["Z_cm"] * CM_TO_UM)
-    constants = OpticalConstants(gamma=cfg["gamma"])
-    fit = extract_parameters(constants, design, dx=cfg["mode_dx_um"])
-    report = extraction_report(constants, design, fit, cfg["mode_dx_um"])
+    design = IndexModulated(gamma=cfg["gamma"], alpha=cfg["alpha"],
+                            p=cfg["p"], q=cfg["q"], ws=cfg["ws_um"],
+                            wx=cfg["wx_um"], Z=cfg["Z_cm"] * CM_TO_UM)
+    fit = extract_parameters(design, dx=cfg["mode_dx_um"])
+    report = extraction_report(design, fit, cfg["mode_dx_um"])
     write_json(out(prefix + "_extraction.json"), report)
     return report
 

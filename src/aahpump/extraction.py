@@ -1,9 +1,10 @@
 """Tight-binding parameters of the index-modulated array from localized modes.
 
-The continuous paraxial Hamiltonian H = -(1/2 k0) d_x^2 - (k0 gamma/n0) R(x)
-is reduced to a lattice model by building a localized orthonormal basis and
-taking matrix elements.  The basis is constructed from the modulation-averaged
-(uniform-depth) array: isolated-guide bound modes are projected onto the
+The continuous paraxial Hamiltonian H = -(1/2 K0) d_x^2 - (K0 gamma/N0) R(x)
+of a design, at the design's own contrast gamma, is reduced to a lattice
+model by building a localized orthonormal basis and taking matrix elements.
+The basis is constructed from the modulation-averaged (uniform-depth)
+array: isolated-guide bound modes are projected onto the
 lowest bound-band manifold and symmetrically (Loewdin) orthonormalized, which
 yields exponentially localized Wannier-like functions.  Matrix elements of
 the fully modulated Hamiltonian in this basis give on-site energies eps_j and
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ConfigError, NumericalFailure, _mod_angle
-from .propagation import MAX_GRID_SAMPLES, IndexModulated, OpticalConstants, \
+from .propagation import K0, MAX_GRID_SAMPLES, N0, IndexModulated, \
     refractive_profile
 from .spectral import tridiagonal_eigh
 
@@ -49,23 +50,23 @@ class ExtractedParams:
     overlap_deficit: float   # max |<trial_j|trial_j+1>| before orthogonalization
 
 
-def _fd_operator(V: np.ndarray, dx: float, k0: float):
-    """Diagonal and off-diagonal of -(1/2 k0) d^2/dx^2 + V on a hard-walled
+def _fd_operator(V: np.ndarray, dx: float):
+    """Diagonal and off-diagonal of -(1/2 K0) d^2/dx^2 + V on a hard-walled
     grid (3-point finite differences)."""
-    t = 1.0 / (2.0 * k0 * dx * dx)
+    t = 1.0 / (2.0 * K0 * dx * dx)
     return 2.0 * t + V, np.full(len(V) - 1, -t)
 
 
-def _fd_eig(V: np.ndarray, dx: float, k0: float, n_modes: int):
+def _fd_eig(V: np.ndarray, dx: float, n_modes: int):
     """Lowest n_modes of the finite-difference operator, unit L2 norm."""
-    vals, vecs = tridiagonal_eigh(*_fd_operator(V, dx, k0), n_modes)
+    vals, vecs = tridiagonal_eigh(*_fd_operator(V, dx), n_modes)
     return vals, vecs / math.sqrt(dx)
 
 
-def _bound_mode(V: np.ndarray, dx: float, k0: float):
+def _bound_mode(V: np.ndarray, dx: float):
     """(level, profile) of the lowest mode, its largest lobe positive; raises
     NoBoundMode unless the level lies below the asymptotic (zero) potential."""
-    vals, vecs = _fd_eig(V, dx, k0, 1)
+    vals, vecs = _fd_eig(V, dx, 1)
     if vals[0] >= 0.0:
         raise NoBoundMode(
             f"lowest level {vals[0]:.3e} not below the asymptotic potential")
@@ -105,9 +106,10 @@ def _basis_grid(design: IndexModulated, dx: float = MODE_DX):
     return -half + dx * np.arange(int(round(n)) + 1), samples_per_ws
 
 
-def extract_parameters(constants: OpticalConstants, design: IndexModulated,
+def extract_parameters(design: IndexModulated,
                        dx: float = MODE_DX) -> ExtractedParams:
-    """Fit (J, nu_od, nu_d, delta_phi) for an index-modulated array.
+    """Fit (J, nu_od, nu_d, delta_phi) for an index-modulated array at its
+    own contrast gamma.
 
     The localized basis comes from the uniform-depth array (the modulation
     average): its lowest BASIS_GUIDES bound levels span the first band
@@ -117,19 +119,18 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
     """
     xs, samples_per_ws = _basis_grid(design, dx)
     n = len(xs)
-    k0 = constants.k0
-    scale = k0 * constants.gamma / constants.n0
+    scale = K0 * design.gamma / N0
     half_idx = (BASIS_GUIDES - 1) // 2
     basis_design = replace(design, num_guides=BASIS_GUIDES)
 
     V_uniform = -scale * refractive_profile(replace(basis_design, alpha=0.0),
                                             xs, 0.0)
-    _, band = _fd_eig(V_uniform, dx, k0, BASIS_GUIDES)
+    _, band = _fd_eig(V_uniform, dx, BASIS_GUIDES)
 
     # one isolated-guide trial mode, translated to every guide center
     g0 = refractive_profile(replace(basis_design, num_guides=1, alpha=0.0),
                             xs, 0.0)
-    _, trial0 = _bound_mode(-scale * g0, dx, k0)
+    _, trial0 = _bound_mode(-scale * g0, dx)
     trials = np.zeros((n, BASIS_GUIDES))
     for i, j in enumerate(basis_design.guide_indices):
         trials[:, i] = np.roll(trial0, j * samples_per_ws)
@@ -147,7 +148,7 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
 
     # matrix elements of the fully modulated Hamiltonian at phase 0
     V_full = -scale * refractive_profile(basis_design, xs, 0.0)
-    diag, off = _fd_operator(V_full, dx, k0)
+    diag, off = _fd_operator(V_full, dx)
     HW = diag[:, None] * W
     HW[:-1] += off[:, None] * W[1:]
     HW[1:] += off[:, None] * W[:-1]
@@ -172,11 +173,11 @@ def extract_parameters(constants: OpticalConstants, design: IndexModulated,
                            tuple(float(b) for b in t), overlap_deficit)
 
 
-def extraction_report(constants: OpticalConstants, design: IndexModulated,
-                      params: ExtractedParams, dx: float = MODE_DX) -> dict:
+def extraction_report(design: IndexModulated, params: ExtractedParams,
+                      dx: float = MODE_DX) -> dict:
     """JSON-friendly report of an extraction run."""
     return {
-        "gamma": constants.gamma,
+        "gamma": design.gamma,
         "alpha": design.alpha,
         "ws_um": design.ws,
         "wx_um": design.wx,

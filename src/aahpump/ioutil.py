@@ -21,6 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 FLOAT_FORMAT = "%.12g"
+MAX_GRAY = 255               # the white level of every PGM image
 _BLOCK_ROWS = 1024
 _FLOATS = (float, np.floating)
 
@@ -99,21 +100,21 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def pgm_rows(fh, width, height, max_gray: int = 255):
+def pgm_rows(fh, width, height):
     """Write the header of a plain-text (P2) PGM image of width x height to
     the open text file fh and return a writer of its rows: each call writes
     one row of width values, with lo drawn black, hi white and the values
-    between scaled linearly to [0, max_gray]; a row with hi <= lo is all
+    between scaled linearly to [0, MAX_GRAY]; a row with hi <= lo is all
     black.  A non-finite lo or hi has no grey scale and raises ValueError.
     """
-    fh.write(f"P2\n{width} {height}\n{max_gray}\n")
-    levels = [str(v) for v in range(max_gray + 1)]
+    fh.write(f"P2\n{width} {height}\n{MAX_GRAY}\n")
+    levels = [str(v) for v in range(MAX_GRAY + 1)]
 
     def write(row, lo, hi):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("PGM export requires finite values")
         if hi > lo:
-            gray = np.rint((row - lo) / (hi - lo) * max_gray).astype(int)
+            gray = np.rint((row - lo) / (hi - lo) * MAX_GRAY).astype(int)
         else:
             gray = np.zeros(len(row), dtype=int)
         fh.write(" ".join(map(levels.__getitem__, gray.tolist())) + "\n")
@@ -121,8 +122,8 @@ def pgm_rows(fh, width, height, max_gray: int = 255):
     return write
 
 
-def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
-    """Plain-text (P2) PGM image of a 2-D array scaled to [0, max_gray],
+def write_pgm(path, values: np.ndarray) -> None:
+    """Plain-text (P2) PGM image of a 2-D array scaled to [0, MAX_GRAY],
     its minimum black and its maximum white, written one row at a time
     through pgm_rows.
 
@@ -137,7 +138,7 @@ def write_pgm(path, values: np.ndarray, max_gray: int = 255) -> None:
     # min and max are nan if any value is, and carry any infinity
     lo, hi = float(a.min()), float(a.max())
     with open(path, "w") as fh:
-        write = pgm_rows(fh, a.shape[1], a.shape[0], max_gray)
+        write = pgm_rows(fh, a.shape[1], a.shape[0])
         for row in a:
             write(row, lo, hi)
 

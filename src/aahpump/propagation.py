@@ -1,9 +1,13 @@
 """Split-step spectral propagation of paraxial light through waveguide arrays.
 
-The paraxial field obeys i d_z psi = -(1/2 k0) d_x^2 psi - (k0 gamma / n0)
-R(x, z) psi, integrated by symmetric Strang splitting: exact half kinetic
-steps in the spatial-frequency domain bracket a pointwise potential phase
-evaluated at the step midpoint.  The trailing half step of one step and
+A design is the whole array, the index profile N0 + gamma*R(x, z): its
+contrast gamma and the guides whose depths or positions R modulates along
+z.  The background index N0, the vacuum wavelength WAVELENGTH and
+K0 = 2*pi*N0/WAVELENGTH are module constants.  The paraxial field obeys
+i d_z psi = -(1/2 K0) d_x^2 psi - (K0 gamma / N0) R(x, z) psi, integrated
+by symmetric Strang splitting: exact half kinetic steps in the
+spatial-frequency domain bracket a pointwise potential phase evaluated at
+the step midpoint.  The trailing half step of one step and
 the leading half step of the next are one multiply, which also carries the
 inverse FFT's 1/nx (a recorded slice takes the trailing half step alone);
 the phase factor exp(i*theta) is built from one tangent, tan(theta/2).  One
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, NumericalFailure, _mod_angle, \
-    _reduce_ratio, _require_elements, _require_finite
+from .model import MAX_ARRAY_ELEMENTS, ConfigError, NumericalFailure, \
+    _mod_angle, _reduce_ratio, _require_elements, _require_finite
 
 DEFAULT_DX = 0.15625   # um; 64 samples per 10 um guide spacing
 DEFAULT_DZ = 1.0       # um
@@ -46,6 +50,9 @@ PHASE_STEP_MAX = 0.1         # rad; max potential phase per step
 LEAKAGE_MAX = 1e-4           # per-sample power fraction near the boundary
 NORM_DRIFT_MAX = 1e-10       # relative norm drift a pump --check allows
 BOUNDARY_PAD_GUIDES = 3      # empty spacings required beyond the outer guides
+N0 = 1.45                    # background refractive index
+WAVELENGTH = 0.63            # um; vacuum wavelength
+K0 = 2.0 * np.pi * N0 / WAVELENGTH  # 1/um; wavenumber in the background
 # The guide shape exp(-u^6) is set to exactly 0.0 where -u^6 < ln(tiny), the
 # natural log of the smallest normal float64: there exp's result is subnormal
 # or 0.0, which numpy's exp computes off its vector path (on an AVX-512 Xeon,
@@ -71,31 +78,16 @@ class BoundaryLeakage(NumericalFailure, RuntimeError):
     """Light reached the monitored boundary strip; the run is unreliable."""
 
 
-@dataclass(frozen=True)
-class OpticalConstants:
-    """Background index, vacuum wavelength (um), and index-contrast depth;
-    a NaN or infinite one raises ConfigError."""
-
-    gamma: float
-    n0: float = 1.45
-    wavelength: float = 0.63
-
-    def __post_init__(self):
-        _require_finite(self, "gamma", "n0", "wavelength")
-
-    @property
-    def k0(self) -> float:
-        return 2.0 * np.pi * self.n0 / self.wavelength
-
-
 class _GuideArray:
-    """Guide j at j*ws + wm*cos(a_j) with depth 1 + alpha*cos(a_j), where
-    a_j = 2*pi*(p/q)*j + phi0 + Omega*z; a design's unmodulated terms are
-    class constants, not fields.  p/q is reduced as in ModulationParams."""
+    """Index profile N0 + gamma*R(x, z): guide j at j*ws + wm*cos(a_j) with
+    depth 1 + alpha*cos(a_j), where a_j = 2*pi*(p/q)*j + phi0 + Omega*z; a
+    design's unmodulated terms are class constants, not fields.  p/q is
+    reduced as in ModulationParams.  An array whose neighbouring guides come
+    closer than 2*wx during a cycle warns once."""
 
     def __post_init__(self):
         _reduce_ratio(self)
-        _require_finite(self, "alpha", "ws", "wx", "wm", "phi0", "Z")
+        _require_finite(self, "gamma", "alpha", "ws", "wx", "wm", "phi0", "Z")
         if self.wx <= 0:
             raise ConfigError("wx must be positive")
         if self.num_guides < 1 or self.num_guides % 2 == 0:
@@ -104,13 +96,27 @@ class _GuideArray:
             raise ConfigError("pump period Z must be positive")
         if self.ws <= 0:
             raise ConfigError("ws must be positive")
-        if self.ws <= 2.0 * self.wx:
-            warnings.warn(f"ws = {self.ws} <= 2*wx = {2 * self.wx}: guides "
-                          "are not well separated", stacklevel=3)
+        sep = self.min_separation
+        if self.num_guides > 1 and sep < 2.0 * self.wx:
+            warnings.warn(f"the smallest neighbour separation over a cycle "
+                          f"is {sep:.2f} um < 2*wx = {2 * self.wx:g} um: "
+                          "neighbouring guides can overlap"
+                          + (" and cross" if sep < 0 else ""), stacklevel=3)
 
     @property
     def Omega(self) -> float:
         return 2.0 * np.pi / self.Z
+
+    @property
+    def min_separation(self) -> float:
+        """Smallest distance between neighbouring guides over a cycle.
+
+        Guides j and j + 1 sit ws - 2*wm*sin(pi*p/q)*sin(a_j + pi*p/q)
+        apart, so the smallest is ws - 2*|wm|*|sin(pi*p/q)|, ws itself for
+        fixed guides; below zero the two cross.
+        """
+        return self.ws - 2.0 * abs(self.wm) * abs(
+            math.sin(math.pi * self.p / self.q))
 
     @property
     def guide_indices(self) -> np.ndarray:
@@ -151,6 +157,7 @@ class IndexModulated(_GuideArray):
     factor 1 + alpha*cos(2*pi*(p/q)*j + Omega*z) with Omega = 2*pi/Z.
     """
 
+    gamma: float
     alpha: float
     p: int
     q: int
@@ -168,6 +175,7 @@ class SpacingModulated(_GuideArray):
     Guide j sits at x_j(z) = j*ws + wm*cos(2*pi*(p/q)*j + Omega*z + phi0).
     """
 
+    gamma: float
     p: int
     q: int
     ws: float
@@ -177,26 +185,6 @@ class SpacingModulated(_GuideArray):
     Z: float
     num_guides: int = DEFAULT_NUM_GUIDES
     alpha = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        sep = self.min_separation
-        if self.num_guides > 1 and sep < 2.0 * self.wx:
-            warnings.warn(f"the smallest neighbour separation over a cycle "
-                          f"is {sep:.2f} um < 2*wx = {2 * self.wx:g} um: "
-                          "neighbouring guides can overlap"
-                          + (" and cross" if sep < 0 else ""), stacklevel=3)
-
-    @property
-    def min_separation(self) -> float:
-        """Smallest distance between neighbouring guides over a cycle.
-
-        Guides j and j + 1 sit ws - 2*wm*sin(pi*p/q)*sin(a_j + pi*p/q)
-        apart, so the smallest is ws - 2*|wm|*|sin(pi*p/q)|; below zero the
-        two cross.
-        """
-        return self.ws - 2.0 * abs(self.wm) * abs(
-            math.sin(math.pi * self.p / self.q))
 
 
 def _super_gaussian(x, center, wx, out=None, scratch=None):
@@ -272,9 +260,16 @@ class SimulationGrid:
     def steps(self) -> np.ndarray:
         """Step count at each recorded slice.
 
-        z_slices must start at 0, increase, and be multiples of dz.
+        z_slices must start at 0, increase, and be multiples of dz, and
+        the run may take at most MAX_ARRAY_ELEMENTS steps, checked first.
         """
         zs = np.asarray(self.z_slices, dtype=float)
+        Z = np.abs(zs).max()
+        n = Z / self.dz  # inf when it overflows
+        if not n <= MAX_ARRAY_ELEMENTS:  # NaN included
+            raise ConfigError(f"a run to Z = {Z:g} um at dz = {self.dz:g} um "
+                              f"takes {n:g} steps, more than "
+                              f"{MAX_ARRAY_ELEMENTS}")
         steps = np.rint(zs / self.dz).astype(int)
         if np.abs(steps * self.dz - zs).max() > 1e-9 * max(1.0, abs(zs[-1])):
             raise ConfigError(
@@ -295,7 +290,8 @@ class SimulationGrid:
 def default_grid(design, dx: float = DEFAULT_DX, dz: float = DEFAULT_DZ,
                  num_slices: int = DEFAULT_NUM_SLICES) -> SimulationGrid:
     """Grid with >= design.domain_width, power-of-two nx, at step dx; at
-    most MAX_GRID_SAMPLES x and MAX_ARRAY_ELEMENTS z, checked first."""
+    most MAX_GRID_SAMPLES x, MAX_ARRAY_ELEMENTS z and MAX_ARRAY_ELEMENTS
+    steps, checked first."""
     if not 0 < dx < math.inf or num_slices < 1:  # NaN included
         raise ConfigError(f"need dx > 0, finite, and num_slices >= 1, got "
                           f"dx = {dx} and num_slices = {num_slices}")
@@ -500,8 +496,7 @@ def _phase_support(design, x: np.ndarray) -> slice:
     return slice(min(lo, len(x) - 2), max(hi, 2))
 
 
-def split_step_propagate(psi0, design, constants: OpticalConstants,
-                         grid: SimulationGrid, on_slice,
+def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
                          leakage_abort: float = LEAKAGE_MAX
                          ) -> FieldTrajectory:
     """Strang-split spectral propagation over the grid's recorded z range.
@@ -525,7 +520,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
     # the potential phase factor is exactly 1 outside x[sup]
     sup = _phase_support(design, x)
     pot = _GuidePotential(design, x[sup])
-    v_scale = constants.k0 * constants.gamma / constants.n0
+    v_scale = K0 * design.gamma / N0
     if dz * abs(v_scale) * pot.bound() > PHASE_STEP_MAX:
         raise GridUnderresolved(
             f"dz = {dz:.4g} gives potential phase "
@@ -538,7 +533,7 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
 
     steps = grid.steps
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
-    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
+    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * K0))
     # the inverse FFTs of the steps run unscaled: the first spectrum
     # carries their 1/nx (nx is a power of two, so moving it is exact), and
     # so does merged, the trailing half step of step s and the leading one
@@ -608,16 +603,17 @@ def split_step_propagate(psi0, design, constants: OpticalConstants,
 
 
 def run_summary(trajectory: FieldTrajectory, design,
-                constants: OpticalConstants, G1: float | None = None) -> dict:
-    """Summary dict for JSON export: health metrics and the shift readout,
-    <x> at the first and at the last recorded z and the Chern estimate
-    (<x>(Z) - <x>(0)) / (q * ws) that the two give."""
+                G1: float | None = None) -> dict:
+    """Summary dict for JSON export: the design, the grid, health metrics
+    and the shift readout, <x> at the first and at the last recorded z and
+    the Chern estimate (<x>(Z) - <x>(0)) / (q * ws) that the two give;
+    lz_ratio too when the first gap G1 is given."""
     norms, grid = trajectory.norms, trajectory.grid
     x0 = mean_position(trajectory.first, grid)
     x1 = mean_position(np.square(np.abs(trajectory.final)), grid)
     out = {
         "design": type(design).__name__,
-        "gamma": constants.gamma,
+        "gamma": design.gamma,
         "Z_um": float(design.Z),
         "num_guides": design.num_guides,
         "ws_um": design.ws,
@@ -626,6 +622,11 @@ def run_summary(trajectory: FieldTrajectory, design,
         "chern_estimate": (x1 - x0) / (design.q * design.ws),
         "norm_drift": float(np.abs(norms / norms[0] - 1.0).max()),
         "leakage_max": trajectory.leakage_max,
+        "dx_um": grid.dx,
+        "dz_um": grid.dz,
+        "nx": grid.nx,
+        "x_min_um": grid.x_min,
+        "x_max_um": grid.x_max,
     }
     if G1 is not None:
         out["lz_ratio"] = lz_ratio(G1, design.Z)

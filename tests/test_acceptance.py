@@ -16,7 +16,7 @@ from aahpump.cli import PRESETS, main as cli_main
 from aahpump.edges import winding_numbers
 from aahpump.extraction import extract_parameters
 from aahpump.model import ModulationParams, bloch_grid_hamiltonians
-from aahpump.propagation import IndexModulated, OpticalConstants, \
+from aahpump.propagation import K0, IndexModulated, \
     default_grid, gaussian_input, split_step_propagate
 from aahpump.spectral import band_grid, direct_gaps, gap_scan, zone_mesh
 from aahpump.topology import chern_numbers, plaquette_phases
@@ -179,14 +179,13 @@ class TestCriterion8FreeDiffractionOracle:
     @given(W=st.floats(min_value=25.0, max_value=45.0))
     @settings(max_examples=5, deadline=None)
     def test_gaussian_diffraction_over_one_cm(self, W):
-        design = IndexModulated(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0,
-                                Z=1e4, num_guides=21)
-        free = OpticalConstants(gamma=0.0)
+        design = IndexModulated(gamma=0.0, alpha=0.5, p=1, q=3, ws=10.0,
+                                wx=3.0, Z=1e4, num_guides=21)
         grid = default_grid(design, num_slices=2)
         psi0 = gaussian_input(0.0, W, grid)
-        traj = split_step_propagate(psi0, design, free, grid,
+        traj = split_step_propagate(psi0, design, grid,
                                     lambda z, row: None, leakage_abort=1.0)
-        s = W ** 2 + 2j * design.Z / free.k0
+        s = W ** 2 + 2j * design.Z / K0
         ref = np.sqrt(W ** 2 / s) * np.exp(-grid.xs ** 2 / s)
         ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
         err = np.sqrt(np.sum(np.abs(traj.final - ref) ** 2) * grid.dx)
@@ -197,8 +196,9 @@ class TestCriterion9ParameterExtraction:
     @pytest.mark.parametrize("gamma,J_ref", [(9e-4, 3.76e-4),
                                              (5e-4, 5.23e-4)])
     def test_extraction_contracts(self, gamma, J_ref):
-        design = IndexModulated(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5)
-        fit = extract_parameters(OpticalConstants(gamma=gamma), design)
+        design = IndexModulated(gamma=gamma, alpha=0.5, p=1, q=3, ws=10.0,
+                                wx=3.0, Z=3e5)
+        fit = extract_parameters(design)
         assert abs(fit.J - J_ref) <= 0.3 * J_ref
         assert fit.nu_d < 0
         assert abs(fit.nu_d) > 5 * abs(fit.nu_od)
@@ -206,10 +206,11 @@ class TestCriterion9ParameterExtraction:
         assert abs(fit.delta_phi - math.pi / 3) <= 0.3
 
     def test_deeper_guides_hop_less(self):
-        design = IndexModulated(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5)
-        j9 = extract_parameters(OpticalConstants(gamma=9e-4), design).J
-        j5 = extract_parameters(OpticalConstants(gamma=5e-4), design).J
-        assert j9 < j5
+        def J(gamma):
+            return extract_parameters(IndexModulated(
+                gamma=gamma, alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5)).J
+
+        assert J(9e-4) < J(5e-4)
 
 
 class TestCriterion10Determinism:

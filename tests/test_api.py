@@ -8,7 +8,7 @@ import pytest
 import aahpump
 from aahpump import BoundaryLeakage, ConfigError, FiducialInGapViolation, \
     FitDegenerate, GridUnderresolved, IndexModulated, MeshTooCoarse, \
-    ModulationParams, NoBoundMode, NumericalFailure, OpticalConstants, \
+    ModulationParams, NoBoundMode, NumericalFailure, SpacingModulated, \
     WindingUnderresolved, chern_numbers, default_grid, gap_scan, \
     gaussian_input, spectral_flow, winding_numbers
 from aahpump.extraction import _basis_grid
@@ -23,7 +23,7 @@ REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "_edge_weights", "OpenChainSpec", "onsite_potential", "hopping",
            "bloch_hamiltonian", "format_cell", "_first_gap", "_write_cache",
            "NUMERICAL_ERRORS", "ThreadPoolExecutor", "pump_chern",
-           "_shift_readout", "_require_finite_scale")
+           "_shift_readout", "_require_finite_scale", "OpticalConstants")
 
 MODULES = ("model", "spectral", "topology", "edges", "propagation",
            "extraction", "ioutil", "cli")
@@ -67,7 +67,7 @@ def test_no_public_name_only_tests_reach():
 
 
 def _design(**kw):
-    base = dict(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=1.5e5)
+    base = dict(gamma=9e-4, alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=1.5e5)
     base.update(kw)
     return IndexModulated(**base)
 
@@ -85,10 +85,13 @@ def _lattice(q=3):
                  id="ModulationParams-nu_od=nan"),
     pytest.param(lambda: ModulationParams(1.0, 0.0, 1.0, 1, 3, np.inf),
                  id="ModulationParams-delta_phi=inf"),
-    pytest.param(lambda: OpticalConstants(gamma=-np.inf),
-                 id="OpticalConstants-gamma=-inf"),
-    pytest.param(lambda: OpticalConstants(9e-4, wavelength=np.nan),
-                 id="OpticalConstants-wavelength=nan"),
+    pytest.param(lambda: _design(gamma=-np.inf),
+                 id="IndexModulated-gamma=-inf"),
+    pytest.param(lambda: SpacingModulated(gamma=np.nan, p=1, q=3, ws=20.0,
+                                          wx=3.0, wm=4.0, phi0=0.0, Z=1.5e5),
+                 id="SpacingModulated-gamma=nan"),
+    pytest.param(lambda: default_grid(_design(Z=1e8)),
+                 id="default_grid-Z=1e8"),
     pytest.param(lambda: _design(wx=0.0), id="IndexModulated-wx=0"),
     pytest.param(lambda: _design(ws=0.0), id="IndexModulated-ws=0"),
     pytest.param(lambda: _design(alpha=np.nan), id="IndexModulated-alpha=nan"),

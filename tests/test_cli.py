@@ -15,8 +15,8 @@ from aahpump.cli import PRESETS, SCHEMAS, _build_design, _check_pump, \
     load_config_file, main
 from aahpump.ioutil import format_float, staged
 from aahpump.model import MAX_ARRAY_ELEMENTS, ConfigError
-from aahpump.propagation import OpticalConstants, default_grid, \
-    gaussian_input, split_step_propagate
+from aahpump.propagation import default_grid, gaussian_input, \
+    split_step_propagate
 from aahpump.topology import Undefined
 
 
@@ -360,6 +360,11 @@ class TestCommands:
                      id="fig5b-dx_um=1e-300"),
         pytest.param("fig5b", ["dx_um=1e-5", *SHORT_FIG5B],
                      "holds more than 1048576 samples", id="fig5b-dx_um=1e-5"),
+        # and a huge period more steps than a run may take, checked before
+        # a step count is cast
+        pytest.param("fig5b", ["Z_cm=1e300", "lz_estimate=false"],
+                     "a run to Z = 1e+304 um at dz = 1 um takes 1e+304 "
+                     "steps, more than 16777216", id="fig5b-Z_cm=1e300"),
         # and a huge slice count asks for more z than an array may hold
         pytest.param("fig5b", [*SHORT_FIG5B, "num_slices=1000000000000"],
                      "1000000000000 slices would hold 1000000000001 "
@@ -576,8 +581,7 @@ def short_fig5c(num_slices):
     psi0 = gaussian_input(design.guide_center(cfg["injection_guide"]),
                           cfg["W_um"], grid)
     rows = []
-    traj = split_step_propagate(psi0, design,
-                                OpticalConstants(gamma=cfg["gamma"]), grid,
+    traj = split_step_propagate(psi0, design, grid,
                                 lambda z, row: rows.append([z, *row]))
     return rows, traj
 

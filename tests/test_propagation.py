@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,16 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aahpump.cli import PRESETS, _build_design, build_config
+from aahpump.cli import PRESETS, _build_design, build_config, \
+    main as cli_main
 from aahpump.model import _mod_angle
-from aahpump.propagation import GUIDE_WINDOW_WIDTHS, PHASE_STEP_MAX, \
-    BoundaryLeakage, GridUnderresolved, IndexModulated, OpticalConstants, \
+from aahpump.propagation import GUIDE_WINDOW_WIDTHS, K0, N0, \
+    PHASE_STEP_MAX, BoundaryLeakage, GridUnderresolved, IndexModulated, \
     SimulationGrid, SpacingModulated, _GuidePotential, _phase_support, \
     _super_gaussian, default_grid, gaussian_input, injection_guide, \
     lz_ratio, mean_position, refractive_profile, run_summary, \
     split_step_propagate
 
-CONST = OpticalConstants(gamma=9e-4)
+
+# the keys of run_summary's dict without the lz fit
+SUMMARY_KEYS = {"design", "gamma", "Z_um", "num_guides", "ws_um",
+                "mean_x_start_um", "mean_x_end_um", "chern_estimate",
+                "norm_drift", "leakage_max", "dx_um", "dz_um", "nx",
+                "x_min_um", "x_max_um"}
 
 
 def ignore(z, row):
@@ -36,27 +43,28 @@ class Slices:
 
 
 def index_design(**kw):
-    base = dict(alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5, num_guides=21)
+    base = dict(gamma=9e-4, alpha=0.5, p=1, q=3, ws=10.0, wx=3.0, Z=3e5,
+                num_guides=21)
     base.update(kw)
     return IndexModulated(**base)
 
 
 def spacing_design(**kw):
-    base = dict(p=1, q=3, ws=20.0, wx=3.0, wm=18.0, phi0=math.pi / 5,
-                Z=1.5e5, num_guides=21)
+    base = dict(gamma=5e-4, p=1, q=3, ws=20.0, wx=3.0, wm=18.0,
+                phi0=math.pi / 5, Z=1.5e5, num_guides=21)
     base.update(kw)
     with pytest.warns(UserWarning):
         return SpacingModulated(**base)
 
 
-def make_design(name):
+def make_design(name, **kw):
     if name == "index":
-        return index_design()
+        return index_design(**kw)
     if name == "spacing":
-        return spacing_design()
+        return spacing_design(**kw)
     if name == "spacing_negative_wm":
         # the sign of wm only moves the drive phase by pi
-        return spacing_design(wm=-18.0)
+        return spacing_design(wm=-18.0, **kw)
     raise ValueError(name)
 
 
@@ -204,11 +212,12 @@ class TestProfiles:
         # frac is wm/ws for a spacing design and alpha for an index design
         with warnings.catch_warnings():  # overlapping guides are the point
             warnings.simplefilter("ignore", UserWarning)
-            d = (SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=frac * ws,
-                                  phi0=phi0, Z=1.5e5, num_guides=num_guides)
+            d = (SpacingModulated(gamma=5e-4, p=p, q=q, ws=ws, wx=wx,
+                                  wm=frac * ws, phi0=phi0, Z=1.5e5,
+                                  num_guides=num_guides)
                  if spacing else
-                 IndexModulated(alpha=frac, p=p, q=q, ws=ws, wx=wx, Z=1.5e5,
-                                num_guides=num_guides))
+                 IndexModulated(gamma=5e-4, alpha=frac, p=p, q=q, ws=ws,
+                                wx=wx, Z=1.5e5, num_guides=num_guides))
         x = np.arange(-400.0, 400.0, 0.15625)
         pot = _GuidePotential(d, x[_phase_support(d, x)])
         peak = max(pot.profile(d.Omega * z).max()
@@ -252,11 +261,12 @@ class TestProfiles:
         tiny = np.finfo(float).tiny
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            d = (SpacingModulated(p=p, q=q, ws=ws, wx=wx, wm=frac * ws,
-                                  phi0=phi0, Z=1.5e5, num_guides=num_guides)
+            d = (SpacingModulated(gamma=5e-4, p=p, q=q, ws=ws, wx=wx,
+                                  wm=frac * ws, phi0=phi0, Z=1.5e5,
+                                  num_guides=num_guides)
                  if spacing else
-                 IndexModulated(alpha=frac, p=p, q=q, ws=ws, wx=wx, Z=1.5e5,
-                                num_guides=num_guides))
+                 IndexModulated(gamma=5e-4, alpha=frac, p=p, q=q, ws=ws,
+                                wx=wx, Z=1.5e5, num_guides=num_guides))
         x = x0 + dx * np.arange(int(600.0 / dx))
         pot = _GuidePotential(d, x)
         centres = d.guide_indices * ws + d.wm * np.cos(pot.angles + phase)
@@ -300,8 +310,8 @@ class TestProfiles:
         with pytest.raises(ValueError, match="p must be >= 0"):
             index_design(p=-1)
         with pytest.raises(ValueError, match="p must be >= 0"):
-            SpacingModulated(p=-1, q=3, ws=20.0, wx=3.0, wm=4.0, phi0=0.0,
-                             Z=1.5e5)
+            SpacingModulated(gamma=5e-4, p=-1, q=3, ws=20.0, wx=3.0, wm=4.0,
+                             phi0=0.0, Z=1.5e5)
 
     @pytest.mark.parametrize("p, q, wm, separation", [
         (1, 7, 8.0, 13.0579), (1, 3, 18.0, -11.1769), (2, 5, -6.0, 8.5873),
@@ -309,8 +319,9 @@ class TestProfiles:
     def test_min_separation_over_a_cycle(self, p, q, wm, separation):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=wm,
-                                 phi0=math.pi / 5, Z=1.5e5, num_guides=9)
+            d = SpacingModulated(gamma=5e-4, p=p, q=q, ws=20.0, wx=3.0,
+                                 wm=wm, phi0=math.pi / 5, Z=1.5e5,
+                                 num_guides=9)
         assert d.min_separation == pytest.approx(separation, abs=1e-4)
         # the smallest sampled gap between neighbours over a cycle
         gaps = [d.guide_center(j + 1, z) - d.guide_center(j, z)
@@ -322,20 +333,39 @@ class TestProfiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # 1/7 at wm = 8: 13.06 um >= 2*wx, though |wm| >= ws/2 - wx
-            SpacingModulated(p=1, q=7, ws=20.0, wx=3.0, wm=8.0, phi0=0.0,
-                             Z=1.5e5)
+            SpacingModulated(gamma=5e-4, p=1, q=7, ws=20.0, wx=3.0, wm=8.0,
+                             phi0=0.0, Z=1.5e5)
             # a single guide has no neighbour
-            SpacingModulated(p=1, q=3, ws=20.0, wx=3.0, wm=18.0, phi0=0.0,
-                             Z=1.5e5, num_guides=1)
+            SpacingModulated(gamma=5e-4, p=1, q=3, ws=20.0, wx=3.0, wm=18.0,
+                             phi0=0.0, Z=1.5e5, num_guides=1)
+            index_design(ws=5.0, num_guides=1)
+            # fixed guides exactly 2*wx apart
+            index_design(ws=6.0)
         # fig5c's geometry: neighbouring guides cross during the cycle
         crossing = r"is -11\.18 um < 2\*wx = 6 um: .* can overlap and cross"
         with pytest.warns(UserWarning, match=crossing):
-            SpacingModulated(p=1, q=3, ws=20.0, wx=3.0, wm=18.0,
+            SpacingModulated(gamma=5e-4, p=1, q=3, ws=20.0, wx=3.0, wm=18.0,
                              phi0=math.pi / 5, Z=1.5e5)
         touching = r"is 5\.00 um < 2\*wx = 6 um: .* can overlap$"
         with pytest.warns(UserWarning, match=touching):
-            SpacingModulated(p=1, q=2, ws=20.0, wx=3.0, wm=7.5, phi0=0.0,
-                             Z=1.5e5)
+            SpacingModulated(gamma=5e-4, p=1, q=2, ws=20.0, wx=3.0, wm=7.5,
+                             phi0=0.0, Z=1.5e5)
+
+    @pytest.mark.parametrize("design, count", [
+        (lambda: SpacingModulated(gamma=5e-4, p=1, q=3, ws=5.0, wx=3.0,
+                                  wm=1.0, phi0=0.0, Z=1.5e5), 1),
+        (lambda: SpacingModulated(gamma=5e-4, p=1, q=3, ws=6.0, wx=3.0,
+                                  wm=0.0, phi0=0.0, Z=1.5e5), 0),
+        (lambda: index_design(ws=5.0), 1)],
+        ids=["spacing-ws<2wx", "spacing-ws=2wx-wm=0", "index-ws<2wx"])
+    def test_overlapping_array_warns_once(self, design, count):
+        # one overlap rule for both designs: an array whose neighbours come
+        # closer than 2*wx warns once, and guides exactly 2*wx apart do not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            design()
+        assert len(caught) == count
+        assert all("can overlap" in str(w.message) for w in caught)
 
 
 class TestInjection:
@@ -383,9 +413,9 @@ class TestDiagnostics:
             lz_ratio(-1.0, 1.0)
 
 
-def free_gaussian(x, W, z, k0):
+def free_gaussian(x, W, z):
     """Closed-form paraxial diffraction of exp(-x^2/W^2)."""
-    s = W ** 2 + 2j * z / k0
+    s = W ** 2 + 2j * z / K0
     return np.sqrt(W ** 2 / s) * np.exp(-x ** 2 / s)
 
 
@@ -400,7 +430,7 @@ def phase_factor(theta):
     return factor
 
 
-def reference_propagate(psi0, design, constants, grid):
+def reference_propagate(psi0, design, grid):
     """Strang stepper with fresh arrays per step and the potential phase
     applied on the whole grid: the reference the in-place, support-trimmed
     stepper must reproduce bit for bit.  The inverse FFT's 1/nx is moved
@@ -412,9 +442,9 @@ def reference_propagate(psi0, design, constants, grid):
     difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
     pot = _GuidePotential(design, x)
-    v_scale = constants.k0 * constants.gamma / constants.n0
+    v_scale = K0 * design.gamma / N0
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
-    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * constants.k0))
+    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * K0))
     merged = half_kin * half_kin / grid.nx
     psi = np.asarray(psi0, dtype=complex)
     fields = [psi.copy()]
@@ -468,30 +498,27 @@ class TestSplitStep:
         ("spacing_negative_wm", 7.5, -4),
     ])
     def test_matches_reference_stepper(self, design, dz, guide):
-        d = make_design(design)
-        const = OpticalConstants(gamma=5e-4)
+        d = make_design(design, gamma=5e-4)
         grid = default_grid(d, dz=dz)
         grid = SimulationGrid(grid.x_min, grid.x_max, grid.nx, dz,
                               dz * np.arange(0, 301, 50))
         psi0 = gaussian_input(d.guide_center(guide, 0.0), 4.3, grid)
         psi0_before = psi0.copy()
         slices = Slices()
-        traj = split_step_propagate(psi0, d, const, grid, slices)
-        fields, norms = reference_propagate(psi0_before, d, const, grid)
+        traj = split_step_propagate(psi0, d, grid, slices)
+        fields, norms = reference_propagate(psi0_before, d, grid)
         assert np.array_equal(psi0, psi0_before)
         assert_matches_reference(slices, traj, fields, norms)
         assert len(fields) == 7
 
     def test_free_diffraction_oracle(self):
-        d = index_design(Z=1e4)
-        free = OpticalConstants(gamma=0.0)
+        d = index_design(gamma=0.0, Z=1e4)
         grid = default_grid(d, num_slices=4)
         psi0 = gaussian_input(0.0, 30.0, grid)
         slices = Slices()
-        traj = split_step_propagate(psi0, d, free, grid, slices,
-                                    leakage_abort=1.0)
+        traj = split_step_propagate(psi0, d, grid, slices, leakage_abort=1.0)
         for z, intensity in zip(slices.zs, slices.rows):
-            ref = free_gaussian(grid.xs, 30.0, z, free.k0)
+            ref = free_gaussian(grid.xs, 30.0, z)
             ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
             # an L2 error e of the field bounds the L1 error of |psi|^2
             # by 2e (Cauchy-Schwarz, both unit-norm)
@@ -507,8 +534,8 @@ class TestSplitStep:
         grid = default_grid(d, num_slices=2)
         x, dx, dz = grid.xs, grid.dx, grid.dz
         kx = 2 * np.pi * np.fft.fftfreq(grid.nx, dx)
-        decay = np.exp(-kx ** 2 * dz / (4 * CONST.k0))
-        gain = np.exp(CONST.k0 * CONST.gamma / CONST.n0 * dz
+        decay = np.exp(-kx ** 2 * dz / (4 * K0))
+        gain = np.exp(K0 * d.gamma / N0 * dz
                       * refractive_profile(d, x, 0.0))
         psi = gaussian_input(0.0, 4.0, grid)
         for _ in range(4000):
@@ -517,7 +544,7 @@ class TestSplitStep:
             psi = np.fft.ifft(np.fft.fft(psi) * decay)
             psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * dx)
         slices = Slices()
-        split_step_propagate(psi, d, CONST, grid, slices)
+        split_step_propagate(psi, d, grid, slices)
         drift = np.abs(slices.rows[-1]
                        - np.abs(psi) ** 2).max() / (np.abs(psi) ** 2).max()
         # imaginary-distance relaxation and the real-distance stepper agree
@@ -528,8 +555,8 @@ class TestSplitStep:
     def test_norm_conserved(self):
         d = index_design(Z=4000.0)
         grid = default_grid(d, num_slices=8)
-        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid, ignore)
+        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d, grid,
+                                    ignore)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() < 1e-12
 
     def test_slices_stream_through_the_callback(self):
@@ -537,11 +564,10 @@ class TestSplitStep:
         # and equal to the reference stepper's; the trajectory keeps the
         # z = 0 row and the last field, and no table
         d = spacing_design(Z=3000.0)
-        const = OpticalConstants(gamma=5e-4)
         grid = default_grid(d, dz=7.5, num_slices=4)
         psi0 = gaussian_input(d.guide_center(-4), 4.3, grid)
         slices = Slices()
-        traj = split_step_propagate(psi0, d, const, grid, slices)
+        traj = split_step_propagate(psi0, d, grid, slices)
         assert slices.zs == grid.z_slices.tolist()
         assert all(type(z) is float for z in slices.zs)
         buffer = slices.handed[0]
@@ -549,7 +575,7 @@ class TestSplitStep:
         assert not buffer.flags.writeable
         assert all(np.shares_memory(row, buffer) for row in slices.handed)
         assert_matches_reference(slices, traj,
-                                 *reference_propagate(psi0, d, const, grid))
+                                 *reference_propagate(psi0, d, grid))
         assert not hasattr(traj, "table") and not hasattr(traj, "intensity")
         assert traj.final.shape == (grid.nx,)
         assert traj.final.dtype == complex
@@ -563,9 +589,9 @@ class TestSplitStep:
         psi0 = gaussian_input(x_min + 100.0, 4.0, grid)
         slices = Slices()
         with pytest.warns(UserWarning, match="domain width"):
-            traj = split_step_propagate(psi0, d, CONST, grid, slices)
+            traj = split_step_propagate(psi0, d, grid, slices)
         assert_matches_reference(slices, traj,
-                                 *reference_propagate(psi0, d, CONST, grid))
+                                 *reference_propagate(psi0, d, grid))
 
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
            p=st.integers(1, 6),
@@ -574,19 +600,18 @@ class TestSplitStep:
     def test_unitary_for_any_drive(self, spacing, q, p, gamma):
         # one pump cycle in 100 steps, equal to the reference bit for bit
         if spacing:
-            d = SpacingModulated(p=p, q=q, ws=20.0, wx=3.0, wm=4.0,
-                                 phi0=math.pi / 5, Z=400.0, num_guides=7)
+            d = SpacingModulated(gamma=gamma, p=p, q=q, ws=20.0, wx=3.0,
+                                 wm=4.0, phi0=math.pi / 5, Z=400.0,
+                                 num_guides=7)
         else:
-            d = index_design(p=p, q=q, Z=400.0, num_guides=7)
-        const = OpticalConstants(gamma=gamma)
+            d = index_design(gamma=gamma, p=p, q=q, Z=400.0, num_guides=7)
         grid = default_grid(d, dz=4.0, num_slices=4)
         psi0 = gaussian_input(0.0, 4.0, grid)
         slices = Slices()
-        traj = split_step_propagate(psi0, d, const, grid, slices,
-                                    leakage_abort=1.0)
+        traj = split_step_propagate(psi0, d, grid, slices, leakage_abort=1.0)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
         assert_matches_reference(slices, traj,
-                                 *reference_propagate(psi0, d, const, grid))
+                                 *reference_propagate(psi0, d, grid))
 
     def test_second_order_convergence(self):
         d = index_design(Z=4000.0)
@@ -594,7 +619,7 @@ class TestSplitStep:
         def final_field(dz):
             grid = default_grid(d, dz=dz, num_slices=2)
             return split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                        CONST, grid, ignore).final
+                                        grid, ignore).final
 
         ref = final_field(0.5)
         e_coarse = np.linalg.norm(final_field(4.0) - ref)
@@ -605,21 +630,20 @@ class TestSplitStep:
         d = index_design()
         with pytest.raises(GridUnderresolved):
             grid = default_grid(d, dz=50.0)
-            split_step_propagate(gaussian_input(0.0, 3.77, grid), d, CONST,
-                                 grid, ignore)
+            split_step_propagate(gaussian_input(0.0, 3.77, grid), d, grid,
+                                 ignore)
         with pytest.raises(GridUnderresolved):
             grid = default_grid(d, dx=1.25)
-            split_step_propagate(gaussian_input(0.0, 3.77, grid), d, CONST,
-                                 grid, ignore)
+            split_step_propagate(gaussian_input(0.0, 3.77, grid), d, grid,
+                                 ignore)
 
     def test_boundary_leakage_aborts(self):
-        d = index_design(num_guides=1, Z=1e4)
-        free = OpticalConstants(gamma=0.0)
+        d = index_design(gamma=0.0, num_guides=1, Z=1e4)
         grid = default_grid(d, num_slices=20)
         psi0 = gaussian_input(0.0, 20.0, grid)
         slices = Slices()
         with pytest.raises(BoundaryLeakage):
-            split_step_propagate(psi0, d, free, grid, slices)
+            split_step_propagate(psi0, d, grid, slices)
         # the light fills the strips at z = 0 already; a slice that leaks
         # is not handed on
         assert slices.zs == []
@@ -630,22 +654,36 @@ class TestReadout:
         d = index_design(Z=1000.0)
         grid = default_grid(d, num_slices=2)
         slices = Slices()
-        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid, slices)
+        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d, grid,
+                                    slices)
         expected = (mean_position(slices.rows[-1], grid)
                     - mean_position(slices.rows[0], grid)) / (3 * d.ws)
-        assert run_summary(traj, d, CONST)["chern_estimate"] == \
+        assert run_summary(traj, d)["chern_estimate"] == \
             pytest.approx(expected)
 
-    def test_run_summary_keys(self):
+    def test_run_summary_keys(self, tmp_path):
+        # run_summary writes the design, the grid, the health metrics and
+        # the readout; cmd_pump adds only the input's keys, and the first
+        # gap's when the lz fit runs
         d = index_design(Z=1000.0)
         grid = default_grid(d, num_slices=2)
-        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d,
-                                    CONST, grid, ignore)
-        s = run_summary(traj, d, CONST, G1=1e-3)
-        for key in ("chern_estimate", "norm_drift", "leakage_max",
-                    "lz_ratio", "mean_x_start_um", "mean_x_end_um"):
-            assert key in s
+        traj = split_step_propagate(gaussian_input(0.0, 3.77, grid), d, grid,
+                                    ignore)
+        s = run_summary(traj, d)
+        assert set(s) == SUMMARY_KEYS
+        assert (s["gamma"], s["dx_um"], s["dz_um"], s["nx"], s["x_min_um"],
+                s["x_max_um"]) == (d.gamma, grid.dx, grid.dz, grid.nx,
+                                   grid.x_min, grid.x_max)
+        assert set(run_summary(traj, d, G1=1e-3)) == \
+            SUMMARY_KEYS | {"lz_ratio"}
+        inputs = {"injection_guide", "input_width_um"}
+        for lz, extra in ((False, inputs),
+                          (True, inputs | {"lz_ratio", "first_gap_per_um"})):
+            assert cli_main(["pump", "--preset", "fig5b", "--outdir",
+                             str(tmp_path), "Z_cm=0.2", "num_slices=10",
+                             "dz_um=10", f"lz_estimate={lz}"]) == 0
+            summary = json.loads((tmp_path / "fig5b_summary.json").read_text())
+            assert set(summary) == SUMMARY_KEYS | extra
 
 
 class TestConfinement:
