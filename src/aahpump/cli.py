@@ -1,7 +1,7 @@
 """Command-line front end: presets, config parsing, and artifact emission.
 
 Subcommands map onto the library modules: `bands` (Bloch bands or a gap
-scan), `phase-diagram` (Chern-number sweep with a resumable cell cache),
+scan), `phase-diagram` (Chern-number sweep and its per-cell record),
 `edges` (open-chain spectral flow and winding numbers), `pump` (split-step
 pumping runs), and `extract` (tight-binding parameter fits).  Every named
 figure experiment has a preset; `--check` reruns a preset and verifies its
@@ -12,8 +12,7 @@ Configuration is a flat `key = value` file and/or `key=value` command-line
 overrides (overrides win); unknown keys are rejected.  All outputs go
 through deterministic 12-significant-digit formatting, so a rerun leaves
 the same bytes.  A command writes each artifact to out(path), a temporary
-renamed to path only when the command returns; the phase-diagram cache,
-which resuming needs, is the one file written in place.
+renamed to path only when the command returns.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 
 import numpy as np
@@ -171,6 +171,13 @@ def _cell_str(cv: ChernVector) -> list:
     return [("undef" if isinstance(c, Undefined) else c) for c in cv]
 
 
+def _cell_line(flat: int, cv: ChernVector) -> str:
+    # an Undefined entry keeps its min_gap, exactly (repr round-trips)
+    return f"{flat} " + " ".join(
+        f"undef:{c.min_gap!r}" if isinstance(c, Undefined) else str(c)
+        for c in cv) + "\n"
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_bands(cfg, prefix, out):
@@ -210,8 +217,12 @@ def cmd_phase_diagram(cfg, prefix, out):
     template = ModulationParams(1.0, 0.0, 1.0, cfg["p"], cfg["q"],
                                 cfg["delta_phi_rad"])
     q = template.q
-    diagram = phase_diagram(template, od, d, prefix + "_cells.cache",
-                            cfg["nx"], cfg["ny"])
+    diagram = phase_diagram(template, od, d, cfg["nx"], cfg["ny"])
+    # the per-cell record: the one artifact with an undefined band's min gap
+    with open(out(prefix + "_cells.cache"), "w") as fh:
+        fh.writelines(_cell_line(i * len(d) + j, cv)
+                      for i, row in enumerate(diagram.cells)
+                      for j, cv in enumerate(row))
     rows = [[r_od, r_d] + _cell_str(diagram.cells[i][j])
             for i, r_od in enumerate(od) for j, r_d in enumerate(d)]
     header = ["nu_od_over_J", "nu_d_over_J"] + [f"C{n + 1}" for n in range(q)]
@@ -579,5 +590,12 @@ def main(argv=None) -> int:
     return 0
 
 
+def console_main() -> int:
+    """main as a console command: SIGTERM raises SystemExit(143), so the
+    run's staged temporaries are removed before it exits."""
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -16,13 +16,14 @@ period fits eps_j = nu_d*cos(2*pi*beta*j) and t_j = -J + nu_od*cos(2*pi*beta*j
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import ConfigError, NumericalFailure, _mod_angle
 from .propagation import K0, MAX_GRID_SAMPLES, N0, IndexModulated, \
-    refractive_profile
+    _GuidePotential, _super_gaussian
 from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
@@ -121,16 +122,16 @@ def extract_parameters(design: IndexModulated,
     n = len(xs)
     scale = K0 * design.gamma / N0
     half_idx = (BASIS_GUIDES - 1) // 2
-    basis_design = replace(design, num_guides=BASIS_GUIDES)
-
-    V_uniform = -scale * refractive_profile(replace(basis_design, alpha=0.0),
-                                            xs, 0.0)
-    _, band = _fd_eig(V_uniform, dx, BASIS_GUIDES)
+    with warnings.catch_warnings():
+        # the caller's design has already warned of overlapping guides
+        warnings.simplefilter("ignore", UserWarning)
+        basis_design = replace(design, num_guides=BASIS_GUIDES)
+    # its fixed G0 sum is the uniform-depth (alpha = 0) profile
+    potential = _GuidePotential(basis_design, xs)
+    _, band = _fd_eig(-scale * potential.fixed[0], dx, BASIS_GUIDES)
 
     # one isolated-guide trial mode, translated to every guide center
-    g0 = refractive_profile(replace(basis_design, num_guides=1, alpha=0.0),
-                            xs, 0.0)
-    _, trial0 = _bound_mode(-scale * g0, dx)
+    _, trial0 = _bound_mode(-scale * _super_gaussian(xs, 0.0, design.wx), dx)
     trials = np.zeros((n, BASIS_GUIDES))
     for i, j in enumerate(basis_design.guide_indices):
         trials[:, i] = np.roll(trial0, j * samples_per_ws)
@@ -147,7 +148,7 @@ def extract_parameters(design: IndexModulated,
     W = proj @ (s_vecs / np.sqrt(s_vals) @ s_vecs.T)
 
     # matrix elements of the fully modulated Hamiltonian at phase 0
-    V_full = -scale * refractive_profile(basis_design, xs, 0.0)
+    V_full = -scale * potential.profile(0.0)
     diag, off = _fd_operator(V_full, dx)
     HW = diag[:, None] * W
     HW[:-1] += off[:, None] * W[1:]

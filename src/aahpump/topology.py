@@ -18,15 +18,11 @@ polynomials of degree q, and a midpoint that fails is placed again from a
 ky mesh 4x, then 16x finer (FIDUCIAL_REFINEMENTS); the winding I_r is the
 signed count of the real roots of det(E_r - H_{1..q-1}(ky)) that are
 left-edge states; C_n = I_n - I_{n-1}.  Windings that break the gap-
-labelling congruence I_r = -r p^-1 (mod q) leave the cell undefined.  The
-sweep's cache key names this readout, so a cache of the earlier sweep by
-chern_numbers (the Fukui-Hatsugai-Suzuki, FHS, sum) is not resumed.
+labelling congruence I_r = -r p^-1 (mod q) leave the cell undefined.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,9 +44,6 @@ ROOT_CIRCLE_TOL = 1e-6
 # a trigonometric coefficient this small against its polynomial's largest
 # is a zero, so a vanishing top degree leaves no spurious root
 COEFFICIENT_TOL = 1e-13
-# names the readout of phase_diagram's cells in its cache key, so that a
-# cache written by another readout is not resumed
-CELL_READOUT = "dirichlet-block windings"
 
 
 class EvenDenominator(ConfigError):
@@ -377,52 +370,17 @@ class PhaseDiagram:
     cells: list  # cells[i][j] is the ChernVector at (nu_od[i], nu_d[j])
 
 
-def _cell_line(flat: int, cv: ChernVector) -> str:
-    # an Undefined entry keeps its min_gap, exactly (repr round-trips)
-    return f"{flat} " + " ".join(
-        f"undef:{c.min_gap!r}" if isinstance(c, Undefined) else str(c)
-        for c in cv) + "\n"
-
-
-def _read_cache(path, key_line: str, q: int) -> dict:
-    """Flat cell index -> ChernVector from a phase-diagram cache, or {} if
-    the file is missing or keyed otherwise.  A line without its newline was
-    cut short (3.552713678800501e-15 to 3.55 still parses): it is skipped."""
-    if not os.path.exists(path):
-        return {}
-    cells = {}
-    with open(path) as fh:
-        if fh.readline() != key_line + "\n":
-            return {}
-        for line in fh:
-            parts = line.split()
-            try:
-                if line.endswith("\n") and len(parts) == q + 1:
-                    cells[int(parts[0])] = ChernVector(
-                        Undefined(float(t[len("undef:"):]))
-                        if t.startswith("undef:") else int(t)
-                        for t in parts[1:])
-            except ValueError:  # a whole line that is not a cell
-                continue
-    return cells
-
-
 def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
-                  cache, nx: int = 48, ny: int = 48) -> PhaseDiagram:
+                  nx: int = 48, ny: int = 48) -> PhaseDiagram:
     """Chern numbers over a grid of modulation amplitudes.
 
     Each cell is read from the exact edge windings of the Dirichlet block
     (_cell_chern_numbers), with its gaps and fiducials from the cell's
     nx x ny zone_edge_grid; a band it cannot read (closed gap, uncertified
     fiducial, windings off the congruence) is recorded as Undefined
-    instead of aborting the sweep.  The cache file makes the sweep
-    resumable; its first line hashes what a cell depends on, the readout
-    included, so a file keyed to another sweep or written by another
-    readout is discarded.  The file is rewritten once, top to bottom in
-    cell order, each missing cell computed in turn and each line flushed as
-    it is written, so it ends with the same bytes at any resume point.
-    Inputs no cell can be computed for raise before the cache is touched,
-    a cell mesh above MAX_ARRAY_ELEMENTS (ConfigError) included.
+    instead of aborting the sweep.  Inputs no cell can be computed for
+    raise before the first cell is, a cell mesh above MAX_ARRAY_ELEMENTS
+    (ConfigError) included.
     """
     od = np.asarray(list(nu_od_over_J), dtype=float)
     d = np.asarray(list(nu_d_over_J), dtype=float)
@@ -438,21 +396,6 @@ def phase_diagram(params_template: ModulationParams, nu_od_over_J, nu_d_over_J,
                           f"{cols} x {rows} blocks of {q} x {q}")
         _require_elements(nx + rows, f"the axes of a {nx} x {rows} zone "
                                      "mesh")
-
-    # the key hashes Python floats: numpy 2 prints np.float64 differently
-    config = (CELL_READOUT, params_template.p, q, params_template.delta_phi,
-              nx, ny, od.tolist(), d.tolist())
-    key_line = "key " + hashlib.sha256(repr(config).encode()).hexdigest()
-    done = _read_cache(cache, key_line, q)
-    with open(cache, "w") as fh:
-        fh.write(key_line + "\n")
-        for flat in range(len(od) * len(d)):
-            if flat not in done:
-                i, j = divmod(flat, len(d))
-                done[flat] = _cell_chern_numbers(replace(
-                    params_template, nu_d=d[j] * J, nu_od=od[i] * J), nx, ny)
-            fh.write(_cell_line(flat, done[flat]))
-            fh.flush()
-    cells = [[done[i * len(d) + j] for j in range(len(d))]
-             for i in range(len(od))]
-    return PhaseDiagram(cells)
+    return PhaseDiagram([[_cell_chern_numbers(replace(
+        params_template, nu_d=r_d * J, nu_od=r_od * J), nx, ny)
+        for r_d in d] for r_od in od])

@@ -23,7 +23,8 @@ REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "_edge_weights", "OpenChainSpec", "onsite_potential", "hopping",
            "bloch_hamiltonian", "format_cell", "_first_gap", "_write_cache",
            "NUMERICAL_ERRORS", "ThreadPoolExecutor", "pump_chern",
-           "_shift_readout", "_require_finite_scale", "OpticalConstants")
+           "_shift_readout", "_require_finite_scale", "OpticalConstants",
+           "_read_cache", "CELL_READOUT")
 
 MODULES = ("model", "spectral", "topology", "edges", "propagation",
            "extraction", "ioutil", "cli")

@@ -1,15 +1,19 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aahpump
+from aahpump import topology
 from aahpump.cli import PRESETS, SCHEMAS, _build_design, _check_pump, \
     _guide, _inclusive_range, build_config, cmd_phase_diagram, cmd_pump, \
     load_config_file, main
@@ -124,78 +128,57 @@ class TestCommands:
         assert (tmp_path / "r_spectral_flow.csv").exists()
         assert (tmp_path / "r_windings.json").exists()
 
-    def test_phase_diagram_resume_identical(self, tmp_path):
-        args = ["phase-diagram", "--outdir", tmp_path, "--out", "r",
-                "nu_od_over_J_max=2", "nu_d_over_J_min=0",
-                "nu_d_over_J_max=1", "nx=12", "ny=12"]
-        assert run(args) == 0
-        first = (tmp_path / "r_phase_diagram.csv").read_bytes()
-        cache = (tmp_path / "r_cells.cache").read_bytes()
-        assert run(args) == 0  # rerun: all cells served from the cache
-        assert (tmp_path / "r_phase_diagram.csv").read_bytes() == first
-        assert (tmp_path / "r_cells.cache").read_bytes() == cache
-
-    def test_phase_diagram_cache_of_other_config_discarded(self, tmp_path):
-        def diagram(nu_od):
-            assert run(["phase-diagram", "--outdir", tmp_path, "--out", "x",
-                        f"nu_od_over_J_min={nu_od}",
-                        f"nu_od_over_J_max={nu_od}",
-                        "nu_d_over_J_min=0", "nu_d_over_J_max=0"]) == 0
-            return (tmp_path / "x_phase_diagram.csv").read_text()
-
-        assert diagram(1).splitlines()[1] == "1,0,-1,2,-1"
-        # same outdir, other config: the cached cell must not be served
-        assert diagram(10).splitlines()[1] == "10,0,2,-4,2"
-        assert (tmp_path / "x_cells.cache").read_text().startswith("key ")
-
     def test_phase_diagram_cache_keeps_min_gap(self, tmp_path):
         # at nu_od/J = 4 both gaps close, so every band is Undefined with a
-        # small nonzero min_gap, which a resumed run must serve unchanged
+        # small nonzero min_gap, which the cell record carries exactly
         cfg = build_config("phase-diagram", {}, None, [
             "nu_od_over_J_min=4", "nu_od_over_J_max=4",
             "nu_d_over_J_min=0", "nu_d_over_J_max=0"])
         prefix = str(tmp_path / "g")
-        first = run_command(cmd_phase_diagram, cfg, prefix)["diagram"].cells
-        cached = (tmp_path / "g_cells.cache").read_bytes()
-        resumed = run_command(cmd_phase_diagram, cfg, prefix)["diagram"].cells
+        cells = run_command(cmd_phase_diagram, cfg, prefix)["diagram"].cells
         assert all(isinstance(c, Undefined) and c.min_gap > 0
-                   for c in first[0][0])
-        assert resumed == first
-        assert (tmp_path / "g_cells.cache").read_bytes() == cached
+                   for c in cells[0][0])
+        record = (tmp_path / "g_cells.cache").read_text()
+        assert record == "0 " + " ".join(
+            f"undef:{c.min_gap!r}" for c in cells[0][0]) + "\n"
 
-    def test_phase_diagram_cut_cache_line_recomputed(self, tmp_path):
-        # the last cell (nu_od/J = 4) is undefined with a tiny min_gap; a
-        # cache line cut anywhere, even where it still parses (a min_gap
-        # cut to 3.55, a Chern number cut to its sign), must be recomputed
-        args = ["phase-diagram", "--outdir", tmp_path, "--out", "c",
-                "nu_od_over_J_min=3", "nu_od_over_J_max=4",
-                "nu_d_over_J_min=0", "nu_d_over_J_max=0", "nx=12", "ny=12"]
+    def test_phase_diagram_ignores_a_stale_record(self, tmp_path):
+        # a rerun into the same outdir computes every cell again: a record
+        # whose first cell was changed is overwritten, not read
+        args = ["phase-diagram", "--outdir", tmp_path, "--out", "r",
+                "nu_od_over_J_max=2", "nu_d_over_J_min=0",
+                "nu_d_over_J_max=1", "nx=12", "ny=12"]
         assert run(args) == 0
-        csv = (tmp_path / "c_phase_diagram.csv").read_bytes()
-        cache = (tmp_path / "c_cells.cache").read_bytes()
-        last = cache.rindex(b"\n", 0, len(cache) - 1) + 1
-        assert b"undef:" in cache[last:]
-        for cut in range(last + 1, len(cache)):
-            (tmp_path / "c_cells.cache").write_bytes(cache[:cut])
-            assert run(args) == 0
-            assert (tmp_path / "c_cells.cache").read_bytes() == cache, cut
-            assert (tmp_path / "c_phase_diagram.csv").read_bytes() == csv
+        csv = (tmp_path / "r_phase_diagram.csv").read_bytes()
+        record = tmp_path / "r_cells.cache"
+        lines = record.read_text().splitlines(keepends=True)
+        record.write_text("".join("0 9 9 9\n" if line.startswith("0 ")
+                                  else line for line in lines))
+        assert run(args) == 0
+        assert (tmp_path / "r_phase_diagram.csv").read_bytes() == csv
 
-    def test_phase_diagram_resumes_any_cached_subset(self, tmp_path):
-        # a cache holding only a middle cell resumes to a fresh run's bytes
-        args = ["phase-diagram", "--outdir", tmp_path, "--out", "m",
-                "nu_od_over_J_min=1", "nu_od_over_J_max=3",
-                "nu_d_over_J_min=0", "nu_d_over_J_max=1", "nx=8", "ny=8"]
-        assert run(args) == 0
-        csv = (tmp_path / "m_phase_diagram.csv").read_bytes()
-        cache = (tmp_path / "m_cells.cache").read_bytes()
-        lines = cache.splitlines(keepends=True)
-        assert len(lines) == 7 and lines[3].startswith(b"2 ")
-        (tmp_path / "m_cells.cache").write_bytes(lines[0] + lines[3])
-        (tmp_path / "m_phase_diagram.csv").unlink()
-        assert run(args) == 0
-        assert (tmp_path / "m_cells.cache").read_bytes() == cache
-        assert (tmp_path / "m_phase_diagram.csv").read_bytes() == csv
+    def test_phase_diagram_interrupted_leaves_nothing(self, tmp_path,
+                                                      monkeypatch):
+        # an interrupt at the third cell leaves neither the record nor a
+        # temporary behind
+        class Interrupt(BaseException):
+            pass
+
+        cell = topology._cell_chern_numbers
+        calls = []
+
+        def third_raises(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise Interrupt
+            return cell(*args)
+
+        monkeypatch.setattr(topology, "_cell_chern_numbers", third_raises)
+        with pytest.raises(Interrupt):
+            run(["phase-diagram", "--outdir", tmp_path, "nu_od_over_J_max=2",
+                 "nu_d_over_J_min=0", "nu_d_over_J_max=1", "nx=8", "ny=8"])
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_underresolved_windings_exit_3(self, tmp_path, capsys):
         rc = run(["edges", "--outdir", tmp_path, "nu_od_over_J=10",
@@ -451,7 +434,7 @@ class TestCommands:
          "an open chain of 100000000 sites at 3 ky would hold "
          "10000000000000000 elements"),
         # a sweep checks its largest cell mesh (the 16x finer ky mesh of a
-        # fiducial placed again) before it opens its cache
+        # fiducial placed again) before it computes a cell
         (["phase-diagram", "ny=5000000", "nu_od_over_J_max=0",
           "nu_d_over_J_max=-4"],
          "2 x 80000000 blocks of 3 x 3 would hold 1440000000 elements"),
@@ -548,19 +531,6 @@ class TestCommands:
             assert (tmp_path / "3" / name).read_bytes() == \
                 (tmp_path / "6" / name).read_bytes(), name
 
-    def test_phase_diagram_unreduced_ratio_resumes(self, tmp_path):
-        cfg = build_config("phase-diagram", {}, None, [
-            "p=2", "q=6", "nu_od_over_J_max=1", "nu_d_over_J_min=0",
-            "nu_d_over_J_max=0", "nx=8", "ny=8"])
-        prefix = str(tmp_path / "r")
-        run_command(cmd_phase_diagram, cfg, prefix)
-        calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("aahpump.topology._cell_chern_numbers",
-                       lambda *a, **k: calls.append(a))
-            run_command(cmd_phase_diagram, cfg, prefix)
-        assert calls == []  # every cell served from the cache
-
     def test_no_command_prints_help(self, capsys):
         assert run([]) == 2
 
@@ -644,6 +614,47 @@ class TestPumpOutput:
         assert list(tmp_path.iterdir()) == []  # temporaries included
 
 
+def test_extract_warns_once(tmp_path):
+    # the fit builds its 13-guide basis array without warning again of the
+    # overlap the caller's design has warned of
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["extract", "--outdir", tmp_path, "ws_um=5"]) == 0
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, UserWarning)] == [
+        "the smallest neighbour separation over a cycle is 5.00 um < 2*wx "
+        "= 6 um: neighbouring guides can overlap"]
+
+
+def package_env():
+    """The environment of a subprocess that imports this aahpump."""
+    src = str(Path(aahpump.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_sigterm_leaves_no_temporary(tmp_path):
+    # the console command exits 128 + SIGTERM on SIGTERM, after staged()
+    # has removed the run's temporaries
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aahpump.cli", "pump", "--preset", "fig5b",
+         "lz_estimate=false", "--outdir", str(tmp_path)],
+        env=package_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(tmp_path.glob("*.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 128 + signal.SIGTERM, err
+    assert list(tmp_path.iterdir()) == []
+
+
 # imports aahpump.cli, runs each command line given as a JSON argument in
 # the outdir given first, and prints whether scipy.linalg was loaded after
 # the import and after the runs
@@ -669,13 +680,10 @@ class TestImportGraph:
     ], ids=["bands-phase-diagram-pump-spacing", "edges"])
     def test_scipy_linalg_loads_at_first_tridiagonal_solve(
             self, tmp_path, runs, loaded):
-        src = str(Path(aahpump.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, str(tmp_path),
              json.dumps(runs)],
-            env=env, capture_output=True, text=True, timeout=300)
+            env=package_env(), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [False, loaded]
 
@@ -747,7 +755,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("command, args", list(_non_finite_cases()))
     def test_exit_code_and_outputs(self, tmp_path, command, args):
         # every probe of every float and integer key: a documented exit
-        # code, no file on failure (not even the phase-diagram cache), and
+        # code, no file on failure (not even the phase-diagram record), and
         # only finite numbers on success
         rc = run([command, "--outdir", tmp_path, *args])
         assert rc in (0, 2, 3, 4)

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -215,56 +213,20 @@ class TestPlaquettes:
 
 
 class TestPhaseDiagram:
-    def test_known_cells(self, tmp_path):
-        diag = phase_diagram(params(), [1.0, 10.0], [0.0], tmp_path / "c",
-                             nx=24, ny=24)
+    def test_known_cells(self):
+        diag = phase_diagram(params(), [1.0, 10.0], [0.0], nx=24, ny=24)
         assert tuple(diag.cells[0][0]) == (-1, 2, -1)
         assert tuple(diag.cells[1][0]) == (2, -4, 2)
 
-    def test_cache_serves_its_own_key_only(self, tmp_path):
-        od, d = [1.0, 4.0, 10.0], [-1.0, 0.0, 1.0]
-        a = phase_diagram(params(), od, d, tmp_path / "a", nx=24, ny=24)
-        # a correctly keyed cached cell is served as-is, not recomputed
-        cache = tmp_path / "cells.cache"
-        phase_diagram(params(), od, d, cache, nx=24, ny=24)
-        key = cache.read_text().splitlines()[0]
-        cache.write_text(f"{key}\n0 9 9 9\n")
-        c = phase_diagram(params(), od, d, cache, nx=24, ny=24)
-        assert c.cells[0][0] == ChernVector((9, 9, 9))
-        assert cache.read_text().splitlines()[1] == "0 9 9 9"
-        # a file keyed to another sweep is discarded
-        cache.write_text("key 0\n0 9 9 9\n")
-        c = phase_diagram(params(), od, d, cache, nx=24, ny=24)
-        assert c.cells[0][0] == a.cells[0][0]
-        assert cache.read_text().splitlines()[0] == key
-
-    def test_cache_of_another_readout_is_rewritten(self, tmp_path):
-        # a cache keyed as the FHS sweep keyed it, whose q = 7 cells can be
-        # wrong, is discarded and written again, not resumed
-        od, d = [1.0, 10.0], [0.0]
-        fhs_key = "key " + hashlib.sha256(repr(
-            (1, 3, 0.0, 24, 24, od, d)).encode()).hexdigest()
-        cache = tmp_path / "cells.cache"
-        cache.write_text(f"{fhs_key}\n0 9 9 9\n1 9 9 9\n")
-        diag = phase_diagram(params(), od, d, cache, nx=24, ny=24)
-        assert tuple(diag.cells[0][0]) == (-1, 2, -1)
-        assert tuple(diag.cells[1][0]) == (2, -4, 2)
-        lines = cache.read_text().splitlines()
-        assert lines[0] != fhs_key
-        assert lines[1:] == ["0 -1 2 -1", "1 2 -4 2"]
-
-    def test_transition_cell_not_fatal(self, tmp_path):
-        diag = phase_diagram(params(), [4.0], [0.0], tmp_path / "c",
-                             nx=48, ny=48)
+    def test_transition_cell_not_fatal(self):
+        diag = phase_diagram(params(), [4.0], [0.0], nx=48, ny=48)
         assert any(isinstance(c, Undefined) for c in diag.cells[0][0])
 
-    def test_empty_rejected(self, tmp_path):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            phase_diagram(params(), [], [0.0], tmp_path / "c")
-        assert list(tmp_path.iterdir()) == []
-        # an even q or a mesh below 4 x 4 fails before any cache is written
+            phase_diagram(params(), [], [0.0])
+        # an even q or a mesh below 4 x 4 fails before any cell is computed
         with pytest.raises(EvenDenominator):
-            phase_diagram(params(q=4), [1.0], [0.0], tmp_path / "c")
+            phase_diagram(params(q=4), [1.0], [0.0])
         with pytest.raises(ValueError):
-            phase_diagram(params(), [1.0], [0.0], tmp_path / "c", nx=2)
-        assert list(tmp_path.iterdir()) == []
+            phase_diagram(params(), [1.0], [0.0], nx=2)
