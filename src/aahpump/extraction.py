@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import ConfigError, NumericalFailure, _mod_angle
 from .propagation import K0, MAX_GRID_SAMPLES, N0, IndexModulated, \
-    _GuidePotential, _super_gaussian
+    _super_gaussian, refractive_profile
 from .spectral import tridiagonal_eigh
 
 MODE_DX = 0.05            # um; finite-difference step for mode solves
@@ -126,9 +126,9 @@ def extract_parameters(design: IndexModulated,
         # the caller's design has already warned of overlapping guides
         warnings.simplefilter("ignore", UserWarning)
         basis_design = replace(design, num_guides=BASIS_GUIDES)
-    # its fixed G0 sum is the uniform-depth (alpha = 0) profile
-    potential = _GuidePotential(basis_design, xs)
-    _, band = _fd_eig(-scale * potential.fixed[0], dx, BASIS_GUIDES)
+        uniform = refractive_profile(replace(basis_design, alpha=0.0), xs,
+                                     0.0)
+    _, band = _fd_eig(-scale * uniform, dx, BASIS_GUIDES)
 
     # one isolated-guide trial mode, translated to every guide center
     _, trial0 = _bound_mode(-scale * _super_gaussian(xs, 0.0, design.wx), dx)
@@ -148,7 +148,7 @@ def extract_parameters(design: IndexModulated,
     W = proj @ (s_vecs / np.sqrt(s_vals) @ s_vecs.T)
 
     # matrix elements of the fully modulated Hamiltonian at phase 0
-    V_full = -scale * potential.profile(0.0)
+    V_full = -scale * refractive_profile(basis_design, xs, 0.0)
     diag, off = _fd_operator(V_full, dx)
     HW = diag[:, None] * W
     HW[:-1] += off[:, None] * W[1:]

@@ -10,15 +10,21 @@ spatial-frequency domain bracket a pointwise potential phase evaluated at
 the step midpoint.  The trailing half step of one step and
 the leading half step of the next are one multiply, which also carries the
 inverse FFT's 1/nx (a recorded slice takes the trailing half step alone);
-the phase factor exp(i*theta) is built from one tangent, tan(theta/2).  One
-complex buffer carries the field through a step: both FFTs transform it in
-place, and a second buffer serves only the recorded slices and the final
-field.  A guide's shape is exactly zero, never subnormal, from just inside
-GUIDE_WINDOW_WIDTHS*wx of its centre, so R is exactly zero beyond the outer
-guides' reach, and the potential is evaluated and its phase applied only on
-the slice of the grid inside that reach.  Stepping is unitary, boundaries
-are periodic, and the domain is padded with empty space whose occupancy is
-monitored so runs abort loudly instead of wrapping light around.
+the phase factor exp(i*theta) is built from one tangent, tan(theta/2).
+
+A guide's shape is exactly zero, never subnormal, from just inside
+GUIDE_WINDOW_WIDTHS*wx of its centre, and the phase of a sum of guides is
+the product of their phases, so the potential phase is applied window by
+window.  Guides j and j + q share their drive angle and depth, and when
+their centres lie whole samples apart they form one group: its factor is
+one row of W samples, multiplied into every member's window through
+strided views of a padded field buffer (otherwise each guide is its own
+group).  The rows of PHASE_BLOCK steps are taken in one pass, so a step is
+the kinetic multiply, two in-place FFTs and one multiply per view; a
+second buffer serves only the recorded slices and the final field.
+Stepping is unitary, boundaries are periodic, and the domain is padded
+with empty space whose occupancy is monitored so runs abort loudly instead
+of wrapping light around.
 
 Two array designs are supported: guides with longitudinally modulated index
 depth (on-site pumping) and guides with longitudinally modulated positions
@@ -68,6 +74,7 @@ GUIDE_WINDOW_WIDTHS = 2.99
 # one arc gives 2.83 on fig5c, 16 give its true maximum, 2.0.
 BOUND_PHASE_ARCS = 16
 _BOUND_BLOCK = 256           # samples per block of the bound's evaluation
+PHASE_BLOCK = 16             # steps whose potential rows are taken at once
 
 
 class GridUnderresolved(NumericalFailure, ValueError):
@@ -187,15 +194,15 @@ class SpacingModulated(_GuideArray):
     alpha = 0.0
 
 
-def _super_gaussian(x, center, wx, out=None, scratch=None):
+def _super_gaussian(x, center, wx, out=None):
     """Guide shape exp(-((x - center)/wx)^6), written to out if given, with
     the sixth power taken as -u2*u2*u2 from u2 = ((x - center)/wx)^2 (a
-    libm pow per sample costs more than the exp), in scratch if given.  It
-    is exactly 0.0 where that exponent is below _LN_TINY, so it is never
-    subnormal, and exp runs only on the other samples."""
+    libm pow per sample costs more than the exp).  It is exactly 0.0 where
+    that exponent is below _LN_TINY, so it is never subnormal, and exp runs
+    only on the other samples."""
     u2 = np.asarray(np.subtract(x, center, out=out))
     np.square(np.divide(u2, wx, out=u2), out=u2)
-    arg = np.negative(u2, out=scratch)
+    arg = np.negative(u2)
     arg *= u2
     arg *= u2
     u2.fill(0.0)
@@ -354,20 +361,18 @@ def lz_ratio(G1: float, Z: float) -> float:
 
 
 class _GuidePotential:
-    """R of either design on the grid x, from one gathered window block.
+    """R of either design on the grid x, as rows of guide windows.
 
-    Each guide contributes only within GUIDE_WINDOW_WIDTHS*wx of its centre:
-    its shape is exactly 0.0 from the subnormal cutoff of _super_gaussian,
-    just inside that radius, outward.  The windows are rows of one
-    fixed-width (num_guides, W) index block into a copy of x padded by one
-    window plus the guides' reach beyond x, so no window is clipped or
-    masked: samples past a window's end hold exact zeros.  One bincount in
-    guide order sums the rows over the padded grid, then sliced back to x.
-    With wm == 0 the windows never move, so the sums with weights 1,
-    cos(theta_j) and sin(theta_j) are taken once and each phase costs O(nx):
-    R = G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs).  That sum can cancel to a
-    subnormal residue where the shapes are near their cutoff (or alpha near
-    -1), so R is set to 0.0 wherever |R| < tiny.
+    A window of W samples holds a guide's shape, which is exactly 0.0 from
+    the subnormal cutoff of _super_gaussian outward.  A group's row is its
+    first member's window at the drive phase, taken from the offsets to the
+    guide's lattice position j*ws, which are exact on a dyadic grid, so the
+    row translated to another member differs from that member's own window
+    only by rounding.  The rows act on a buffer padded by one window plus
+    the guides' reach beyond x, so no window is clipped or wraps, through
+    views of stride >= W, so no view overlaps itself.  profile() sums the
+    rows in group order and sets R to 0.0 wherever |R| < tiny, as a depth
+    factor near 0 (alpha near -1) can make a row subnormal.
     """
 
     def __init__(self, design, x):
@@ -379,6 +384,7 @@ class _GuidePotential:
                              "least 2 samples")
         self.design, self.x = design, x
         self.dx = dx = steps[0]
+        n = design.num_guides
         half = GUIDE_WINDOW_WIDTHS * design.wx
         # guide j sits at base_j + wm*cos(angles_j + phase)
         self.base = design.guide_indices * design.ws
@@ -387,11 +393,10 @@ class _GuidePotential:
         # a window from at most one sample below c - half reaches past
         # c + half with one sample to spare
         span = 2.0 * half / dx  # inf when it overflows
-        _require_elements(design.num_guides * (span + 4),
-                          f"{design.num_guides} guide windows {2.0 * half:g} "
-                          f"um wide at dx = {dx:g} um")
-        width = int(span) + 4
-        self.offsets = np.arange(width)
+        _require_elements(PHASE_BLOCK * n * (span + 4),
+                          f"{PHASE_BLOCK} steps of {n} guide windows "
+                          f"{2.0 * half:g} um wide at dx = {dx:g} um")
+        self.width = width = int(span) + 4
         reach = design.reach
         pad = width + math.ceil(max(0.0, x[0] + reach, reach - x[-1]) / dx)
         self.xp = np.concatenate((x[0] - dx * np.arange(pad, 0, -1), x,
@@ -401,48 +406,63 @@ class _GuidePotential:
         # subtraction: its rounding may move a start by one sample, which
         # the spare sample absorbs, as both ends of a window hold zeros
         self.origin = self.xp[0] + half
-        self.idx = np.empty((design.num_guides, width), dtype=np.intp)
-        self.g, self.scratch = np.empty((2,) + self.idx.shape)
-        # flat views of idx and g, for the bincount
-        self.flat_idx, self.flat_g = self.idx.reshape(-1), self.g.reshape(-1)
-        # fixed windows: G0, Gc, Gs as compact copies, which step faster,
-        # and a buffer for profile()'s sine term
-        self.fixed = None
-        if design.wm == 0.0:
-            self.fixed = [self._sum(self.base, w).copy() for w in
-                          (None, np.cos(self.angles), np.sin(self.angles))]
-            self.sine_term = np.empty(len(x))
-            self.subnormal = np.empty(len(x), dtype=bool)
+        # xp_windows[i] is the window of xp that starts at xp[i]
+        self.xp_windows = np.lib.stride_tricks.sliding_window_view(self.xp,
+                                                                   width)
+        # the groups, the samples between their members (0 when each guide
+        # is its own group), and each group's first member, whose window
+        # is the group's row
+        stride = design.q * design.ws / dx
+        self.stride = int(stride) if stride.is_integer() else 0
+        period = design.q if self.stride else n
+        self.groups = [range(r, n, period) for r in range(min(period, n))]
+        first = [members[0] for members in self.groups]
+        self.first_base, self.first_angles = self.base[first], \
+            self.angles[first]
+        # views as (group, samples from the group's row to the first
+        # window, windows, samples between windows)
+        self.views = []
+        for g, members in enumerate(self.groups):
+            k = -(-width // self.stride) if len(members) > 1 else 1
+            self.views += [(g, i * self.stride, len(members[i::k]),
+                            k * self.stride)
+                           for i in range(min(k, len(members)))]
 
-    def _sum(self, centres, weights=None):
+    def rows(self, phases):
+        """Window starts in the padded grid, (len(phases), groups), and
+        rows depth*shape, (len(phases), groups, W), of the groups at the
+        drive phases."""
+        d = self.design
+        cos = np.cos(self.first_angles + phases[:, None])
+        shift = d.wm * cos
         # the padding keeps every window start positive, so the truncating
         # cast takes the floor
-        lo = ((centres - self.origin) / self.dx).astype(np.intp)
-        np.add(lo[:, None], self.offsets, out=self.idx)
-        g = self.xp.take(self.idx, out=self.g)
-        _super_gaussian(g, centres[:, None], self.design.wx, out=g,
-                        scratch=self.scratch)
-        if weights is not None:
-            g *= weights[:, None]
-        return np.bincount(self.flat_idx, self.flat_g,
-                           minlength=len(self.xp))[self.inner]
+        lo = ((self.first_base + shift - self.origin) / self.dx
+              ).astype(np.intp)
+        rows = self.xp_windows[lo]
+        rows -= self.first_base[:, None]
+        _super_gaussian(rows, shift[..., None], d.wx, out=rows)
+        rows *= (1.0 + d.alpha * cos)[..., None]
+        return lo, rows
 
-    def profile(self, phase: float, out=None):
-        """R at the drive phase: in out, if given, for fixed windows, and in
-        the sum's own new array for moving ones."""
-        d = self.design
-        if self.fixed is None:
-            return self._sum(self.base + d.wm * np.cos(self.angles + phase))
-        # G0 + alpha*(cos(phase)*Gc - sin(phase)*Gs), in that order
-        G0, Gc, Gs = self.fixed
-        out = np.multiply(math.cos(phase), Gc, out=out)
-        out -= np.multiply(math.sin(phase), Gs, out=self.sine_term)
-        out *= d.alpha
-        out += G0
-        np.abs(out, out=self.sine_term)
-        np.less(self.sine_term, _TINY, out=self.subnormal)
-        np.copyto(out, 0.0, where=self.subnormal)
-        return out
+    def windows(self, buf):
+        """One array per view of the padded buffer buf: its [i] is the
+        view's (windows, W) block, the first window starting at buf[i]."""
+        size, W = buf.itemsize, self.width
+        return [np.lib.stride_tricks.as_strided(
+            buf, (len(buf) - (count - 1) * stride - W + 1, count, W),
+            (size, stride * size, size))
+            for _, _, count, stride in self.views]
+
+    def profile(self, phase: float):
+        """R at the drive phase, in a new array."""
+        lo, rows = self.rows(np.array([phase], dtype=float))
+        R = np.zeros(len(self.xp))
+        for (g, start, _, _), windows in zip(self.views, self.windows(R)):
+            windows[lo[0, g] + start] += rows[0, g]
+        R = R[self.inner]
+        R[np.abs(R) < _TINY] = 0.0
+        return R
 
     def bound(self) -> float:
         """Bound on R at the samples x over every drive phase.
@@ -473,8 +493,10 @@ class _GuidePotential:
         near, far = np.minimum(c1, c2), np.maximum(c1, c2)
         depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
         bound = 0.0
-        for start in range(0, len(self.x), _BOUND_BLOCK):
-            x = self.x[start:start + _BOUND_BLOCK, None]
+        # R is exactly 0 beyond the guides' reach
+        xs = self.x[_phase_support(d, self.x)]
+        for start in range(0, len(xs), _BOUND_BLOCK):
+            x = xs[start:start + _BOUND_BLOCK, None]
             for k in range(BOUND_PHASE_ARCS):
                 if k == 0 or d.wm != 0.0:
                     dist = np.maximum(np.maximum(near[k] - x, x - far[k]),
@@ -484,6 +506,22 @@ class _GuidePotential:
                             float((shape * depth[k]).sum(axis=1).max()))
         # profile() rounds in another order: allow 4 ulps per guide
         return bound * (1.0 + 4 * d.num_guides * np.finfo(float).eps)
+
+
+def _phase_factors(t, out):
+    """exp(i*theta) in out from t = theta/2, which it overwrites.
+
+    exp(i*theta) = (1 + i*T)/(1 - i*T) = (u - 1) + i*T*u with T = tan(t)
+    and u = 2/(1 + T^2): one vectorised tangent where cos and sin are two
+    scalar libm calls per sample.  |theta| <= PHASE_STEP_MAX keeps T small,
+    and the factor within 3 ulps of exp(i*theta) and 2 eps of unit modulus.
+    """
+    np.tan(t, out=t)
+    u = np.multiply(t, t)
+    u += 1.0
+    np.divide(2.0, u, out=u)
+    np.subtract(u, 1.0, out=out.real)
+    np.multiply(t, u, out=out.imag)
 
 
 def _phase_support(design, x: np.ndarray) -> slice:
@@ -517,9 +555,7 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
     if dx > design.wx / 4.0:
         raise GridUnderresolved(
             f"dx = {dx:.4g} exceeds wx/4 = {design.wx / 4:.4g}")
-    # the potential phase factor is exactly 1 outside x[sup]
-    sup = _phase_support(design, x)
-    pot = _GuidePotential(design, x[sup])
+    pot = _GuidePotential(design, x)
     v_scale = K0 * design.gamma / N0
     if dz * abs(v_scale) * pot.bound() > PHASE_STEP_MAX:
         raise GridUnderresolved(
@@ -568,37 +604,39 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
     half_kick, Omega = v_scale * dz / 2.0, design.Omega
     # psi_k holds the spectrum between steps and the field inside one: the
     # FFTs transform it in place, where pocketfft runs the same algorithm
-    # as out of place without first copying its input into out.  psi only
-    # takes the recorded slices.
-    psi_k = np.fft.fft(psi, norm="forward")
-    field_sup = psi_k[sup]
-    t = np.empty(len(field_sup))
-    u = np.empty(len(field_sup))
-    factor = np.empty(len(field_sup), dtype=complex)
-    # exp(i*theta) = (1 + i*t)/(1 - i*t) = (u - 1) + i*t*u with t =
-    # tan(theta/2) and u = 2/(1 + t^2): one vectorised tangent where cos and
-    # sin are two scalar libm calls per sample, written into one buffer
-    # without temporaries.  |theta| <= PHASE_STEP_MAX keeps t small, and
-    # the factor within 3 ulps of exp(i*theta) and 2 eps of unit modulus.
+    # as out of place without first copying its input into out.  It is the
+    # inner slice of the padded buffer the windows act on, whose padding
+    # stays zero.  psi only takes the recorded slices.
+    padded = np.zeros(len(pot.xp), dtype=complex)
+    psi_k = padded[pot.inner]
+    np.fft.fft(psi, out=psi_k, norm="forward")
+    plan = [(g, start, windows) for (g, start, _, _), windows
+            in zip(pot.views, pot.windows(padded))]
+    factor = np.empty((PHASE_BLOCK, len(pot.groups), pot.width),
+                      dtype=complex)
+    block = np.arange(PHASE_BLOCK)
     kin = half_kin
-    for s in range(steps[-1]):
-        z_mid = (s + 0.5) * dz
-        psi_k *= kin
-        kin = merged
-        np.fft.ifft(psi_k, out=psi_k, norm="forward")
-        np.multiply(pot.profile(Omega * z_mid, out=t), half_kick, out=t)
-        np.tan(t, out=t)
-        np.multiply(t, t, out=u)
-        np.add(u, 1.0, out=u)
-        np.divide(2.0, u, out=u)
-        np.subtract(u, 1.0, out=factor.real)
-        np.multiply(t, u, out=factor.imag)
-        field_sup *= factor
-        np.fft.fft(psi_k, out=psi_k)
-        if s + 1 in row_of_step:
-            # the trailing half step alone, leaving psi_k for the next step
-            np.fft.ifft(np.multiply(psi_k, half_kin, out=psi), out=psi)
-            record(row_of_step[s + 1])
+    for s0 in range(0, steps[-1], PHASE_BLOCK):
+        # the rows at the block's mid-step phases (the last block's past
+        # the run's end go unused), then their factors; the rows are freed
+        # before the next block's are taken
+        lo, t = pot.rows(Omega * ((block + (s0 + 0.5)) * dz))
+        t *= half_kick
+        _phase_factors(t, factor)
+        del t
+        steps_of_block = range(s0, min(s0 + PHASE_BLOCK, steps[-1]))
+        for b, (s, starts) in enumerate(zip(steps_of_block, lo.tolist())):
+            psi_k *= kin
+            kin = merged
+            np.fft.ifft(psi_k, out=psi_k, norm="forward")
+            for g, start, windows in plan:
+                windows[starts[g] + start] *= factor[b, g]
+            np.fft.fft(psi_k, out=psi_k)
+            if s + 1 in row_of_step:
+                # the trailing half step alone, leaving psi_k for the next
+                # step
+                np.fft.ifft(np.multiply(psi_k, half_kin, out=psi), out=psi)
+                record(row_of_step[s + 1])
     return FieldTrajectory(grid, first, norms, psi, float(leaks.max()))
 
 

@@ -4,17 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aahpump.cli import PRESETS, _build_design, build_config, \
     main as cli_main
 from aahpump.model import _mod_angle
 from aahpump.propagation import GUIDE_WINDOW_WIDTHS, K0, N0, \
-    PHASE_STEP_MAX, BoundaryLeakage, GridUnderresolved, IndexModulated, \
-    SimulationGrid, SpacingModulated, _GuidePotential, _phase_support, \
-    _super_gaussian, default_grid, gaussian_input, injection_guide, \
-    lz_ratio, mean_position, refractive_profile, run_summary, \
-    split_step_propagate
+    PHASE_BLOCK, PHASE_STEP_MAX, BoundaryLeakage, GridUnderresolved, \
+    IndexModulated, SimulationGrid, SpacingModulated, _GuidePotential, \
+    _phase_support, _super_gaussian, default_grid, gaussian_input, \
+    injection_guide, lz_ratio, mean_position, refractive_profile, \
+    run_summary, split_step_propagate
 
 
 # the keys of run_summary's dict without the lz fit
@@ -70,12 +70,16 @@ def make_design(name, **kw):
 
 def reference_profile(d, x, z, phase=None):
     """Per-guide loop over the whole grid, with the drive phase Omega*z
-    unless phase is given: the gathered potential's oracle."""
+    unless phase is given: the windowed potential's oracle.  A guide's
+    shape is taken at the offsets x - j*ws to its lattice position, less
+    wm*cos(a): the centre j*ws + wm*cos(a), rounded first, would be off by
+    up to half an ulp of j*ws (1.4e-14 um at 200 um), and the shape by that
+    times its slope (test_profile_is_exact_to_rounding)."""
     ph = d.Omega * z if phase is None else phase
     R = np.zeros(x.shape)
     for j in d.guide_indices:
         a = _mod_angle(j, d.p, d.q) + d.phi0 + ph
-        g = _super_gaussian(x, j * d.ws + d.wm * math.cos(a), d.wx)
+        g = _super_gaussian(x - j * d.ws, d.wm * math.cos(a), d.wx)
         if isinstance(d, IndexModulated):
             g = g * (1.0 + d.alpha * math.cos(a))
         R += g
@@ -83,18 +87,31 @@ def reference_profile(d, x, z, phase=None):
 
 
 def windowed_spacing_profile(d, x, z, phase=None):
-    """Per-guide loop over the support windows: the gathered potential's
-    reference."""
+    """Per-guide loop over the support windows, each shape taken as
+    reference_profile takes it: the windowed potential's reference."""
     R = np.zeros(x.shape)
     dx = x[1] - x[0]
     half = GUIDE_WINDOW_WIDTHS * d.wx
     ph = d.Omega * z if phase is None else phase
     for j in d.guide_indices:
-        c = j * d.ws + d.wm * math.cos(_mod_angle(j, d.p, d.q) + d.phi0 + ph)
+        shift = d.wm * math.cos(_mod_angle(j, d.p, d.q) + d.phi0 + ph)
+        c = j * d.ws + shift
         lo = max(0, int((c - half - x[0]) / dx))
         hi = min(len(x), int((c + half - x[0]) / dx) + 2)
         if lo < hi:
-            R[lo:hi] += _super_gaussian(x[lo:hi], c, d.wx)
+            R[lo:hi] += _super_gaussian(x[lo:hi] - j * d.ws, shift, d.wx)
+    return R
+
+
+def extended_profile(d, x, phase):
+    """R in extended precision (np.longdouble), from the same drive angles
+    and the same wm*cos(a) as the double evaluations."""
+    L = np.longdouble
+    R = np.zeros(x.shape, dtype=L)
+    for j in d.guide_indices:
+        cos = np.cos(_mod_angle(j, d.p, d.q) + d.phi0 + phase)
+        u = (x.astype(L) - (L(j * d.ws) + L(d.wm * cos))) / L(d.wx)
+        R += np.exp(-u ** 6) * L(1.0 + d.alpha * cos)
     return R
 
 
@@ -145,20 +162,35 @@ class TestProfiles:
 
     def test_windowed_spacing_potential_matches_direct(self):
         # samples beyond a window hold exact zeros of the guide shape, so
-        # the windowed sum equals the all-guide sum bit for bit
+        # the windowed sum equals the all-guide sum; the members of a group
+        # share one row and the sums run in group order, so only to
+        # rounding
         d = spacing_design()
         for x in SPACING_GRIDS:
             for z in np.linspace(0.0, d.Z, 37):
-                assert np.array_equal(refractive_profile(d, x, z),
-                                      reference_profile(d, x, z))
+                assert np.abs(refractive_profile(d, x, z)
+                              - reference_profile(d, x, z)).max() <= 1e-14
 
     def test_unmodulated_index_potential_matches_direct(self):
-        # the extraction's uniform basis: G0 alone, summed as the loop sums
+        # the extraction's uniform basis, summed in group order
         d = index_design(alpha=0.0)
         for x in SPACING_GRIDS:
             for z in np.linspace(0.0, d.Z, 37):
-                assert np.array_equal(refractive_profile(d, x, z),
-                                      reference_profile(d, x, z))
+                assert np.abs(refractive_profile(d, x, z)
+                              - reference_profile(d, x, z)).max() <= 1e-14
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="np.longdouble is no wider than float")
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    def test_profile_is_exact_to_rounding(self, design):
+        # a translated row is as exact as the member's own: within a few
+        # ulps of R in extended precision, at the outermost guides too
+        d = make_design(design)
+        for x in SPACING_GRIDS:
+            pot = _GuidePotential(d, x)
+            for phase in np.linspace(0.0, 2.0 * np.pi, 9):
+                assert np.abs(pot.profile(phase)
+                              - extended_profile(d, x, phase)).max() <= 2e-15
 
     @pytest.mark.parametrize("design", ["index", "spacing"])
     def test_profile_takes_the_drive_phase(self, design):
@@ -170,7 +202,7 @@ class TestProfiles:
             if design == "index":
                 assert np.abs(got - want).max() <= 1e-12
             else:
-                assert np.array_equal(got, want)
+                assert np.abs(got - want).max() <= 1e-14
 
     @pytest.mark.parametrize("x", [30.0, np.array([30.0]), [0.0, 1.0, 3.0],
                                    [1.0, 0.0], np.zeros((2, 2))])
@@ -182,7 +214,8 @@ class TestProfiles:
     @pytest.mark.parametrize("design", ["index", "spacing",
                                         "spacing_negative_wm"])
     def test_profile_exactly_zero_outside_phase_support(self, design):
-        # the stepper applies the potential phase on this slice only
+        # R lies inside the guides' windows, all within their reach, and
+        # bound() takes its maximum on this slice only
         d = make_design(design)
         x = default_grid(d).xs
         outside = np.ones(x.shape, dtype=bool)
@@ -238,6 +271,39 @@ class TestProfiles:
         assert _GuidePotential(d, x[_phase_support(d, x)]).bound() == \
             pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name, stride", [("fig5a", 192), ("fig5b", 192),
+                                              ("fig5c", 384)])
+    def test_preset_grids_form_three_groups(self, name, stride):
+        # guides j, j + 3, ..., j + 18 share their drive angle and lie
+        # q*ws/dx samples apart: one row and one view per group
+        d = preset_design(name)
+        pot = _GuidePotential(d, default_grid(d).xs)
+        assert pot.stride == stride
+        assert [list(g) for g in pot.groups] == \
+            [list(range(r, 21, 3)) for r in range(3)]
+        assert pot.views == [(g, 0, 7, stride) for g in range(3)]
+
+    @pytest.mark.parametrize("q, ws, num_guides, stride", [
+        (1, 10.0, 7, 64), (3, 10.3, 7, 0), (3, 10.0, 23, 192),
+        (1, 3.0, 9, 0), (1, 2.5, 9, 16)])
+    def test_views_cover_each_guide_once(self, q, ws, num_guides, stride):
+        # a view's windows never overlap one another, and the views hold
+        # every guide's window exactly once, at its own sample offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            d = index_design(q=q, ws=ws, num_guides=num_guides)
+        pot = _GuidePotential(d, np.arange(-200.0, 200.0, 0.15625))
+        assert pot.stride == stride
+        held = []
+        for g, start, count, step in pot.views:
+            assert count == 1 or step >= pot.width
+            members = pot.groups[g]
+            for i in range(count):
+                m = (start + i * step) // stride if stride else 0
+                assert (start + i * step) == m * stride
+                held.append(members[m])
+        assert sorted(held) == list(range(num_guides))
+
     def test_super_gaussian_matches_sixth_power(self):
         x = np.linspace(-20.0, 20.0, 100001)
         for c, wx in ((0.0, 3.0), (0.37, 3.0), (-5.1, 1.7)):
@@ -285,6 +351,16 @@ class TestProfiles:
         R = pot.profile(phase)
         assert not np.any((R != 0.0) & (np.abs(R) < tiny))
         assert pot.bound() >= tiny
+
+    def test_subnormal_row_reads_zero(self):
+        # a shape just above tiny times a depth factor of 0.5 is subnormal;
+        # the profile reads it as 0.0
+        tiny = np.finfo(float).tiny
+        d = index_design(alpha=-0.5, num_guides=1)
+        x = 3.0 * (-math.log(tiny) - 0.1) ** (1.0 / 6.0) + 0.001 * np.arange(3)
+        assert tiny < _super_gaussian(x[0], 0.0, 3.0) < 2.0 * tiny
+        assert 0.0 < 0.5 * _super_gaussian(x[0], 0.0, 3.0) < tiny
+        assert not refractive_profile(d, x, 0.0).any()
 
     def test_shape_vanishes_at_the_window_radius(self):
         # a window of radius GUIDE_WINDOW_WIDTHS*wx drops no nonzero
@@ -432,12 +508,20 @@ def phase_factor(theta):
 
 def reference_propagate(psi0, design, grid):
     """Strang stepper with fresh arrays per step and the potential phase
-    applied on the whole grid: the reference the in-place, support-trimmed
-    stepper must reproduce bit for bit.  The inverse FFT's 1/nx is moved
-    (exactly: nx is a power of two) into the first spectrum and into the
-    one multiply that merges the trailing half step of one step with the
-    leading one of the next; a recorded field is the plain inverse FFT of
-    the trailing half step alone.  The phase factor is phase_factor, not
+    applied window by window: the reference the in-place, blocked stepper
+    must reproduce bit for bit.  The inverse FFT's 1/nx is moved (exactly:
+    nx is a power of two) into the first spectrum and into the one multiply
+    that merges the trailing half step of one step with the leading one of
+    the next; a recorded field is the plain inverse FFT of the trailing half
+    step alone.  Each step, the field is copied into the inner slice of a
+    zeroed buffer padded as the potential's grid is.  Guides j, j + q, ...
+    form one group when q*ws/dx is whole, each guide its own group
+    otherwise; per group, in order, the first member's row depth*shape is
+    taken at the mid-step phase and phase_factor(v*dz*row) multiplies each
+    member's window, the row's translated by whole samples, one member at a
+    time.  Members closer than a window apart go in interleaved passes,
+    every k-th member with k = ceil(W/stride), as no view of the stepper
+    overlaps itself.  The phase factor is phase_factor, not
     np.exp(1j*theta) (test_phase_factor_matches_complex_exp bounds their
     difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
@@ -446,6 +530,12 @@ def reference_propagate(psi0, design, grid):
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * K0))
     merged = half_kin * half_kin / grid.nx
+    n, W = design.num_guides, pot.width
+    stride = design.q * design.ws / dx
+    whole = stride == int(stride)
+    stride = int(stride) if whole else 0
+    period = design.q if whole else n
+    groups = [list(range(r, n, period)) for r in range(min(period, n))]
     psi = np.asarray(psi0, dtype=complex)
     fields = [psi.copy()]
     norms = [np.sum(np.abs(psi) ** 2) * dx]
@@ -454,14 +544,48 @@ def reference_propagate(psi0, design, grid):
     for s in range(grid.steps[-1]):
         z_mid = (s + 0.5) * dz
         kin = half_kin if s == 0 else merged
-        psi = np.fft.ifft(psi_k * kin, norm="forward")
-        psi *= phase_factor(v_scale * dz * pot.profile(design.Omega * z_mid))
-        psi_k = np.fft.fft(psi)
+        padded = np.zeros(len(pot.xp), dtype=complex)
+        padded[pot.inner] = np.fft.ifft(psi_k * kin, norm="forward")
+        for members in groups:
+            j = members[0]
+            cos = np.cos(pot.angles[j] + design.Omega * z_mid)
+            base, shift = pot.base[j], design.wm * cos
+            lo = int((base + shift - pot.origin) / dx)
+            row = _super_gaussian(pot.xp[lo:lo + W] - base, shift, design.wx)
+            factor = phase_factor(v_scale * dz
+                                  * (row * (1.0 + design.alpha * cos)))
+            k = -(-W // stride) if len(members) > 1 else 1
+            for first in range(k):
+                for m in range(first, len(members), k):
+                    padded[lo + m * stride:lo + m * stride + W] *= factor
+        psi_k = np.fft.fft(padded[pot.inner])
         if s + 1 in record:
             out = np.fft.ifft(psi_k * half_kin)
             fields.append(out)
             norms.append(np.sum(np.abs(out) ** 2) * dx)
     return fields, np.array(norms)
+
+
+def whole_grid_propagate(psi0, design, grid):
+    """Strang stepper with the potential phase exp(i*v*dz*R) taken on the
+    whole grid from the per-guide reference_profile: the physics the
+    windowed stepper must reproduce to rounding.  Returns every recorded
+    field."""
+    dx, dz = grid.dx, grid.dz
+    v_scale = K0 * design.gamma / N0
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
+    half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * K0))
+    psi = np.asarray(psi0, dtype=complex)
+    fields = [psi.copy()]
+    record = set(grid.steps.tolist())
+    for s in range(grid.steps[-1]):
+        R = reference_profile(design, grid.xs, (s + 0.5) * dz)
+        psi = np.fft.ifft(np.fft.fft(psi) * half_kin)
+        psi = psi * np.exp(1j * v_scale * dz * R)
+        psi = np.fft.ifft(np.fft.fft(psi) * half_kin)
+        if s + 1 in record:
+            fields.append(psi)
+    return fields
 
 
 def assert_matches_reference(slices, traj, fields, norms):
@@ -510,6 +634,48 @@ class TestSplitStep:
         assert np.array_equal(psi0, psi0_before)
         assert_matches_reference(slices, traj, fields, norms)
         assert len(fields) == 7
+
+    @pytest.mark.parametrize("design, dz, guide", [
+        ("index", 4.0, 0),
+        ("spacing", 7.5, -4),
+        ("spacing_negative_wm", 7.5, -4),
+    ])
+    def test_matches_whole_grid_physics(self, design, dz, guide):
+        # the product of the windows' factors is exp(i*v*dz*R) on the
+        # whole grid, to rounding
+        d = make_design(design, gamma=5e-4)
+        grid = default_grid(d, dz=dz)
+        grid = SimulationGrid(grid.x_min, grid.x_max, grid.nx, dz,
+                              dz * np.arange(0, 301, 50))
+        psi0 = gaussian_input(d.guide_center(guide, 0.0), 4.3, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, grid, slices)
+        fields = whole_grid_propagate(psi0, d, grid)
+        assert len(fields) == len(slices.rows) == 7
+        assert np.sqrt(np.sum(np.abs(traj.final - fields[-1]) ** 2)
+                       * grid.dx) <= 1e-12
+        # an L2 error e of a unit-norm field bounds the L1 error of its
+        # |psi|^2 by 2e
+        for row, want in zip(slices.rows, fields):
+            assert np.sum(np.abs(row - np.abs(want) ** 2)) * grid.dx \
+                <= 2e-12
+
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    def test_slices_inside_a_block(self, design):
+        # recorded z inside the first block of PHASE_BLOCK steps, at a
+        # block's end and in a last, partial block
+        d = make_design(design, gamma=5e-4)
+        grid = default_grid(d, dz=7.5)
+        assert PHASE_BLOCK == 16
+        steps = [0, 7, 16, 23, 41]
+        grid = SimulationGrid(grid.x_min, grid.x_max, grid.nx, 7.5,
+                              7.5 * np.array(steps))
+        psi0 = gaussian_input(d.guide_center(-4, 0.0), 4.3, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, grid, slices)
+        assert slices.zs == [7.5 * n for n in steps]
+        assert_matches_reference(slices, traj,
+                                 *reference_propagate(psi0, d, grid))
 
     def test_free_diffraction_oracle(self):
         d = index_design(gamma=0.0, Z=1e4)
@@ -595,16 +761,31 @@ class TestSplitStep:
 
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
            p=st.integers(1, 6),
-           gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]))
+           gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]),
+           ws=st.sampled_from([10.0, 20.0]), num_guides=st.just(7))
+    # members of a group 64 samples apart, closer than a window: two
+    # interleaved views
+    @example(spacing=False, q=1, p=1, gamma=5e-4, ws=10.0, num_guides=7)
+    @example(spacing=True, q=1, p=1, gamma=-5e-4, ws=10.0, num_guides=7)
+    # q*ws/dx = 197.76 samples: each guide its own group
+    @example(spacing=False, q=3, p=1, gamma=5e-4, ws=10.3, num_guides=7)
+    @example(spacing=True, q=3, p=2, gamma=9e-4, ws=20.3, num_guides=7)
+    # groups of 8, 8 and 7 guides
+    @example(spacing=False, q=3, p=1, gamma=9e-4, ws=10.0, num_guides=23)
+    @example(spacing=True, q=3, p=1, gamma=-9e-4, ws=20.0, num_guides=23)
     @settings(max_examples=25, deadline=None)
-    def test_unitary_for_any_drive(self, spacing, q, p, gamma):
+    def test_unitary_for_any_drive(self, spacing, q, p, gamma, ws,
+                                   num_guides):
         # one pump cycle in 100 steps, equal to the reference bit for bit
         if spacing:
-            d = SpacingModulated(gamma=gamma, p=p, q=q, ws=20.0, wx=3.0,
-                                 wm=4.0, phi0=math.pi / 5, Z=400.0,
-                                 num_guides=7)
+            with warnings.catch_warnings():  # close guides at ws = 10
+                warnings.simplefilter("ignore", UserWarning)
+                d = SpacingModulated(gamma=gamma, p=p, q=q, ws=ws, wx=3.0,
+                                     wm=4.0, phi0=math.pi / 5, Z=400.0,
+                                     num_guides=num_guides)
         else:
-            d = index_design(gamma=gamma, p=p, q=q, Z=400.0, num_guides=7)
+            d = index_design(gamma=gamma, p=p, q=q, ws=ws, Z=400.0,
+                             num_guides=num_guides)
         grid = default_grid(d, dz=4.0, num_slices=4)
         psi0 = gaussian_input(0.0, 4.0, grid)
         slices = Slices()
