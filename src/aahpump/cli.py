@@ -26,12 +26,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .edges import bulk_edge_check, gap_fiducials, winding_numbers
-from .extraction import extract_parameters, extraction_report
+from .edges import DEFAULT_EDGE_SITES, DEFAULT_EDGE_THRESHOLD, \
+    DEFAULT_N_KY, bulk_edge_check, gap_fiducials, winding_numbers
+from .extraction import MODE_DX, extract_parameters, extraction_report
 from .ioutil import float_rows, format_float, pgm_rows, staged, write_csv, \
     write_json, write_pgm
 from .model import ConfigError, ModulationParams, NumericalFailure
-from .propagation import LEAKAGE_MAX, NORM_DRIFT_MAX, IndexModulated, \
+from .propagation import DEFAULT_DX, DEFAULT_DZ, DEFAULT_NUM_GUIDES, \
+    DEFAULT_NUM_SLICES, LEAKAGE_MAX, NORM_DRIFT_MAX, IndexModulated, \
     SpacingModulated, default_grid, gaussian_input, injection_guide, \
     run_summary, split_step_propagate
 from .spectral import band_edges, band_grid, gap_scan
@@ -64,14 +66,26 @@ def _guide(s):
     return int(s)
 
 
-# key -> (caster, default) per subcommand
+# key -> (caster, default) per subcommand, the shared keys from one dict
+_LATTICE_KEYS = {
+    "p": (int, 1),
+    "q": (int, 3),
+    "delta_phi_rad": (float, 0.0),
+}
+_ARRAY_KEYS = {
+    "gamma": (float, 9e-4),
+    "alpha": (float, 0.5),
+    "p": (int, 1),
+    "q": (int, 3),
+    "ws_um": (float, 10.0),
+    "wx_um": (float, 3.0),
+    "Z_cm": (float, 30.0),
+}
 SCHEMAS = {
     "bands": {
         "nu_od_over_J": (float, 1.0),
         "nu_d_over_J": (float, 0.0),
-        "p": (int, 1),
-        "q": (int, 3),
-        "delta_phi_rad": (float, 0.0),
+        **_LATTICE_KEYS,
         "nx": (int, 48),
         "ny": (int, 48),
         "pgm": (_bool, False),
@@ -87,53 +101,38 @@ SCHEMAS = {
         "nu_d_over_J_min": (float, -4.0),
         "nu_d_over_J_max": (float, 4.0),
         "nu_d_over_J_step": (float, 1.0),
-        "p": (int, 1),
-        "q": (int, 3),
-        "delta_phi_rad": (float, 0.0),
+        **_LATTICE_KEYS,
         "nx": (int, 24),
         "ny": (int, 24),
     },
     "edges": {
         "nu_od_over_J": (float, 1.0),
         "nu_d_over_J": (float, 0.0),
-        "p": (int, 1),
-        "q": (int, 3),
-        "delta_phi_rad": (float, 0.0),
+        **_LATTICE_KEYS,
         "num_sites": (int, 89),
-        "n_ky": (int, 400),
-        "edge_sites": (int, 5),
-        "edge_threshold": (float, 0.5),
+        "n_ky": (int, DEFAULT_N_KY),
+        "edge_sites": (int, DEFAULT_EDGE_SITES),
+        "edge_threshold": (float, DEFAULT_EDGE_THRESHOLD),
     },
     "pump": {
         "design": (str, "index"),
-        "gamma": (float, 9e-4),
-        "alpha": (float, 0.5),
-        "p": (int, 1),
-        "q": (int, 3),
-        "ws_um": (float, 10.0),
-        "wx_um": (float, 3.0),
+        **_ARRAY_KEYS,
         "wm_um": (float, 18.0),
         "phi0_rad": (float, 0.0),
-        "Z_cm": (float, 30.0),
-        "num_guides": (int, 21),
+        "num_guides": (int, DEFAULT_NUM_GUIDES),
         "W_um": (float, 3.77),
-        "dx_um": (float, 0.15625),
-        "dz_um": (float, 1.0),
-        "num_slices": (int, 200),
+        "dx_um": (float, DEFAULT_DX),
+        "dz_um": (float, DEFAULT_DZ),
+        "num_slices": (int, DEFAULT_NUM_SLICES),
         "injection_guide": (_guide, None),
         "lz_estimate": (_bool, True),
     },
     "extract": {
-        "gamma": (float, 9e-4),
-        "alpha": (float, 0.5),
-        "p": (int, 1),
-        "q": (int, 3),
-        "ws_um": (float, 10.0),
-        "wx_um": (float, 3.0),
-        "Z_cm": (float, 30.0),
-        "mode_dx_um": (float, 0.05),
+        **_ARRAY_KEYS,
+        "mode_dx_um": (float, MODE_DX),
     },
 }
+
 
 def _same_sample(x, value):
     """x lies within a range sample's tolerance of value."""

@@ -84,11 +84,6 @@ class ModulationParams:
         _require_finite(self, "J", "nu_d", "nu_od", "delta_phi")
         _reduce_ratio(self)
 
-    def with_ratio(self, nu_od_over_J: float) -> "ModulationParams":
-        """Copy with nu_od set to the given multiple of J."""
-        return ModulationParams(self.J, self.nu_d, nu_od_over_J * self.J,
-                                self.p, self.q, self.delta_phi)
-
 
 def _mod_angle(j, p: int, q: int):
     # 2*pi*beta*j computed from the exact residue p*j mod q, so the cosine

@@ -15,13 +15,13 @@ the phase factor exp(i*theta) is built from one tangent, tan(theta/2).
 A guide's shape is exactly zero, never subnormal, from just inside
 GUIDE_WINDOW_WIDTHS*wx of its centre, and the phase of a sum of guides is
 the product of their phases, so the potential phase is applied window by
-window.  Guides j and j + q share their drive angle and depth, and when
-their centres lie whole samples apart they form one group: its factor is
-one row of W samples, multiplied into every member's window through
-strided views of a padded field buffer (otherwise each guide is its own
-group).  The rows of PHASE_BLOCK steps are taken in one pass, so a step is
-the kinetic multiply, two in-place FFTs and one multiply per view; a
-second buffer serves only the recorded slices and the final field.
+window, to the guides that reach the grid.  Guides a multiple of q apart
+share their drive angle and depth; when they lie whole samples and a
+window or more apart they form a group, whose factor is one row of W
+samples multiplied into every member's window through one strided view of
+a padded field buffer.  The rows of PHASE_BLOCK steps are taken in one
+pass, so a step is the kinetic multiply, two in-place FFTs and one
+multiply per group; a second buffer serves only the recorded slices.
 Stepping is unitary, boundaries are periodic, and the domain is padded
 with empty space whose occupancy is monitored so runs abort loudly instead
 of wrapping light around.
@@ -138,16 +138,6 @@ class _GuideArray:
 
     def depth_factor(self, j: int, z: float) -> float:
         return 1.0 + self.alpha * math.cos(self._angle(j, z))
-
-    @property
-    def center_bound(self) -> float:
-        """Bound on |guide_center(j, z)| over all guides and all z."""
-        return float(self.guide_indices[-1] * self.ws + abs(self.wm))
-
-    @property
-    def reach(self) -> float:
-        """|x| beyond which R(x, z) is exactly 0 (guide windows) at any z."""
-        return self.center_bound + GUIDE_WINDOW_WIDTHS * self.wx
 
     @property
     def domain_width(self) -> float:
@@ -364,15 +354,17 @@ class _GuidePotential:
     """R of either design on the grid x, as rows of guide windows.
 
     A window of W samples holds a guide's shape, which is exactly 0.0 from
-    the subnormal cutoff of _super_gaussian outward.  A group's row is its
-    first member's window at the drive phase, taken from the offsets to the
-    guide's lattice position j*ws, which are exact on a dyadic grid, so the
-    row translated to another member differs from that member's own window
-    only by rounding.  The rows act on a buffer padded by one window plus
-    the guides' reach beyond x, so no window is clipped or wraps, through
-    views of stride >= W, so no view overlaps itself.  profile() sums the
-    rows in group order and sets R to 0.0 wherever |R| < tiny, as a depth
-    factor near 0 (alpha near -1) can make a row subnormal.
+    the subnormal cutoff of _super_gaussian outward.  Only the guides that
+    can reach x are built, and support is the slice of x they reach.  A
+    group's row is its first member's window at the drive phase, taken from
+    the offsets to the guide's lattice position j*ws, exact on a dyadic
+    grid, so translated to another member it differs from that member's
+    own window only by rounding.  The rows act on a buffer padded by one
+    window plus those guides' reach beyond x, so no window is clipped or
+    wraps, through one view per group, of stride >= W, so no view overlaps
+    itself.  profile() sums the rows in group order and sets R to 0.0
+    wherever |R| < tiny, as a depth factor near 0 (alpha near -1) can make
+    a row subnormal.
     """
 
     def __init__(self, design, x):
@@ -397,8 +389,14 @@ class _GuidePotential:
                           f"{PHASE_BLOCK} steps of {n} guide windows "
                           f"{2.0 * half:g} um wide at dx = {dx:g} um")
         self.width = width = int(span) + 4
-        reach = design.reach
-        pad = width + math.ceil(max(0.0, x[0] + reach, reach - x[-1]) / dx)
+        # the guides whose windows meet x, a run of j reaching [lo, hi]
+        reach = abs(design.wm) + half
+        near = np.flatnonzero((self.base + reach >= x[0])
+                              & (self.base - reach <= x[-1]))
+        lo = self.base[near].min(initial=math.inf) - reach
+        hi = self.base[near].max(initial=-math.inf) + reach
+        self.support = slice(*np.searchsorted(x, (lo, hi), side="right"))
+        pad = width + math.ceil(max(0.0, x[0] - lo, hi - x[-1]) / dx)
         self.xp = np.concatenate((x[0] - dx * np.arange(pad, 0, -1), x,
                                   x[-1] + dx * np.arange(1, pad + 1)))
         self.inner = slice(pad, pad + len(x))
@@ -409,24 +407,19 @@ class _GuidePotential:
         # xp_windows[i] is the window of xp that starts at xp[i]
         self.xp_windows = np.lib.stride_tricks.sliding_window_view(self.xp,
                                                                    width)
-        # the groups, the samples between their members (0 when each guide
-        # is its own group), and each group's first member, whose window
-        # is the group's row
+        # guides q apart share their drive angle and depth: when q*ws/dx is
+        # whole, every k-th of them, stride >= W samples apart, is a group
         stride = design.q * design.ws / dx
-        self.stride = int(stride) if stride.is_integer() else 0
-        period = design.q if self.stride else n
-        self.groups = [range(r, n, period) for r in range(min(period, n))]
-        first = [members[0] for members in self.groups]
+        if stride > 0 and stride.is_integer():
+            k = -(-width // int(stride))
+            period, self.stride = k * design.q, k * int(stride)
+        else:
+            period, self.stride = len(near), 0
+        self.groups = [near[r::period]
+                       for r in range(min(period, len(near)))]
+        first = near[:len(self.groups)]
         self.first_base, self.first_angles = self.base[first], \
             self.angles[first]
-        # views as (group, samples from the group's row to the first
-        # window, windows, samples between windows)
-        self.views = []
-        for g, members in enumerate(self.groups):
-            k = -(-width // self.stride) if len(members) > 1 else 1
-            self.views += [(g, i * self.stride, len(members[i::k]),
-                            k * self.stride)
-                           for i in range(min(k, len(members)))]
 
     def rows(self, phases):
         """Window starts in the padded grid, (len(phases), groups), and
@@ -446,20 +439,21 @@ class _GuidePotential:
         return lo, rows
 
     def windows(self, buf):
-        """One array per view of the padded buffer buf: its [i] is the
-        view's (windows, W) block, the first window starting at buf[i]."""
+        """One array per group of the padded buffer buf: its [i] is the
+        group's (members, W) block of windows, the first starting at
+        buf[i]."""
         size, W = buf.itemsize, self.width
         return [np.lib.stride_tricks.as_strided(
-            buf, (len(buf) - (count - 1) * stride - W + 1, count, W),
-            (size, stride * size, size))
-            for _, _, count, stride in self.views]
+            buf, (len(buf) - (len(members) - 1) * self.stride - W + 1,
+                  len(members), W),
+            (size, self.stride * size, size)) for members in self.groups]
 
     def profile(self, phase: float):
         """R at the drive phase, in a new array."""
         lo, rows = self.rows(np.array([phase], dtype=float))
         R = np.zeros(len(self.xp))
-        for (g, start, _, _), windows in zip(self.views, self.windows(R)):
-            windows[lo[0, g] + start] += rows[0, g]
+        for g, windows in enumerate(self.windows(R)):
+            windows[lo[0, g]] += rows[0, g]
         R = R[self.inner]
         R[np.abs(R) < _TINY] = 0.0
         return R
@@ -493,8 +487,7 @@ class _GuidePotential:
         near, far = np.minimum(c1, c2), np.maximum(c1, c2)
         depth = 1.0 + np.maximum(d.alpha * lo, d.alpha * hi)
         bound = 0.0
-        # R is exactly 0 beyond the guides' reach
-        xs = self.x[_phase_support(d, self.x)]
+        xs = self.x[self.support]
         for start in range(0, len(xs), _BOUND_BLOCK):
             x = xs[start:start + _BOUND_BLOCK, None]
             for k in range(BOUND_PHASE_ARCS):
@@ -524,19 +517,8 @@ def _phase_factors(t, out):
     np.multiply(t, u, out=out.imag)
 
 
-def _phase_support(design, x: np.ndarray) -> slice:
-    """Slice of the increasing grid x outside which R(x, z) is exactly 0 at
-    every z, within the design's reach.  It holds at least two samples,
-    as the potential reads dx from x."""
-    reach = design.reach
-    lo = int(np.searchsorted(x, -reach))
-    hi = int(np.searchsorted(x, reach, side="right"))
-    return slice(min(lo, len(x) - 2), max(hi, 2))
-
-
-def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
-                         leakage_abort: float = LEAKAGE_MAX
-                         ) -> FieldTrajectory:
+def split_step_propagate(psi0, design, grid: SimulationGrid,
+                         on_slice) -> FieldTrajectory:
     """Strang-split spectral propagation over the grid's recorded z range.
 
     At every entry z of grid.z_slices (multiples of dz, starting at 0; the
@@ -546,9 +528,9 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
     the z = 0 row, the norms and the complex field of the last slice, so
     memory does not grow with the number of slices.  The boundary strips
     of width 2*ws are monitored at every recorded slice, z = 0 included:
-    if any single sample there carries a power fraction above
-    leakage_abort the run raises BoundaryLeakage before that slice is
-    handed on.  The drive phase at z is Omega*z.  psi0 is not modified.
+    if any single sample there carries a power fraction above LEAKAGE_MAX
+    the run raises BoundaryLeakage before that slice is handed on.  The
+    drive phase at z is Omega*z.  psi0 is not modified.
     """
     x = grid.xs
     dx, dz = grid.dx, grid.dz
@@ -591,10 +573,10 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
         np.square(row, out=row)
         norms[k] = np.sum(row) * dx
         leaks[k] = row[boundary].max() * dx / norms[0]
-        if leaks[k] > leakage_abort:
+        if leaks[k] > LEAKAGE_MAX:
             raise BoundaryLeakage(
                 f"boundary power fraction {leaks[k]:.3e} > "
-                f"{leakage_abort:.1e} at z = {steps[k] * dz:.1f} um; "
+                f"{LEAKAGE_MAX:.1e} at z = {steps[k] * dz:.1f} um; "
                 "widen the domain or shorten the run")
         on_slice(zs[k], view)
 
@@ -610,8 +592,7 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
     padded = np.zeros(len(pot.xp), dtype=complex)
     psi_k = padded[pot.inner]
     np.fft.fft(psi, out=psi_k, norm="forward")
-    plan = [(g, start, windows) for (g, start, _, _), windows
-            in zip(pot.views, pot.windows(padded))]
+    plan = list(enumerate(pot.windows(padded)))
     factor = np.empty((PHASE_BLOCK, len(pot.groups), pot.width),
                       dtype=complex)
     block = np.arange(PHASE_BLOCK)
@@ -629,8 +610,8 @@ def split_step_propagate(psi0, design, grid: SimulationGrid, on_slice,
             psi_k *= kin
             kin = merged
             np.fft.ifft(psi_k, out=psi_k, norm="forward")
-            for g, start, windows in plan:
-                windows[starts[g] + start] *= factor[b, g]
+            for g, windows in plan:
+                windows[starts[g]] *= factor[b, g]
             np.fft.fft(psi_k, out=psi_k)
             if s + 1 in row_of_step:
                 # the trailing half step alone, leaving psi_k for the next

@@ -7,7 +7,7 @@ indirect gap n is the bottom of band n+1 minus the top of band n
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,6 +127,6 @@ def gap_scan(params_template: ModulationParams, nu_od_over_J,
     Returns one (ratio, G_1, ..., G_{q-1}) tuple per requested ratio, in
     input order.  Raises ConfigError for nx or ny below 2.
     """
-    return [(r, *direct_gaps(zone_edge_grid(params_template.with_ratio(r),
-                                            nx, ny).energies).tolist())
-            for r in map(float, nu_od_over_J)]
+    return [(r, *direct_gaps(zone_edge_grid(
+        replace(params_template, nu_od=r * params_template.J),
+        nx, ny).energies).tolist()) for r in map(float, nu_od_over_J)]

@@ -69,10 +69,9 @@ class TestCriterion2TransitionLocation:
         r1 = min(g1, key=g1.get)
         r2 = min(g2, key=g2.get)
         assert abs(r1 - r2) > 0.05
-        before = chern_numbers(params(nu_d=0.2).with_ratio(min(r1, r2) - 0.2))
-        between = chern_numbers(
-            params(nu_d=0.2).with_ratio((r1 + r2) / 2.0))
-        after = chern_numbers(params(nu_d=0.2).with_ratio(max(r1, r2) + 0.2))
+        before = chern_numbers(params(nu_d=0.2, nu_od=min(r1, r2) - 0.2))
+        between = chern_numbers(params(nu_d=0.2, nu_od=(r1 + r2) / 2.0))
+        after = chern_numbers(params(nu_d=0.2, nu_od=max(r1, r2) + 0.2))
         assert tuple(before) == (-1, 2, -1)
         assert tuple(after) == (2, -4, 2)
         assert tuple(between) not in (tuple(before), tuple(after))
@@ -183,8 +182,7 @@ class TestCriterion8FreeDiffractionOracle:
                                 wx=3.0, Z=1e4, num_guides=21)
         grid = default_grid(design, num_slices=2)
         psi0 = gaussian_input(0.0, W, grid)
-        traj = split_step_propagate(psi0, design, grid,
-                                    lambda z, row: None, leakage_abort=1.0)
+        traj = split_step_propagate(psi0, design, grid, lambda z, row: None)
         s = W ** 2 + 2j * design.Z / K0
         ref = np.sqrt(W ** 2 / s) * np.exp(-grid.xs ** 2 / s)
         ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)

@@ -24,7 +24,7 @@ REMOVED = ("BlochMomentum", "band_gap", "all_gaps", "EigenDecomposition",
            "bloch_hamiltonian", "format_cell", "_first_gap", "_write_cache",
            "NUMERICAL_ERRORS", "ThreadPoolExecutor", "pump_chern",
            "_shift_readout", "_require_finite_scale", "OpticalConstants",
-           "_read_cache", "CELL_READOUT")
+           "_read_cache", "CELL_READOUT", "_phase_support")
 
 MODULES = ("model", "spectral", "topology", "edges", "propagation",
            "extraction", "ioutil", "cli")

@@ -56,11 +56,6 @@ class TestModulationParams:
         p = ModulationParams(1.0, 0.0, 1.0, 2, 6)
         assert (p.p, p.q) == (1, 3)
 
-    def test_with_ratio(self):
-        p = params().with_ratio(2.5)
-        assert p.nu_od == pytest.approx(2.5)
-        assert p.nu_d == 0.0
-
     def test_invalid_q(self):
         with pytest.raises(ValueError):
             ModulationParams(1.0, 0.0, 1.0, 1, 0)

@@ -12,9 +12,9 @@ from aahpump.model import _mod_angle
 from aahpump.propagation import GUIDE_WINDOW_WIDTHS, K0, N0, \
     PHASE_BLOCK, PHASE_STEP_MAX, BoundaryLeakage, GridUnderresolved, \
     IndexModulated, SimulationGrid, SpacingModulated, _GuidePotential, \
-    _phase_support, _super_gaussian, default_grid, gaussian_input, \
-    injection_guide, lz_ratio, mean_position, refractive_profile, \
-    run_summary, split_step_propagate
+    _super_gaussian, default_grid, gaussian_input, injection_guide, \
+    lz_ratio, mean_position, refractive_profile, run_summary, \
+    split_step_propagate
 
 
 # the keys of run_summary's dict without the lz fit
@@ -113,6 +113,14 @@ def extended_profile(d, x, phase):
         u = (x.astype(L) - (L(j * d.ws) + L(d.wm * cos))) / L(d.wx)
         R += np.exp(-u ** 6) * L(1.0 + d.alpha * cos)
     return R
+
+
+def reaching_guides(d, x):
+    """Indices into d.guide_indices of the guides whose windows, within
+    |wm| + GUIDE_WINDOW_WIDTHS*wx of j*ws, meet the grid x."""
+    reach = abs(d.wm) + GUIDE_WINDOW_WIDTHS * d.wx
+    return [i for i, j in enumerate(d.guide_indices)
+            if j * d.ws - reach <= x[-1] and j * d.ws + reach >= x[0]]
 
 
 def profile_at(d, x0, z):
@@ -219,7 +227,7 @@ class TestProfiles:
         d = make_design(design)
         x = default_grid(d).xs
         outside = np.ones(x.shape, dtype=bool)
-        outside[_phase_support(d, x)] = False
+        outside[_GuidePotential(d, x).support] = False
         assert 0.25 < outside.mean() < 0.4
         for z in np.linspace(0.0, d.Z, 37):
             assert not refractive_profile(d, x, z)[outside].any()
@@ -252,7 +260,7 @@ class TestProfiles:
                  IndexModulated(gamma=5e-4, alpha=frac, p=p, q=q, ws=ws,
                                 wx=wx, Z=1.5e5, num_guides=num_guides))
         x = np.arange(-400.0, 400.0, 0.15625)
-        pot = _GuidePotential(d, x[_phase_support(d, x)])
+        pot = _GuidePotential(d, x)
         peak = max(pot.profile(d.Omega * z).max()
                    for z in np.linspace(0.0, d.Z, 400))
         assert pot.bound() >= peak
@@ -261,14 +269,12 @@ class TestProfiles:
                                              ("fig5c", 2.0)])
     def test_bound_on_presets(self, name, bound):
         d = preset_design(name)
-        x = default_grid(d).xs
-        assert _GuidePotential(d, x[_phase_support(d, x)]).bound() == \
+        assert _GuidePotential(d, default_grid(d).xs).bound() == \
             pytest.approx(bound, abs=1e-12)
 
     def test_spacing_bound_on_fig5c(self):
         d = spacing_design()
-        x = default_grid(d).xs
-        assert _GuidePotential(d, x[_phase_support(d, x)]).bound() == \
+        assert _GuidePotential(d, default_grid(d).xs).bound() == \
             pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("name, stride", [("fig5a", 192), ("fig5b", 192),
@@ -281,28 +287,42 @@ class TestProfiles:
         assert pot.stride == stride
         assert [list(g) for g in pot.groups] == \
             [list(range(r, 21, 3)) for r in range(3)]
-        assert pot.views == [(g, 0, 7, stride) for g in range(3)]
 
     @pytest.mark.parametrize("q, ws, num_guides, stride", [
-        (1, 10.0, 7, 64), (3, 10.3, 7, 0), (3, 10.0, 23, 192),
-        (1, 3.0, 9, 0), (1, 2.5, 9, 16)])
-    def test_views_cover_each_guide_once(self, q, ws, num_guides, stride):
-        # a view's windows never overlap one another, and the views hold
-        # every guide's window exactly once, at its own sample offset
+        (1, 10.0, 7, 128), (3, 10.3, 7, 0), (3, 10.0, 23, 192),
+        (1, 3.0, 9, 0), (1, 2.5, 9, 128)])
+    def test_groups_cover_each_reaching_guide_once(self, q, ws, num_guides,
+                                                   stride):
+        # a group's members share the drive angle and lie stride >= W
+        # samples apart, so its windows never overlap one another, and the
+        # groups hold every guide that reaches the grid exactly once
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             d = index_design(q=q, ws=ws, num_guides=num_guides)
-        pot = _GuidePotential(d, np.arange(-200.0, 200.0, 0.15625))
+        x = np.arange(-200.0, 200.0, 0.15625)
+        pot = _GuidePotential(d, x)
         assert pot.stride == stride
-        held = []
-        for g, start, count, step in pot.views:
-            assert count == 1 or step >= pot.width
-            members = pot.groups[g]
-            for i in range(count):
-                m = (start + i * step) // stride if stride else 0
-                assert (start + i * step) == m * stride
-                held.append(members[m])
-        assert sorted(held) == list(range(num_guides))
+        held = [m for members in pot.groups for m in members]
+        assert sorted(held) == reaching_guides(d, x)
+        for members in pot.groups:
+            if len(members) > 1:
+                assert stride >= pot.width
+                assert np.all(np.diff(pot.base[members]) / pot.dx == stride)
+                assert len(set(pot.angles[members] % (2 * np.pi))) == 1
+
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    @pytest.mark.parametrize("x", [np.arange(0.0, 320.0, 0.15625),
+                                   np.linspace(-301.7, -40.9, 1777)])
+    def test_half_covering_grid_builds_the_reaching_guides(self, design, x):
+        d = make_design(design)
+        pot = _GuidePotential(d, x)
+        held = sorted(m for members in pot.groups for m in members)
+        assert held == reaching_guides(d, x)
+        assert 0 < len(held) < d.num_guides
+        for phase in np.linspace(0.0, 2.0 * np.pi, 9):
+            assert np.abs(pot.profile(phase)
+                          - reference_profile(d, x, 0.0, phase)
+                          ).max() <= 1e-14
 
     def test_super_gaussian_matches_sixth_power(self):
         x = np.linspace(-20.0, 20.0, 100001)
@@ -514,28 +534,30 @@ def reference_propagate(psi0, design, grid):
     that merges the trailing half step of one step with the leading one of
     the next; a recorded field is the plain inverse FFT of the trailing half
     step alone.  Each step, the field is copied into the inner slice of a
-    zeroed buffer padded as the potential's grid is.  Guides j, j + q, ...
-    form one group when q*ws/dx is whole, each guide its own group
-    otherwise; per group, in order, the first member's row depth*shape is
+    zeroed buffer padded as the potential's grid is.  Only the guides that
+    reach the grid take part.  When q*ws/dx is whole, every k-th of them
+    that lie q*ws apart, k = ceil(W*dx/(q*ws)), forms one group, whose
+    members lie k*q*ws/dx >= W samples apart; otherwise each is its own
+    group.  Per group, in order, the first member's row depth*shape is
     taken at the mid-step phase and phase_factor(v*dz*row) multiplies each
     member's window, the row's translated by whole samples, one member at a
-    time.  Members closer than a window apart go in interleaved passes,
-    every k-th member with k = ceil(W/stride), as no view of the stepper
-    overlaps itself.  The phase factor is phase_factor, not
-    np.exp(1j*theta) (test_phase_factor_matches_complex_exp bounds their
-    difference)."""
+    time.  The phase factor is phase_factor, not np.exp(1j*theta)
+    (test_phase_factor_matches_complex_exp bounds their difference)."""
     x, dx, dz = grid.xs, grid.dx, grid.dz
     pot = _GuidePotential(design, x)
     v_scale = K0 * design.gamma / N0
     kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, dx)
     half_kin = np.exp(-1j * kx ** 2 * dz / (4.0 * K0))
     merged = half_kin * half_kin / grid.nx
-    n, W = design.num_guides, pot.width
+    W = pot.width
+    near = reaching_guides(design, x)
     stride = design.q * design.ws / dx
-    whole = stride == int(stride)
-    stride = int(stride) if whole else 0
-    period = design.q if whole else n
-    groups = [list(range(r, n, period)) for r in range(min(period, n))]
+    if stride == int(stride):
+        k = -(-W // int(stride))
+        period, stride = k * design.q, k * int(stride)
+    else:
+        period, stride = len(near), 0
+    groups = [near[r::period] for r in range(min(period, len(near)))]
     psi = np.asarray(psi0, dtype=complex)
     fields = [psi.copy()]
     norms = [np.sum(np.abs(psi) ** 2) * dx]
@@ -554,10 +576,8 @@ def reference_propagate(psi0, design, grid):
             row = _super_gaussian(pot.xp[lo:lo + W] - base, shift, design.wx)
             factor = phase_factor(v_scale * dz
                                   * (row * (1.0 + design.alpha * cos)))
-            k = -(-W // stride) if len(members) > 1 else 1
-            for first in range(k):
-                for m in range(first, len(members), k):
-                    padded[lo + m * stride:lo + m * stride + W] *= factor
+            for m in range(len(members)):
+                padded[lo + m * stride:lo + m * stride + W] *= factor
         psi_k = np.fft.fft(padded[pot.inner])
         if s + 1 in record:
             out = np.fft.ifft(psi_k * half_kin)
@@ -682,7 +702,7 @@ class TestSplitStep:
         grid = default_grid(d, num_slices=4)
         psi0 = gaussian_input(0.0, 30.0, grid)
         slices = Slices()
-        traj = split_step_propagate(psi0, d, grid, slices, leakage_abort=1.0)
+        traj = split_step_propagate(psi0, d, grid, slices)
         for z, intensity in zip(slices.zs, slices.rows):
             ref = free_gaussian(grid.xs, 30.0, z)
             ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.dx)
@@ -759,12 +779,33 @@ class TestSplitStep:
         assert_matches_reference(slices, traj,
                                  *reference_propagate(psi0, d, grid))
 
+    @pytest.mark.parametrize("design", ["index", "spacing"])
+    def test_grid_far_from_the_array(self, design):
+        # no guide reaches a grid 1e5 um away: no group, padding of one
+        # window and at most two guide reaches on either side, whatever the
+        # distance, and R = 0
+        d = make_design(design, Z=1e3)
+        grid = SimulationGrid(1e5, 1e5 + 4096 * 0.15625, 4096, 1.0,
+                              np.array([0.0, 10.0]))
+        pot = _GuidePotential(d, grid.xs)
+        reach = abs(d.wm) + GUIDE_WINDOW_WIDTHS * d.wx
+        assert pot.groups == []
+        assert len(pot.xp) <= grid.nx + 2 * pot.width \
+            + 2 * math.ceil(2.0 * reach / grid.dx)
+        assert not pot.profile(0.3).any()
+        assert pot.bound() == 0.0
+        psi0 = gaussian_input(grid.x_min + 320.0, 4.0, grid)
+        slices = Slices()
+        traj = split_step_propagate(psi0, d, grid, slices)
+        assert_matches_reference(slices, traj,
+                                 *reference_propagate(psi0, d, grid))
+
     @given(spacing=st.booleans(), q=st.sampled_from([1, 3, 5, 7]),
            p=st.integers(1, 6),
            gamma=st.sampled_from([-9e-4, -5e-4, -1e-4, 1e-4, 5e-4, 9e-4]),
            ws=st.sampled_from([10.0, 20.0]), num_guides=st.just(7))
-    # members of a group 64 samples apart, closer than a window: two
-    # interleaved views
+    # guides 64 samples apart, closer than a window: two groups whose
+    # members lie 128 samples apart
     @example(spacing=False, q=1, p=1, gamma=5e-4, ws=10.0, num_guides=7)
     @example(spacing=True, q=1, p=1, gamma=-5e-4, ws=10.0, num_guides=7)
     # q*ws/dx = 197.76 samples: each guide its own group
@@ -789,7 +830,7 @@ class TestSplitStep:
         grid = default_grid(d, dz=4.0, num_slices=4)
         psi0 = gaussian_input(0.0, 4.0, grid)
         slices = Slices()
-        traj = split_step_propagate(psi0, d, grid, slices, leakage_abort=1.0)
+        traj = split_step_propagate(psi0, d, grid, slices)
         assert np.abs(traj.norms / traj.norms[0] - 1.0).max() <= 1e-12
         assert_matches_reference(slices, traj,
                                  *reference_propagate(psi0, d, grid))
